@@ -1,9 +1,7 @@
 /**
  * @file
- * Event-kernel wall-clock benchmark (ROADMAP item 1 success metric):
- * times identical simulations under both simulation-loop engines and
- * both simulation kernels (HIRA_KERNEL axis: generic virtual dispatch
- * vs per-scheme specialized instantiations) on two workload regimes —
+ * Event-kernel wall-clock benchmark: times identical simulations under
+ * both simulation-loop engines on two workload regimes —
  *
  *  - "saturated": 8-core memory-heavy synthetic mixes that keep the
  *    controllers' queues full (the regime where PR 5's kernel only
@@ -11,14 +9,12 @@
  *  - "light": 8-core low-intensity mixes (mostly LLC-resident), the
  *    regime the skip-ahead kernel always won.
  *
- * Every (regime, mix, engine, kernel) run lands in the HIRA_JSON
- * "timing" block, so the in-tree BENCH_event_kernel.json snapshot and
- * the CI artifact record the throughput trajectory across PRs. The
- * engines and kernels are bitwise-identical
- * (tests/sim/test_engine_diff.cc, tests/sim/test_kernel_diff.cc); this
- * driver additionally cross-checks a stats checksum per mix across all
- * four (engine x kernel) combinations so a silent divergence shows up
- * as a fatal here too.
+ * Every (regime, mix, engine) run lands in the HIRA_JSON "timing"
+ * block, so the in-tree BENCH_event_kernel.json snapshot and the CI
+ * artifact record the throughput trajectory across PRs. The engines
+ * are bitwise-identical (tests/sim/test_engine_diff.cc); this driver
+ * additionally cross-checks a stats checksum per mix across both so a
+ * silent divergence shows up as a fatal here too.
  */
 
 #include <chrono>
@@ -61,15 +57,11 @@ struct EngineTiming
     SimLoopStats loop; //!< summed over the regime's mixes
 };
 
-/**
- * Run every mix of the regime under (@p engine, @p kernel), timing
- * run() only.
- */
+/** Run every mix of the regime under @p engine, timing run() only. */
 EngineTiming
 runRegime(const std::string &regime,
           const std::vector<WorkloadMix> &mixes, SimEngine engine,
-          SimKernel kernel, const BenchKnobs &knobs,
-          std::vector<double> &checksums)
+          const BenchKnobs &knobs, std::vector<double> &checksums)
 {
     SchemeSpec scheme;
     scheme.kind = SchemeKind::Baseline;
@@ -80,7 +72,6 @@ runRegime(const std::string &regime,
             geom, scheme, mixes[mi],
             sweepRunSeed(geom.key(), scheme.seedKey(), mi));
         cfg.engine = engine;
-        cfg.kernel = kernel;
         System sys(cfg);
         auto t0 = std::chrono::steady_clock::now();
         sys.run(static_cast<Cycle>(knobs.warmup));
@@ -100,7 +91,7 @@ runRegime(const std::string &regime,
             static_cast<std::uint64_t>(knobs.warmup + knobs.cycles);
         recordPointTiming(strprintf("%s/%s mix%zu", regime.c_str(),
                                     simEngineName(engine), mi),
-                          secs, cycles, simKernelName(kernel));
+                          pointId(SweepPoint{geom, scheme}), secs, cycles);
         total.seconds += secs;
         total.cycles += cycles;
         const SimLoopStats &ls = sys.loopStats();
@@ -118,10 +109,9 @@ int
 main()
 {
     BenchKnobs knobs = BenchKnobs::fromEnv();
-    banner("Event-kernel wall-clock: cycle vs event engine, "
-           "specialized vs generic kernel",
-           "ROADMAP item 1: >1.5x on saturated 8-core mixes; ROADMAP "
-           "item 2: devirtualized hot path, bitwise-identical results");
+    banner("Event-kernel wall-clock: cycle vs event engine",
+           "infra: event engine >1.5x faster than the dense loop on "
+           "saturated 8-core mixes, bitwise-identical results");
     knobsLine(knobs);
 
     const int nmixes = std::max(1, knobs.mixes / 2);
@@ -132,44 +122,23 @@ main()
     }
     const std::vector<std::string> names = {"saturated", "light"};
 
-    // cycle_s/event_s are the specialized kernel (the default);
-    // gain_cyc/gain_evt are generic wall-clock over specialized
-    // wall-clock per engine (devirtualization payoff, >1 is a win).
-    seriesHeader("regime", {"cycle_s", "event_s", "speedup", "gen_cyc_s",
-                            "gen_evt_s", "gain_cyc", "gain_evt"});
+    seriesHeader("regime", {"cycle_s", "event_s", "speedup"});
     for (std::size_t ri = 0; ri < regimes.size(); ++ri) {
-        std::vector<double> spec_cyc_sum, spec_evt_sum, gen_cyc_sum,
-            gen_evt_sum;
-        EngineTiming cyc =
-            runRegime(names[ri], regimes[ri], SimEngine::CycleLoop,
-                      SimKernel::Specialized, knobs, spec_cyc_sum);
-        EngineTiming evt =
-            runRegime(names[ri], regimes[ri], SimEngine::EventLoop,
-                      SimKernel::Specialized, knobs, spec_evt_sum);
-        EngineTiming gcyc =
-            runRegime(names[ri], regimes[ri], SimEngine::CycleLoop,
-                      SimKernel::Generic, knobs, gen_cyc_sum);
-        EngineTiming gevt =
-            runRegime(names[ri], regimes[ri], SimEngine::EventLoop,
-                      SimKernel::Generic, knobs, gen_evt_sum);
-        for (std::size_t i = 0; i < spec_cyc_sum.size(); ++i) {
-            if (spec_cyc_sum[i] != spec_evt_sum[i] ||
-                spec_cyc_sum[i] != gen_cyc_sum[i] ||
-                spec_cyc_sum[i] != gen_evt_sum[i]) {
-                fatal("engine/kernel divergence on %s mix %zu: "
-                      "checksums cycle/spec %.17g event/spec %.17g "
-                      "cycle/gen %.17g event/gen %.17g",
-                      names[ri].c_str(), i, spec_cyc_sum[i],
-                      spec_evt_sum[i], gen_cyc_sum[i], gen_evt_sum[i]);
+        std::vector<double> cyc_sum, evt_sum;
+        EngineTiming cyc = runRegime(names[ri], regimes[ri],
+                                     SimEngine::CycleLoop, knobs, cyc_sum);
+        EngineTiming evt = runRegime(names[ri], regimes[ri],
+                                     SimEngine::EventLoop, knobs, evt_sum);
+        for (std::size_t i = 0; i < cyc_sum.size(); ++i) {
+            if (cyc_sum[i] != evt_sum[i]) {
+                fatal("engine divergence on %s mix %zu: checksums "
+                      "cycle %.17g event %.17g",
+                      names[ri].c_str(), i, cyc_sum[i], evt_sum[i]);
             }
         }
         seriesRow(names[ri],
                   {cyc.seconds, evt.seconds,
-                   evt.seconds > 0.0 ? cyc.seconds / evt.seconds : 0.0,
-                   gcyc.seconds, gevt.seconds,
-                   cyc.seconds > 0.0 ? gcyc.seconds / cyc.seconds : 0.0,
-                   evt.seconds > 0.0 ? gevt.seconds / evt.seconds
-                                     : 0.0});
+                   evt.seconds > 0.0 ? cyc.seconds / evt.seconds : 0.0});
         const SimLoopStats &ls = evt.loop;
         note(strprintf(
             "%s event loop: executed %.1f%% of cycles, controller ticks "
@@ -182,9 +151,8 @@ main()
                 static_cast<double>(std::max<std::uint64_t>(
                     1, cyc.loop.ctrlTicks))));
     }
-    note("speedup = cycle/spec wall-clock over event/spec wall-clock; "
-         "gain_* = generic over specialized per engine, same seeds, "
-         "stats checksums cross-checked across all four combinations");
+    note("speedup = cycle-engine wall-clock over event-engine "
+         "wall-clock, same seeds, stats checksums cross-checked");
     footer();
     return 0;
 }

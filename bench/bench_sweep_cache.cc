@@ -82,9 +82,8 @@ runPass(const std::string &name, const std::string &cacheDir,
         recordPointTiming(strprintf("%s: %s @ %s", name.c_str(),
                                     plan[i].scheme.label().c_str(),
                                     plan[i].geom.key().c_str()),
-                          out.results[i].wallSeconds,
-                          out.results[i].simCycles, std::string(),
-                          out.results[i].cacheHit);
+                          pointId(plan[i]), out.results[i].wallSeconds,
+                          out.results[i].simCycles, out.results[i].cacheHit);
     }
     recordCacheStats(runner);
     return out;

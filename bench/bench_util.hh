@@ -56,9 +56,9 @@ struct JsonSection
 struct TimingRow
 {
     std::string label;
+    std::string point; //!< unique point id (see pointId)
     double simSeconds = 0.0;
     std::uint64_t simulatedCycles = 0;
-    std::string kernel;   //!< simulation kernel the point ran under
     bool cacheHit = false; //!< served from the result cache
 };
 
@@ -76,6 +76,7 @@ struct CacheRecord
 struct PointRow
 {
     std::string label;
+    std::string point; //!< unique point id (see pointId)
     RefreshStats refresh;
     MetricsSnapshot metrics; //!< empty unless HIRA_METRICS is on
 };
@@ -169,8 +170,6 @@ writeJson()
                  jsonEscape(cap.paperRef).c_str());
     std::fprintf(f, "  \"engine\": \"%s\",\n",
                  simEngineName(defaultSimEngine()));
-    std::fprintf(f, "  \"kernel\": \"%s\",\n",
-                 simKernelName(defaultSimKernel()));
     std::fprintf(f, "  \"metrics_level\": \"%s\",\n",
                  metricsLevelName(defaultMetricsLevel()));
     // Always present so artifact consumers (the CI warm-cache check)
@@ -227,12 +226,12 @@ writeJson()
                                 t.simSeconds
                           : 0.0;
         std::fprintf(f,
-                     "    {\"label\": \"%s\", \"kernel\": \"%s\", "
+                     "    {\"label\": \"%s\", \"point\": \"%s\", "
                      "\"sim_seconds\": %s, "
                      "\"simulated_cycles\": %llu, "
                      "\"cycles_per_sec\": %s, \"cache_hit\": %s},\n",
                      jsonEscape(t.label).c_str(),
-                     jsonEscape(t.kernel).c_str(),
+                     jsonEscape(t.point).c_str(),
                      jsonNumber(t.simSeconds).c_str(),
                      static_cast<unsigned long long>(t.simulatedCycles),
                      jsonNumber(rate).c_str(),
@@ -260,13 +259,13 @@ writeJson()
         const RefreshStats &rs = p.refresh;
         std::fprintf(
             f,
-            "    {\"label\": \"%s\", \"refresh\": {"
+            "    {\"label\": \"%s\", \"point\": \"%s\", \"refresh\": {"
             "\"ref_commands\": %llu, \"row_refreshes\": %llu, "
             "\"access_paired\": %llu, \"refresh_paired\": %llu, "
             "\"standalone\": %llu, \"deadline_misses\": %llu, "
             "\"preventive_generated\": %llu, "
             "\"preventive_dropped\": %llu}",
-            jsonEscape(p.label).c_str(),
+            jsonEscape(p.label).c_str(), jsonEscape(p.point).c_str(),
             static_cast<unsigned long long>(rs.refCommands),
             static_cast<unsigned long long>(rs.rowRefreshes),
             static_cast<unsigned long long>(rs.accessPaired),
@@ -411,25 +410,33 @@ note(const std::string &text)
 }
 
 /**
+ * Unique identity of a sweep point in artifacts: the geometry key plus
+ * the scheme seed-key, which together cover every behavior-affecting
+ * field (labels do not: "Baseline+PARA" names every NRH).
+ */
+inline std::string
+pointId(const SweepPoint &p)
+{
+    return p.geom.key() + "|" + p.scheme.seedKey();
+}
+
+/**
  * Record one sweep point's wall clock for the HIRA_JSON artifact's
  * "timing" block (sim seconds, simulated cycles; cycles/sec and a
  * total row are derived at write time). SweepGrid::run() records every
  * plan point automatically; call directly for hand-rolled sweeps.
- * @p kernel names the simulation kernel the point ran under; empty
- * means "whatever HIRA_KERNEL selects at record time" (drivers that
- * sweep the kernel axis pass it explicitly per point).
+ * @p point is the point's pointId().
  */
 inline void
-recordPointTiming(const std::string &label, double sim_seconds,
-                  std::uint64_t simulated_cycles,
-                  const std::string &kernel = std::string(),
+recordPointTiming(const std::string &label, const std::string &point,
+                  double sim_seconds, std::uint64_t simulated_cycles,
                   bool cache_hit = false)
 {
     detail::TimingRow t;
     t.label = label;
+    t.point = point;
     t.simSeconds = sim_seconds;
     t.simulatedCycles = simulated_cycles;
-    t.kernel = kernel.empty() ? simKernelName(defaultSimKernel()) : kernel;
     t.cacheHit = cache_hit;
     detail::capture().timing.push_back(std::move(t));
 }
@@ -463,11 +470,12 @@ recordCacheStats(const SweepRunner &runner)
  * SweepGrid::run() records every plan point automatically.
  */
 inline void
-recordPointStats(const std::string &label, const RefreshStats &refresh,
-                 const MetricsSnapshot &metrics)
+recordPointStats(const std::string &label, const std::string &point,
+                 const RefreshStats &refresh, const MetricsSnapshot &metrics)
 {
     detail::PointRow p;
     p.label = label;
+    p.point = point;
     p.refresh = refresh;
     p.metrics = metrics;
     detail::capture().points.push_back(std::move(p));
@@ -584,10 +592,10 @@ class SweepGrid
             std::string label =
                 strprintf("%s @ %s", points_[i].scheme.label().c_str(),
                           points_[i].geom.key().c_str());
-            recordPointTiming(label, results_[i].wallSeconds,
-                              results_[i].simCycles, std::string(),
-                              results_[i].cacheHit);
-            recordPointStats(label, results_[i].refresh,
+            std::string point = pointId(points_[i]);
+            recordPointTiming(label, point, results_[i].wallSeconds,
+                              results_[i].simCycles, results_[i].cacheHit);
+            recordPointStats(label, point, results_[i].refresh,
                              results_[i].metrics);
         }
         recordCacheStats(runner);

@@ -12,7 +12,6 @@ standardRegistry()
     static const std::vector<MemoryStandard> registry = {
         {"ddr4_2400", "DDR4-2400", ddr4_2400, 8.0},
         {"ddr5_4800", "DDR5-4800", ddr5_4800, 16.0},
-        {"lpddr5_6400", "LPDDR5-6400", lpddr5_6400, 16.0},
     };
     return registry;
 }

@@ -38,32 +38,4 @@ ddr5_4800(double capacity_gb)
     return tp;
 }
 
-TimingParams
-lpddr5_6400(double capacity_gb)
-{
-    TimingParams tp;
-    tp.tCK = 1.0 / 3.2;
-    tp.tRCD = 18.0;
-    tp.tRP = 18.0;
-    tp.tRAS = 42.0;
-    tp.tRC = 60.0;
-    tp.tRRD_S = 5.0;
-    tp.tRRD_L = 5.0;
-    tp.tFAW = 20.0;
-    tp.tCL = 17.5;
-    tp.tCWL = 14.0;
-    tp.tBL = 2.5;      // BL16 at 6400 MT/s
-    tp.tCCD_S = 2.5;
-    tp.tCCD_L = 5.0;
-    tp.tRTP = 7.5;
-    tp.tWR = 34.0;
-    tp.tWTR_S = 5.0;
-    tp.tWTR_L = 10.0;
-    tp.tRTRS = 0.625;
-    tp.tREFI = 3900.0; // DDR5-style halved refresh beat
-    tp.tREFW = 32.0e6;
-    tp.setCapacityGb(capacity_gb);
-    return tp;
-}
-
 } // namespace hira

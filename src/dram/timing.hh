@@ -111,15 +111,6 @@ TimingParams ddr4_2400(double capacity_gb = 8.0);
  */
 TimingParams ddr5_4800(double capacity_gb = 16.0);
 
-/**
- * LPDDR5-6400 stub preset (JESD209-5, approximate): mobile part with a
- * faster bus still, DDR5-style 32 ms refresh window, and slightly
- * relaxed row-core timings. Registered in the standard registry so
- * sweeps can select it, but not yet validated against a datasheet to
- * the same depth as the DDR4/DDR5 presets.
- */
-TimingParams lpddr5_6400(double capacity_gb = 16.0);
-
 } // namespace hira
 
 #endif // HIRA_DRAM_TIMING_HH

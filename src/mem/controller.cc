@@ -320,11 +320,18 @@ bool
 MemoryController::tryRefreshAct(int rank, BankId bank, RowId row,
                                 Cycle now)
 {
-    // Called by the schemes themselves (HiRA-MC standalone refreshes,
-    // plus the templated preventive path via tryRefreshActAs): the
-    // non-template form keeps the oracle's virtual onActivate, which is
-    // fine — scheme-initiated issues are per-refresh, not per-cycle.
-    return tryRefreshActAs<RefreshScheme>(rank, bank, row, now);
+    if (!busFree(now) || rankHeld(rank) ||
+        model.openRow(rank, bank) != kNoRow ||
+        model.earliestAct(rank, bank) > now) {
+        return false;
+    }
+    model.issueAct(rank, bank, row, now);
+    record(CommandType::ACT, now, rank, bank, row);
+    markIssued(now);
+    aux(rank, bank).refreshOpen = true;
+    recountHits(rank, bank); // a refresh row can match queued requests
+    onRowActivation(rank, bank, row, now);
+    return true;
 }
 
 bool
@@ -351,9 +358,27 @@ MemoryController::tryHiraRefreshPair(int rank, BankId bank, RowId first,
     ++stats_.hiraOps;
     aux(rank, bank).refreshOpen = true; // auto-PRE after the second tRAS
     recountHits(rank, bank); // bank now open with `second`
-    onRowActivationAs<RefreshScheme>(rank, bank, first, now);
-    onRowActivationAs<RefreshScheme>(rank, bank, second, second_at);
+    onRowActivation(rank, bank, first, now);
+    onRowActivation(rank, bank, second, second_at);
     return true;
+}
+
+void
+MemoryController::onRowActivation(int rank, BankId bank, RowId row,
+                                  Cycle now)
+{
+    ++stats_.acts;
+    refreshScheme->onActivate(rank, bank, row, now);
+    if (!paraSampler.enabled())
+        return;
+    RowId victim = paraSampler.sample(row, cfg.geom.rowsPerBank);
+    if (victim == kNoRow)
+        return;
+    ++paraSampler.generated;
+    if (cfg.paraImmediate)
+        aux(rank, bank).preventive.push_back(victim);
+    // In PreventiveRC mode the scheme saw the activation via onActivate
+    // and does its own (slack-adjusted) sampling.
 }
 
 // --------------------------------------------------------------------
@@ -363,9 +388,177 @@ MemoryController::tryHiraRefreshPair(int rank, BankId bank, RowId first,
 void
 MemoryController::tick(Cycle now)
 {
-    // The generic oracle: the same templated body System's specialized
-    // kernels run, with every scheme hook on ordinary virtual dispatch.
-    tickAs<RefreshScheme>(now);
+    issuedThisCycle = false;
+    lastTick = now;
+    // Occupancy at tick entry; under the event engine this samples only
+    // executed cycles (skipped cycles have provably unchanged queues).
+    observe(mReadQDepth, static_cast<double>(readQ.size()));
+    observe(mWriteQDepth, static_cast<double>(writeQ.size()));
+    // Retire expired HiRA bus-slot reservations (at most a handful of
+    // future slots; plain index compaction, nothing allocates here).
+    if (!reservedSlots.empty()) {
+        std::size_t kept = 0;
+        for (Cycle c : reservedSlots) {
+            if (c >= now)
+                reservedSlots[kept++] = c;
+        }
+        reservedSlots.resize(kept);
+    }
+
+    autoPreTick(now);
+    if (!issuedThisCycle && !slotReservedAt(now))
+        refreshScheme->tick(now);
+    if (!issuedThisCycle)
+        preventiveTick(now);
+    if (!issuedThisCycle)
+        scheduleDemand(now);
+    nextWakeValid = false; // state changed; nextEvent() recomputes
+}
+
+void
+MemoryController::preventiveTick(Cycle now)
+{
+    if (!cfg.paraImmediate || !paraSampler.enabled() || !busFree(now))
+        return;
+    int nbanks = cfg.geom.ranksPerChannel * cfg.geom.banksPerRank();
+    for (int i = 0; i < nbanks; ++i) {
+        int idx = (preventiveCursor + i) % nbanks;
+        int rank = idx / cfg.geom.banksPerRank();
+        BankId bank = static_cast<BankId>(idx % cfg.geom.banksPerRank());
+        BankAux &a = aux(rank, bank);
+        if (a.preventive.empty() || a.refreshOpen)
+            continue;
+        if (model.openRow(rank, bank) == kNoRow) {
+            // Pop the victim only once the refresh ACT actually issued:
+            // tryRefreshAct re-checks the rank hold, bank state, and
+            // ACT timing itself, and any of those can decline (e.g. a
+            // hold placed between our earliestAct probe and the issue).
+            // Popping first would silently drop the victim — a missed
+            // preventive refresh, invisible until a bit flips.
+            if (tryRefreshAct(rank, bank, a.preventive.front(), now)) {
+                a.preventive.pop_front();
+                preventiveCursor = idx + 1;
+                return;
+            }
+        } else if (!bankHasOpenRowHit(bankIndex(rank, bank)) &&
+                   model.earliestPre(rank, bank) <= now) {
+            // Close the bank so the preventive refresh can proceed; row
+            // hits in flight drain first.
+            tryPre(rank, bank, now);
+            preventiveCursor = idx + 1;
+            return;
+        }
+    }
+}
+
+bool
+MemoryController::tryDemandAct(const Request &req, Cycle now)
+{
+    int rank = req.da.rank;
+    BankId bank = req.da.bank;
+    if (rankHeld(rank) || model.earliestAct(rank, bank) > now)
+        return false;
+
+    // Case-1 hook (Fig. 8): give the refresh scheme the chance to hide a
+    // refresh under this activation with a HiRA operation.
+    RowId hidden =
+        refreshScheme->pickHiddenRefresh(rank, bank, req.da.row, now);
+    if (hidden != kNoRow) {
+        const TimingCycles &tcy = model.cycles();
+        if (model.earliestHira(rank, bank) <= now &&
+            !slotReservedAt(now + tcy.c1) &&
+            !slotReservedAt(now + tcy.hiraSpan())) {
+            Cycle second_at =
+                model.issueHira(rank, bank, hidden, req.da.row, now);
+            record(CommandType::ACT, now, rank, bank, hidden,
+                   HiraRole::FirstAct);
+            record(CommandType::PRE, now + tcy.c1, rank, bank, 0,
+                   HiraRole::CutPre);
+            record(CommandType::ACT, second_at, rank, bank, req.da.row,
+                   HiraRole::SecondAct);
+            reserveHiraSlots(now);
+            markIssued(now);
+            ++stats_.hiraOps;
+            count(mRowMisses); // the demand ACT rode a closed bank
+            recountHits(rank, bank); // bank now open with req's row
+            refreshScheme->onHiraIssued(rank, bank, hidden, now);
+            onRowActivation(rank, bank, hidden, now);
+            onRowActivation(rank, bank, req.da.row, second_at);
+            return true;
+        }
+    }
+
+    model.issueAct(rank, bank, req.da.row, now);
+    record(CommandType::ACT, now, rank, bank, req.da.row);
+    markIssued(now);
+    count(mRowMisses);
+    recountHits(rank, bank);
+    onRowActivation(rank, bank, req.da.row, now);
+    return true;
+}
+
+bool
+MemoryController::issueRowCommand(std::deque<Request> &queue, Cycle now)
+{
+    // Oldest-first, one attempt per bank.
+    std::fill(bankSeenScratch.begin(), bankSeenScratch.end(), 0);
+    for (const Request &req : queue) {
+        int rank = req.da.rank;
+        BankId bank = req.da.bank;
+        std::size_t idx = bankIndex(rank, bank);
+        if (bankSeenScratch[idx] != 0)
+            continue;
+        bankSeenScratch[idx] = 1;
+        if (bankBlocked(rank, bank))
+            continue;
+        RowId open = model.openRow(rank, bank);
+        if (open == req.da.row)
+            continue; // row hit waiting on CAS timing
+        if (open == kNoRow) {
+            if (tryDemandAct(req, now))
+                return true;
+            continue;
+        }
+        // Conflict: close the row once its queued hits have drained.
+        if (bankHasOpenRowHit(idx))
+            continue;
+        if (model.earliestPre(rank, bank) <= now) {
+            count(mRowConflicts);
+            return tryPre(rank, bank, now);
+        }
+    }
+    return false;
+}
+
+void
+MemoryController::scheduleDemand(Cycle now)
+{
+    if (!busFree(now))
+        return;
+
+    // Write-drain mode hysteresis; also drain opportunistically when
+    // there is no read work at all.
+    if (!writeMode) {
+        if (writeQ.size() >= static_cast<std::size_t>(cfg.drainHigh) ||
+            (readQ.empty() && !writeQ.empty())) {
+            writeMode = true;
+        }
+    } else if (writeQ.size() <= static_cast<std::size_t>(cfg.drainLow) &&
+               !readQ.empty()) {
+        writeMode = false;
+    }
+    if (writeMode && writeQ.empty())
+        writeMode = false;
+
+    std::deque<Request> &active = writeMode ? writeQ : readQ;
+    if (active.empty())
+        return;
+
+    // FR-FCFS: ready column accesses first, then oldest-first row
+    // commands.
+    if (issueColumnIfReady(active, !writeMode, now))
+        return;
+    issueRowCommand(active, now);
 }
 
 void
@@ -389,7 +582,123 @@ MemoryController::autoPreTick(Cycle now)
 Cycle
 MemoryController::nextEvent() const
 {
-    return nextEventAs<RefreshScheme>();
+    if (!nextWakeValid) {
+        nextWake = computeNextEvent(lastTick);
+        nextWakeValid = true;
+        count(mWakeRecomputes);
+    }
+    return nextWake;
+}
+
+Cycle
+MemoryController::computeNextEvent(Cycle now) const
+{
+    // The one state change the horizon scan below cannot see is the
+    // write-drain hysteresis flip: writeMode changes how preventiveTick
+    // weighs queued row hits and which queue schedules, and the dense
+    // loop re-evaluates the flip on every busFree tick. The flip is a
+    // pure function of the queue depths, so replaying the hysteresis
+    // block on the current depths tells exactly whether the next dense
+    // tick would change writeMode; if so, poll it. Depth changes
+    // between recomputes cannot be missed: they happen only on issues
+    // (each followed by this recompute) and enqueues (which lower the
+    // wake to arrival+1). Everything else an issue touches —
+    // completions pushed, preventive victims sampled, bank refreshOpen
+    // transitions, scheme bookkeeping, data-bus adjusted horizons —
+    // re-enters through the scan, which runs on post-issue state.
+    {
+        bool wm = writeMode;
+        if (!wm) {
+            if (writeQ.size() >= static_cast<std::size_t>(cfg.drainHigh) ||
+                (readQ.empty() && !writeQ.empty())) {
+                wm = true;
+            }
+        } else if (writeQ.size() <=
+                       static_cast<std::size_t>(cfg.drainLow) &&
+                   !readQ.empty()) {
+            wm = false;
+        }
+        if (wm && writeQ.empty())
+            wm = false;
+        if (wm != writeMode)
+            return now + 1;
+    }
+
+    // Horizons can never push the wake below the next cycle, so the
+    // scan bails as soon as the running minimum reaches that floor.
+    const Cycle floor = now + 1;
+    Cycle wake = kNeverCycle;
+    auto consider = [&wake, floor](Cycle c) {
+        if (c < wake)
+            wake = c;
+        return wake <= floor;
+    };
+
+    // One sweep over the per-bank request index (nRead / nWrite /
+    // n*Hit), no queue walk at all. Only the active queue can schedule
+    // before the next mode flip, and flips always land on ticks the
+    // wake list covers (the hysteresis check above plus enqueue's wake
+    // lowering), so the inactive class contributes no horizon. The
+    // conflict-PRE and preventive-close entries replay issueRowCommand
+    // / preventiveTick's row-hit gate (bankHasOpenRowHit): a PRE dense
+    // defers while the open row has queued hits is not considered,
+    // because the hit counts only change at covered ticks (hit issues,
+    // hit arrivals through enqueue, row transitions through commands),
+    // after which this recompute runs again.
+    const int bpr = cfg.geom.banksPerRank();
+    for (int rank = 0; rank < cfg.geom.ranksPerChannel; ++rank) {
+        // Held ranks: the holding scheme's horizon polls densely while
+        // it drains the rank toward a REF, so ACT entries drop out.
+        const bool held = rankHold[static_cast<std::size_t>(rank)];
+        for (BankId b = 0; b < static_cast<BankId>(bpr); ++b) {
+            std::size_t idx = bankIndex(rank, b);
+            const BankAux &a = bankAux[idx];
+            if (a.refreshOpen) {
+                // Demand and preventive work is withheld; the bank's
+                // only event is the auto-PRE of the refresh row.
+                if (model.openRow(rank, b) != kNoRow &&
+                    consider(model.earliestPre(rank, b))) {
+                    return floor;
+                }
+                continue;
+            }
+            std::uint16_t nq = writeMode ? nWrite[idx] : nRead[idx];
+            std::uint16_t nh = writeMode ? nWriteHit[idx] : nReadHit[idx];
+            bool preventivePending = !a.preventive.empty();
+            if (nq == 0 && !preventivePending)
+                continue;
+            if (model.openRow(rank, b) == kNoRow) {
+                // Everything queued wants an ACT (demand row or
+                // preventive victim).
+                if (!held && consider(model.earliestAct(rank, b)))
+                    return floor;
+                continue;
+            }
+            if (nh != 0 &&
+                consider(writeMode ? model.earliestWr(rank, b)
+                                   : model.earliestRd(rank, b))) {
+                return floor;
+            }
+            if ((nq > nh || preventivePending) &&
+                !bankHasOpenRowHit(idx) &&
+                consider(model.earliestPre(rank, b))) {
+                return floor;
+            }
+        }
+    }
+
+    // Completions must reach the LLC at exactly their arrival cycle.
+    for (const Completion &c : completions_) {
+        if (consider(c.at))
+            return floor;
+    }
+
+    if (consider(refreshScheme->nextEventCycle(now)))
+        return floor;
+
+    if (wake == kNeverCycle)
+        return kNeverCycle;
+    return std::max(wake, floor);
 }
 
 bool

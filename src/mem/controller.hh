@@ -132,22 +132,6 @@ class MemoryController
      */
     void accrueRejected(std::uint64_t n) { stats_.rejectedRequests += n; }
 
-    // ----- specialized-kernel surface -----------------------------------
-
-    /**
-     * tick() instantiated for one concrete scheme type S: identical
-     * behavior, but every scheme hook on the path dispatches through
-     * SchemeOps<S> (mem/controller_kernel.hh) — devirtualized and
-     * inlinable when S is a final scheme class, plain virtual when
-     * S = RefreshScheme (the generic oracle tick() forwards to). Only
-     * System's run loops call these with a concrete S, after pinning
-     * at construction that the attached scheme really is an S.
-     */
-    template <class S> void tickAs(Cycle now);
-
-    /** nextEvent() instantiated for scheme type S (same contract). */
-    template <class S> Cycle nextEventAs() const;
-
     /** Completions accumulated since the last drain. */
     std::vector<Completion> &completions() { return completions_; }
 
@@ -233,22 +217,13 @@ class MemoryController
     void autoPreTick(Cycle now);
     bool issueColumnIfReady(std::deque<Request> &queue, bool is_read,
                             Cycle now);
-
-    // The scheme-touching hot path, templated over the scheme type
-    // (bodies in mem/controller_kernel.hh). The non-template entry
-    // points above (tick, nextEvent, tryRefreshAct) forward to the
-    // S = RefreshScheme instantiations.
-    template <class S> Cycle computeNextEventAs(Cycle now) const;
+    Cycle computeNextEvent(Cycle now) const;
     /** Every activation funnels through here (PARA sampling hook). */
-    template <class S>
-    void onRowActivationAs(int rank, BankId bank, RowId row, Cycle now);
-    template <class S> void preventiveTickAs(Cycle now);
-    template <class S> void scheduleDemandAs(Cycle now);
-    template <class S>
-    bool issueRowCommandAs(std::deque<Request> &queue, Cycle now);
-    template <class S> bool tryDemandActAs(const Request &req, Cycle now);
-    template <class S>
-    bool tryRefreshActAs(int rank, BankId bank, RowId row, Cycle now);
+    void onRowActivation(int rank, BankId bank, RowId row, Cycle now);
+    void preventiveTick(Cycle now);
+    void scheduleDemand(Cycle now);
+    bool issueRowCommand(std::deque<Request> &queue, Cycle now);
+    bool tryDemandAct(const Request &req, Cycle now);
 
     /** Rebuild the bank's open-row-hit counts from the queues. */
     void recountHits(int rank, BankId bank);
@@ -324,11 +299,5 @@ class MemoryController
 };
 
 } // namespace hira
-
-// Companion header with the templated hot-path bodies (tickAs /
-// nextEventAs and the SchemeOps dispatch shims); it needs the complete
-// class above, and every includer of this header needs those
-// definitions to instantiate the kernels.
-#include "mem/controller_kernel.hh"
 
 #endif // HIRA_MEM_CONTROLLER_HH

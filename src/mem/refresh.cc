@@ -22,8 +22,74 @@ BaselineRefresh::attach(MemoryController *controller)
     }
 }
 
-// BaselineRefresh::tick and ::nextEventCycle are defined inline in
-// mem/controller_kernel.hh so tickAs<BaselineRefresh> can inline them.
-// This out-of-line attach() anchors the class's vtable emission here.
+void
+BaselineRefresh::tick(Cycle now)
+{
+    const Geometry &geom = ctrl->geometry();
+    for (int r = 0; r < geom.ranksPerChannel; ++r) {
+        std::size_t ri = static_cast<std::size_t>(r);
+        // Accrue due REFs into the debt counter.
+        while (now >= nextRefAt[ri]) {
+            ++debt[ri];
+            nextRefAt[ri] += ctrl->tc().refi;
+        }
+        if (debt[ri] == 0) {
+            if (closing[ri]) {
+                ctrl->setRankHold(r, false);
+                closing[ri] = false;
+            }
+            continue;
+        }
+
+        // Elastic postponement [161]: while demand reads are queued and
+        // the debt is within the standard's bound, defer the REF.
+        bool must = debt[ri] > maxPostpone;
+        if (!must && ctrl->queuedReads() > 0 && !closing[ri])
+            continue;
+
+        // REF is due: hold new activations, drain open banks, issue.
+        if (!closing[ri]) {
+            closing[ri] = true;
+            ctrl->setRankHold(r, true);
+        }
+        if (ctrl->tryRef(r, now)) {
+            --debt[ri];
+            closing[ri] = false;
+            ctrl->setRankHold(r, false);
+            ++stats_.refCommands;
+            return;
+        }
+        if (ctrl->tryCloseOneBank(r, now))
+            return;
+    }
+}
+
+Cycle
+BaselineRefresh::nextEventCycle(Cycle now) const
+{
+    Cycle wake = kNeverCycle;
+    const Geometry &geom = ctrl->geometry();
+    for (int r = 0; r < geom.ranksPerChannel; ++r) {
+        std::size_t ri = static_cast<std::size_t>(r);
+        if (closing[ri])
+            return now + 1; // actively draining banks toward a REF
+        if (debt[ri] > 0) {
+            // After an un-gated tick, a standing debt means the REF is
+            // being postponed (reads queued, within the bound). The
+            // postponement can end two ways: the read queue drains —
+            // an issue event, after which the controller polls densely
+            // anyway — or the debt crosses the bound at the next
+            // accrual. Ticks gated by a reserved HiRA bus slot can
+            // also leave debt standing with an empty read queue; then
+            // the scheme wants to act as soon as the gate lifts.
+            bool must = debt[ri] > maxPostpone;
+            if (must || ctrl->queuedReads() == 0)
+                return now + 1;
+        }
+        if (nextRefAt[ri] < wake)
+            wake = nextRefAt[ri]; // next debt accrual instant
+    }
+    return wake;
+}
 
 } // namespace hira

@@ -139,9 +139,6 @@ class BaselineRefresh final : public RefreshScheme
     }
 
     void attach(MemoryController *ctrl) override;
-    // tick/nextEventCycle are defined inline in mem/controller_kernel.hh
-    // (they need the complete MemoryController, and the specialized
-    // kernel inlines them into tickAs<BaselineRefresh>).
     void tick(Cycle now) override;
     Cycle nextEventCycle(Cycle now) const override;
 

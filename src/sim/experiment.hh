@@ -108,9 +108,9 @@ struct SweepPoint
      * Canonical result-cache key of this point when evaluated with
      * @p knobs over @p mixes: a multi-line string covering every
      * behavior-affecting input (code revision, geometry key and
-     * standard, scheme seed-key, engine/kernel/metrics selection,
-     * warmup and measured cycles, and the fully-resolved mix specs —
-     * see sim/result_cache.hh). Tools, the daemon, and SweepRunner all
+     * standard, scheme seed-key, engine/metrics selection, warmup and
+     * measured cycles, and the fully-resolved mix specs — see
+     * sim/result_cache.hh). Tools, hira_sweep, and SweepRunner all
      * derive keys through this one function so they can never disagree
      * on field ordering; golden strings are pinned in
      * tests/sim/test_result_cache.cc. Thread count is deliberately

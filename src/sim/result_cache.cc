@@ -600,9 +600,8 @@ resolvedMixSpecKey(const std::string &spec)
 namespace {
 
 /**
- * The key fields points and alone entries share. Engine, kernel, and
- * metrics level are bitwise result-neutral (pinned by the diff
- * suites), but they ARE behavior-affecting inputs of the *artifact*
+ * The key fields points and alone entries share. Engine and metrics
+ * level are bitwise result-neutral (pinned by the diff suites), but they ARE behavior-affecting inputs of the *artifact*
  * (timing regimes, metrics payloads), so they key separate slots —
  * a conservative choice that can only cost extra simulations, never
  * correctness.
@@ -611,11 +610,10 @@ std::string
 commonKeyFields(const GeomSpec &geom, const BenchKnobs &knobs)
 {
     return strprintf("rev=%s\ngeom=%s\nstandard=%s\nengine=%s\n"
-                     "kernel=%s\nmetrics=%s\nwarmup=%lld\ncycles=%lld\n",
+                     "metrics=%s\nwarmup=%lld\ncycles=%lld\n",
                      codeRevision().c_str(), geom.key().c_str(),
                      geom.standard.c_str(),
                      simEngineName(defaultSimEngine()),
-                     simKernelName(defaultSimKernel()),
                      metricsLevelName(defaultMetricsLevel()),
                      static_cast<long long>(knobs.warmup),
                      static_cast<long long>(knobs.cycles));

@@ -4,7 +4,7 @@
  *
  * The determinism work of PRs 3/5 made every simulation a pure
  * function of its inputs: per-run seeds derive injectively from
- * (geometry key, scheme seed-key, mix index), engines and kernels are
+ * (geometry key, scheme seed-key, mix index), the two engines are
  * bitwise-equivalent, and corpus priors round-trip exactly. That is
  * what makes memoizing PointResults sound — and this cache is that
  * memo, shared across processes through a directory of single-file
@@ -15,9 +15,9 @@
  * sim/experiment.hh and aloneResultCacheKey below): run seeds (via the
  * geometry/scheme keys they derive from), the fully-resolved mix specs
  * including corpus manifest priors and "?once" options, warmup and
- * measured cycles, SimEngine, SimKernel, metrics level, the memory
- * standard, and a code-revision stamp (the configure-time git rev, so
- * a rebuilt kernel never serves stale numbers). The entry file stores
+ * measured cycles, SimEngine, metrics level, the memory standard,
+ * and a code-revision stamp (the configure-time git rev, so a rebuilt
+ * simulator never serves stale numbers). The entry file stores
  * the full key and is rejected as stale when it does not match the
  * lookup key — a hash collision or a tampered file can never alias.
  *

@@ -8,9 +8,9 @@
  * through, the SchemeSpec -> SystemConfig wiring makeSystemConfig
  * dispatches through, the human label base, and the scheme's seed-key
  * contribution (every behavior-affecting knob the base SchemeSpec key
- * does not already cover). Adding a scheme means one entry here plus
- * the kernel tag (sim/kernel.hh) — the sweep, label, seeding, and
- * diagnostics layers pick it up from the registry.
+ * does not already cover). Adding a scheme means one entry here — the
+ * sweep, label, seeding, and diagnostics layers pick it up from the
+ * registry.
  *
  * Lookups by unknown name are fatal and list the known names,
  * mirroring benchmarkByName(): a typo in a sweep spec or bench driver

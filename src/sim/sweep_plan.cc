@@ -1,5 +1,6 @@
 #include "sim/sweep_plan.hh"
 
+#include <climits>
 #include <cmath>
 
 #include "common/json.hh"
@@ -26,15 +27,39 @@ numberField(const JsonValue &v, const char *key,
     return v.number;
 }
 
-int
-intField(const JsonValue &v, const char *key, const std::string &where)
+/** A whole number in [lo, hi]; checked before any conversion. */
+double
+wholeField(const JsonValue &v, const char *key, double lo, double hi,
+           const std::string &where)
 {
     double d = numberField(v, key, where);
     if (d != std::floor(d)) {
         fatal("%s: invalid sweep plan: '%s' must be an integer",
               where.c_str(), key);
     }
-    return static_cast<int>(d);
+    if (!(d >= lo && d <= hi)) {
+        fatal("%s: invalid sweep plan: '%s' = %g is outside [%.0f, %.0f]",
+              where.c_str(), key, d, lo, hi);
+    }
+    return d;
+}
+
+int
+intField(const JsonValue &v, const char *key, const std::string &where,
+         int lo = INT_MIN)
+{
+    return static_cast<int>(wholeField(v, key, lo, INT_MAX, where));
+}
+
+/**
+ * Warmup / measured cycles: a whole, non-negative cycle count. The
+ * bound stays below 2^63 so the int64 conversion is defined.
+ */
+std::int64_t
+cyclesField(const JsonValue &v, const char *key, const std::string &where)
+{
+    return static_cast<std::int64_t>(
+        wholeField(v, key, 0.0, 9.0e18, where));
 }
 
 bool
@@ -56,10 +81,12 @@ geomFromJson(const JsonValue &v, const std::string &where)
         const std::string &key = kv.first;
         if (key == "capacity_gb") {
             geom.capacityGb = numberField(kv.second, "capacity_gb", where);
+            if (!(std::isfinite(geom.capacityGb) && geom.capacityGb > 0.0))
+                planError(where, "'capacity_gb' must be positive");
         } else if (key == "channels") {
-            geom.channels = intField(kv.second, "channels", where);
+            geom.channels = intField(kv.second, "channels", where, 1);
         } else if (key == "ranks") {
-            geom.ranks = intField(kv.second, "ranks", where);
+            geom.ranks = intField(kv.second, "ranks", where, 1);
         } else if (key == "standard") {
             if (kv.second.kind != JsonValue::Kind::String) {
                 planError(where, "'standard' must be a string");
@@ -154,11 +181,9 @@ sweepPlanFromJson(const std::string &text, const std::string &where)
                 plan.mixes.push_back(std::move(m));
             }
         } else if (key == "warmup") {
-            plan.warmup = static_cast<std::int64_t>(
-                numberField(val, "warmup", where));
+            plan.warmup = cyclesField(val, "warmup", where);
         } else if (key == "cycles") {
-            plan.cycles = static_cast<std::int64_t>(
-                numberField(val, "cycles", where));
+            plan.cycles = cyclesField(val, "cycles", where);
         } else if (key == "points") {
             if (val.kind != JsonValue::Kind::Array)
                 planError(where, "'points' must be an array");
@@ -185,63 +210,6 @@ sweepPlanFromJson(const std::string &text, const std::string &where)
     if (plan.mixes.empty())
         planError(where, "'mixes' is missing or empty");
     return plan;
-}
-
-std::string
-sweepPlanToJson(const SweepPlan &plan)
-{
-    std::string out = "{\n  \"mixes\": [";
-    for (std::size_t i = 0; i < plan.mixes.size(); ++i) {
-        out += i == 0 ? "\n" : ",\n";
-        out += "    [";
-        for (std::size_t c = 0; c < plan.mixes[i].size(); ++c) {
-            if (c > 0)
-                out += ", ";
-            out += "\"" + jsonEscape(plan.mixes[i][c]) + "\"";
-        }
-        out += "]";
-    }
-    out += "\n  ],\n";
-    if (plan.warmup >= 0) {
-        out += strprintf("  \"warmup\": %lld,\n",
-                         static_cast<long long>(plan.warmup));
-    }
-    if (plan.cycles >= 0) {
-        out += strprintf("  \"cycles\": %lld,\n",
-                         static_cast<long long>(plan.cycles));
-    }
-    out += "  \"points\": [";
-    for (std::size_t i = 0; i < plan.points.size(); ++i) {
-        const SweepPoint &p = plan.points[i];
-        const SchemeSpec &s = p.scheme;
-        out += i == 0 ? "\n" : ",\n";
-        out += strprintf(
-            "    {\"geom\": {\"capacity_gb\": %s, \"channels\": %d, "
-            "\"ranks\": %d, \"standard\": \"%s\"},\n",
-            jsonDouble(p.geom.capacityGb).c_str(), p.geom.channels,
-            p.geom.ranks, jsonEscape(p.geom.standard).c_str());
-        // Every SchemeSpec field is emitted so the round trip is exact
-        // even when a default changes between builds.
-        out += strprintf(
-            "     \"scheme\": {\"name\": \"%s\", \"slack_n\": %d, "
-            "\"ref_postpone\": %d, \"periodic_via_hira\": %s, "
-            "\"para_enabled\": %s, \"nrh\": %s, "
-            "\"preventive_via_hira\": %s, \"access_pairing\": %s, "
-            "\"refresh_pairing\": %s, \"pull_ahead\": %s, "
-            "\"spt_isolation\": %s, \"raaimt\": %d, "
-            "\"prac_threshold\": %d, \"tracker_size\": %d}}",
-            schemeEntryByKind(s.kind).name, s.slackN, s.refPostpone,
-            s.periodicViaHira ? "true" : "false",
-            s.paraEnabled ? "true" : "false", jsonDouble(s.nrh).c_str(),
-            s.preventiveViaHira ? "true" : "false",
-            s.accessPairing ? "true" : "false",
-            s.refreshPairing ? "true" : "false",
-            s.pullAhead ? "true" : "false",
-            jsonDouble(s.sptIsolation).c_str(), s.raaimt,
-            s.pracThreshold, s.trackerSize);
-    }
-    out += "\n  ]\n}\n";
-    return out;
 }
 
 } // namespace hira

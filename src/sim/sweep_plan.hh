@@ -1,11 +1,10 @@
 /**
  * @file
  * Serialized sweep plans: the SweepPoint/mix vocabulary drivers hand to
- * SweepRunner::runPoints(), as a JSON wire format. This is the request
- * body of the hira_sweepd sweep service (tools/hira_sweepd.cc) and the
- * plan-slice file its worker processes consume — one schema for the
- * whole client → daemon → worker path, so a plan always means the same
- * points everywhere.
+ * SweepRunner::runPoints(), as a JSON file format: the input of
+ * tools/hira_sweep.cc, which runs a plan (or one --slice of it) against
+ * a shared result cache, so a plan always means the same points in
+ * every process.
  *
  * Schema (all knobs optional except geometry/scheme name):
  *
@@ -25,7 +24,13 @@
  * override keys (slack_n, ref_postpone, periodic_via_hira,
  * para_enabled, nrh, preventive_via_hira, access_pairing,
  * refresh_pairing, pull_ahead, spt_isolation, raaimt, prac_threshold,
- * tracker_size). Round-trips exactly: doubles render with %.17g.
+ * tracker_size).
+ *
+ * Plans are user-written, so numbers are range-checked before any
+ * conversion: integer fields must be whole numbers that fit an int,
+ * warmup/cycles whole non-negative numbers of cycles (omitted means
+ * the ambient knob default), channels/ranks at least 1, and
+ * capacity_gb positive. Anything else is fatal.
  */
 
 #ifndef HIRA_SIM_SWEEP_PLAN_HH
@@ -50,14 +55,11 @@ struct SweepPlan
 
 /**
  * Parse @p text as a sweep plan. Malformed JSON, unknown scheme names,
- * and structurally-invalid plans (no points, no mixes, empty mix) are
- * fatal, naming @p where.
+ * structurally-invalid plans (no points, no mixes, empty mix), and
+ * out-of-range numbers are fatal, naming @p where.
  */
 SweepPlan sweepPlanFromJson(const std::string &text,
                             const std::string &where);
-
-/** Render @p plan as JSON (the exact inverse of sweepPlanFromJson). */
-std::string sweepPlanToJson(const SweepPlan &plan);
 
 } // namespace hira
 

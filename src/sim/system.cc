@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <type_traits>
-#include <variant>
 
 #include "common/logging.hh"
 #include "common/trace_events.hh"
@@ -39,14 +37,13 @@ std::unique_ptr<RefreshScheme>
 System::makeScheme() const
 {
     // Factory dispatch through the scheme registry: adding a scheme is
-    // one registry entry plus a kernel tag, with no switch to extend
-    // here (an unregistered kind panics inside schemeEntryByKind).
+    // one registry entry, with no switch to extend here (an
+    // unregistered kind panics inside schemeEntryByKind).
     return schemeEntryByKind(cfg.scheme).make(cfg);
 }
 
 System::System(const SystemConfig &config)
-    : cfg(config), mapper(config.geom),
-      kernelTag_(kernelVariantFor(config.scheme, config.kernel))
+    : cfg(config), mapper(config.geom)
 {
     // Observability first, so component scopes can hang off the
     // registry. The kernel's own metrics live under "kernel."; trace
@@ -77,25 +74,6 @@ System::System(const SystemConfig &config)
         controllers.push_back(std::make_unique<MemoryController>(
             ch, cc, makeScheme()));
     }
-
-    // Soundness gate for the specialized kernel: tickAs<S> static_casts
-    // the scheme to S on the hot path, so prove the cast once here —
-    // every controller's scheme must be exactly the tagged type. The
-    // generic oracle (S = RefreshScheme) trivially passes.
-    std::visit(
-        [this](auto tag) {
-            using S = typename decltype(tag)::type;
-            if constexpr (!std::is_same_v<S, RefreshScheme>) {
-                for (const auto &ctrl : controllers) {
-                    if (dynamic_cast<S *>(&ctrl->scheme()) == nullptr) {
-                        panic("specialized kernel tag does not match the "
-                              "attached refresh scheme (SchemeKind %d)",
-                              static_cast<int>(cfg.scheme));
-                    }
-                }
-            }
-        },
-        kernelTag_);
 
     // Shared LLC routes misses by channel and notifies cores on fills.
     llc = std::make_unique<Llc>(
@@ -164,18 +142,10 @@ System::route(const Request &req)
 void
 System::run(Cycle cycles)
 {
-    // The single run-time -> compile-time dispatch point: pick the
-    // (engine x scheme) instantiation once per run() call, never per
-    // cycle. S = RefreshScheme is the generic oracle.
-    std::visit(
-        [&](auto tag) {
-            using S = typename decltype(tag)::type;
-            if (cfg.engine == SimEngine::EventLoop)
-                runEventAs<S>(cycles);
-            else
-                runCycleAs<S>(cycles);
-        },
-        kernelTag_);
+    if (cfg.engine == SimEngine::EventLoop)
+        runEvent(cycles);
+    else
+        runCycle(cycles);
 }
 
 void
@@ -200,9 +170,8 @@ System::drainCompletions(MemoryController &ctrl)
     done.resize(kept);
 }
 
-template <class S>
 void
-System::executeCycleAs(bool all_controllers)
+System::executeCycle(bool all_controllers)
 {
     // Controllers tick in channel order (matching the dense loop), not
     // heap-pop order: cross-channel writebacks drained from channel i
@@ -216,11 +185,11 @@ System::executeCycleAs(bool all_controllers)
         // tick would be a no-op and none of its completions are due
         // (nextEvent() lower-bounds both).
         if (all_controllers) {
-            controllers[ch]->tickAs<S>(memCycle);
+            controllers[ch]->tick(memCycle);
             ++loopStats_.ctrlTicks;
             drainCompletions(*controllers[ch]);
         } else if (wakeHeap.key(ch) <= memCycle) {
-            controllers[ch]->tickAs<S>(memCycle);
+            controllers[ch]->tick(memCycle);
             ++loopStats_.ctrlTicks;
             drainCompletions(*controllers[ch]);
             tickedScratch.push_back(static_cast<std::uint32_t>(ch));
@@ -251,17 +220,16 @@ System::executeCycleAs(bool all_controllers)
     // every busy controller to next-cycle polling.
     count(mHeapRekeys, tickedScratch.size());
     for (std::uint32_t ch : tickedScratch)
-        wakeHeap.update(ch, controllers[ch]->nextEventAs<S>());
+        wakeHeap.update(ch, controllers[ch]->nextEvent());
     tickedScratch.clear();
 }
 
-template <class S>
 void
-System::runCycleAs(Cycle cycles)
+System::runCycle(Cycle cycles)
 {
     for (Cycle c = 0; c < cycles; ++c) {
         ++memCycle;
-        executeCycleAs<S>(true);
+        executeCycle(true);
     }
     loopStats_.simulatedCycles += cycles;
     loopStats_.executedCycles += cycles;
@@ -299,9 +267,8 @@ System::firstActionableCycle() const
     return std::max(wake, memCycle + 1);
 }
 
-template <class S>
 void
-System::runEventAs(Cycle cycles)
+System::runEvent(Cycle cycles)
 {
     const Cycle end = memCycle + cycles;
     while (memCycle < end) {
@@ -354,7 +321,7 @@ System::runEventAs(Cycle cycles)
             }
             --traceSampleCountdown_;
         }
-        executeCycleAs<S>(false);
+        executeCycle(false);
     }
     loopStats_.simulatedCycles += cycles;
 }

@@ -28,7 +28,6 @@
 #include "mem/rfm.hh"
 #include "sim/core.hh"
 #include "sim/deadline_heap.hh"
-#include "sim/kernel.hh"
 #include "sim/workloads.hh"
 #include "workload/file_trace.hh"
 
@@ -57,6 +56,17 @@ SimEngine defaultSimEngine();
 
 /** Display name ("cycle" / "event") for logs and HIRA_JSON artifacts. */
 const char *simEngineName(SimEngine engine);
+
+/** Which refresh scheme the controllers run. */
+enum class SchemeKind
+{
+    NoRefresh, //!< ideal, no periodic refresh (Fig. 9a baseline)
+    Baseline,  //!< rank-level REF every tREFI
+    HiraMc,    //!< HiRA-MC (HiRA-N via HiraMcConfig::slackN)
+    Rfm,       //!< DDR5 refresh management (per-bank RAA counters)
+    Prac,      //!< per-row activation counters, threshold refresh
+    Graphene,  //!< Misra-Gries tracker with per-tREFI TRR refreshes
+};
 
 /** Full system configuration. */
 struct SystemConfig
@@ -95,13 +105,6 @@ struct SystemConfig
 
     /** Simulation-loop engine (defaults to the HIRA_ENGINE knob). */
     SimEngine engine = defaultSimEngine();
-
-    /**
-     * Simulation-kernel flavor (defaults to the HIRA_KERNEL knob):
-     * generic virtual dispatch or the per-scheme specialized kernel.
-     * Never changes results (pinned by tests/sim/test_kernel_diff.cc).
-     */
-    SimKernel kernel = defaultSimKernel();
 
     /**
      * Instrumentation level (defaults to the HIRA_METRICS knob). Off
@@ -158,7 +161,6 @@ class System
     CoreModel &core(int i) { return *cores[i]; }
     Cycle now() const { return memCycle; }
     SimEngine engine() const { return cfg.engine; }
-    SimKernel kernel() const { return cfg.kernel; }
     const SimLoopStats &loopStats() const { return loopStats_; }
 
     /**
@@ -185,22 +187,14 @@ class System
   private:
     std::unique_ptr<RefreshScheme> makeScheme() const;
     bool route(const Request &req);
-    // The run loops are templated over the scheme type S so the
-    // controllers' tickAs<S>/nextEventAs<S> hot path devirtualizes; the
-    // S = RefreshScheme instantiation is the generic oracle. run()
-    // visits kernelTag_ once to pick the instantiation.
-    template <class S> void runCycleAs(Cycle cycles);
-    template <class S> void runEventAs(Cycle cycles);
-    template <class S> void executeCycleAs(bool all_controllers);
+    void runCycle(Cycle cycles);
+    void runEvent(Cycle cycles);
+    void executeCycle(bool all_controllers);
     void drainCompletions(MemoryController &ctrl);
     Cycle firstActionableCycle() const;
 
     SystemConfig cfg;
     AddressMapper mapper;
-    // Kernel specialization for this run, fixed at construction from
-    // (cfg.scheme, cfg.kernel); the ctor checks each controller's
-    // scheme really is the tagged type before any templated loop runs.
-    KernelVariant kernelTag_;
     std::vector<std::unique_ptr<MemoryController>> controllers;
     std::unique_ptr<Llc> llc;
     std::vector<std::unique_ptr<TraceSource>> sources;

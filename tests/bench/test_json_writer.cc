@@ -69,3 +69,20 @@ TEST(JsonWriter, ArtifactWithNonFiniteSeriesStaysValidJson)
     ::unlink(path.c_str());
     ::rmdir(dir.c_str());
 }
+
+TEST(JsonWriter, PointIdsTellApartPointsSharingALabel)
+{
+    // Two PARA points that differ only in NRH share the label
+    // "Baseline+PARA @ c8-ch1-rk1"; their artifact ids must not.
+    SweepPoint a{GeomSpec{}, paraScheme(1024.0, -1)};
+    SweepPoint b{GeomSpec{}, paraScheme(64.0, -1)};
+    ASSERT_EQ(a.scheme.label(), b.scheme.label());
+    EXPECT_NE(pointId(a), pointId(b));
+    EXPECT_EQ(pointId(a), pointId(SweepPoint{GeomSpec{}, a.scheme}));
+
+    // Both artifact blocks record the id next to the label.
+    recordPointTiming("para", pointId(b), 0.5, 1000);
+    recordPointStats("para", pointId(b), RefreshStats{}, MetricsSnapshot{});
+    EXPECT_EQ(detail::capture().timing.back().point, pointId(b));
+    EXPECT_EQ(detail::capture().points.back().point, pointId(b));
+}

@@ -17,7 +17,6 @@ TEST(StandardRegistry, KnownStandardsResolve)
 {
     EXPECT_STREQ(standardByName("ddr4_2400").name, "ddr4_2400");
     EXPECT_STREQ(standardByName("ddr5_4800").name, "ddr5_4800");
-    EXPECT_STREQ(standardByName("lpddr5_6400").name, "lpddr5_6400");
     EXPECT_STREQ(standardByName("ddr4_2400").display, "DDR4-2400");
 }
 
@@ -30,7 +29,7 @@ TEST(StandardRegistry, RegistryIsCompleteAndNamed)
         EXPECT_EQ(&standardByName(s.name), &s);
         EXPECT_NE(names.find(s.name), std::string::npos) << s.name;
     }
-    EXPECT_GE(standardRegistry().size(), 3u);
+    EXPECT_GE(standardRegistry().size(), 2u);
 }
 
 TEST(StandardRegistry, FactoriesMatchThePresets)
@@ -40,15 +39,6 @@ TEST(StandardRegistry, FactoriesMatchThePresets)
     EXPECT_DOUBLE_EQ(viaRegistry.tCK, direct.tCK);
     EXPECT_DOUBLE_EQ(viaRegistry.tREFI, direct.tREFI);
     EXPECT_DOUBLE_EQ(viaRegistry.tRC, direct.tRC);
-}
-
-TEST(StandardRegistry, Lpddr5StubIsFasterClockSameRefreshBeat)
-{
-    // The LPDDR5-6400 stub: 3.2 GHz clock, DDR5-style halved tREFI.
-    TimingParams lp = standardByName("lpddr5_6400").make(16.0);
-    TimingParams d4 = standardByName("ddr4_2400").make(16.0);
-    EXPECT_LT(lp.tCK, d4.tCK);
-    EXPECT_DOUBLE_EQ(lp.tREFI, d4.tREFI / 2.0);
 }
 
 TEST(StandardRegistry, KnobSelectsTheDefault)
@@ -69,7 +59,7 @@ TEST(StandardRegistryDeath, UnknownNameIsFatalAndListsTheRegistry)
     EXPECT_EXIT(standardByName("ddr6_9600"),
                 ::testing::ExitedWithCode(1),
                 "unknown memory standard 'ddr6_9600'.*ddr4_2400.*"
-                "ddr5_4800.*lpddr5_6400");
+                "ddr5_4800");
 }
 
 TEST(StandardRegistryDeath, UnknownKnobValueIsFatal)

@@ -200,6 +200,12 @@ TEST(EngineDiff, MitigationZooOnDdr5)
     ddr5.standard = "ddr5_4800";
     ddr5.capacityGb = 16.0;
 
+    SchemeSpec rfm;
+    rfm.kind = SchemeKind::Rfm;
+    rfm.raaimt = 16;
+    expectEnginesAgree(makeConfig(rfm, memHeavyMix(), ddr5),
+                       "rfm-16 ddr5");
+
     SchemeSpec prac;
     prac.kind = SchemeKind::Prac;
     prac.pracThreshold = 32;

@@ -149,27 +149,6 @@ TEST(MetricsEquivalence, HiraMcSchemes)
     expectLevelsAgree(makeConfig(prc), "hira-4+para(hira)");
 }
 
-TEST(MetricsEquivalence, HoldsUnderGenericKernel)
-{
-    // The suite above runs under the default (specialized) kernel; the
-    // no-perturbation contract must hold on the generic virtual oracle
-    // too, and the metrics level must not perturb results *across*
-    // kernels either (full/generic vs off/specialized).
-    SchemeSpec hira;
-    hira.kind = SchemeKind::HiraMc;
-    hira.slackN = 2;
-    SystemConfig cfg = makeConfig(hira);
-    cfg.kernel = SimKernel::Generic;
-    expectLevelsAgree(cfg, "hira-2 generic kernel");
-
-    SystemConfig spec = makeConfig(hira);
-    spec.kernel = SimKernel::Specialized;
-    expectIdentical(
-        runAtLevel(cfg, MetricsLevel::Full, SimEngine::EventLoop),
-        runAtLevel(spec, MetricsLevel::Off, SimEngine::EventLoop),
-        "full/generic vs off/specialized");
-}
-
 TEST(MetricsEquivalence, TracingDoesNotPerturbResults)
 {
     std::string path = strprintf("/tmp/hira_trace_equiv_%d.json",

@@ -2,9 +2,10 @@
  * @file
  * Tests for the content-addressed result cache (sim/result_cache.hh):
  * golden cache-key strings (the cross-process contract between
- * SweepRunner, hira_sweepd, and its workers), key sensitivity to every
- * behavior-affecting input, exact store/load round trips, LRU-front
- * behavior, read-mode, and rejection of stale/corrupt entries.
+ * SweepRunner and every hira_sweep process sharing a cache directory),
+ * key sensitivity to every behavior-affecting input, exact store/load
+ * round trips, LRU-front behavior, read-mode, and rejection of
+ * stale/corrupt entries.
  */
 
 #include <gtest/gtest.h>
@@ -34,7 +35,6 @@ class ResultCacheTest : public ::testing::Test
     {
         ::setenv("HIRA_CACHE_REV", "test", 1);
         ::setenv("HIRA_ENGINE", "event", 1);
-        ::setenv("HIRA_KERNEL", "specialized", 1);
         ::unsetenv("HIRA_METRICS");
         ::unsetenv("HIRA_STANDARD");
         ::unsetenv("HIRA_RESULT_CACHE");
@@ -54,7 +54,6 @@ class ResultCacheTest : public ::testing::Test
         Corpus::setActive(nullptr);
         ::unsetenv("HIRA_CACHE_REV");
         ::unsetenv("HIRA_ENGINE");
-        ::unsetenv("HIRA_KERNEL");
         std::filesystem::remove_all(dir);
     }
 
@@ -155,7 +154,6 @@ TEST_F(ResultCacheTest, GoldenPointKey)
               "geom=c8-ch1-rk1\n"
               "standard=ddr4_2400\n"
               "engine=event\n"
-              "kernel=specialized\n"
               "metrics=off\n"
               "warmup=3000\n"
               "cycles=12000\n"
@@ -174,7 +172,6 @@ TEST_F(ResultCacheTest, GoldenAloneKey)
               "geom=c8-ch1-rk1\n"
               "standard=ddr4_2400\n"
               "engine=event\n"
-              "kernel=specialized\n"
               "metrics=off\n"
               "warmup=3000\n"
               "cycles=12000\n"
@@ -218,10 +215,6 @@ TEST_F(ResultCacheTest, EveryInputChangesThePointKey)
     ::setenv("HIRA_ENGINE", "cycle", 1);
     EXPECT_NE(p.cacheKey(knobs(), mixes()), base);
     ::setenv("HIRA_ENGINE", "event", 1);
-
-    ::setenv("HIRA_KERNEL", "generic", 1);
-    EXPECT_NE(p.cacheKey(knobs(), mixes()), base);
-    ::setenv("HIRA_KERNEL", "specialized", 1);
 
     // Metrics level changes the PointResult::metrics payload, so it
     // keys separate slots even though the numbers are identical.

@@ -102,3 +102,11 @@ TEST(SchemeRegistryDeath, UnknownNameIsFatalAndListsTheRegistry)
                 "unknown refresh scheme 'graphine'.*norefresh.*baseline.*"
                 "hira.*rfm.*prac.*graphene");
 }
+
+TEST(SchemeRegistryDeath, OutOfRangeKindPanics)
+{
+    // System::makeScheme dispatches through this lookup, so an unmapped
+    // kind must die before any controller is built.
+    EXPECT_DEATH(schemeEntryByKind(static_cast<SchemeKind>(99)),
+                 "scheme registry");
+}

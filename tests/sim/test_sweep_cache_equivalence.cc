@@ -5,9 +5,8 @@
  * cache must produce bitwise-identical results at any thread count —
  * the result cache is a pure memoization of the deterministic
  * simulation. Also pins that warm runs simulate nothing (points AND
- * alone-IPC warmups), that cached entries do not leak across
- * engine/kernel selections, and that full-level metrics survive the
- * round trip.
+ * alone-IPC warmups), that cached entries do not leak across engine
+ * selections, and that full-level metrics survive the round trip.
  */
 
 #include <gtest/gtest.h>
@@ -34,7 +33,6 @@ class SweepCacheTest : public ::testing::Test
         // individual knobs back and forth themselves.
         ::setenv("HIRA_CACHE_REV", "test", 1);
         ::setenv("HIRA_ENGINE", "event", 1);
-        ::setenv("HIRA_KERNEL", "specialized", 1);
         ::unsetenv("HIRA_METRICS");
         ::unsetenv("HIRA_STANDARD");
         ::unsetenv("HIRA_RESULT_CACHE");
@@ -52,7 +50,6 @@ class SweepCacheTest : public ::testing::Test
     {
         ::unsetenv("HIRA_CACHE_REV");
         ::unsetenv("HIRA_ENGINE");
-        ::unsetenv("HIRA_KERNEL");
         ::unsetenv("HIRA_METRICS");
         std::filesystem::remove_all(dir);
     }
@@ -210,10 +207,10 @@ TEST_F(SweepCacheTest, WarmIsIdenticalAcrossThreadCounts)
     }
 }
 
-TEST_F(SweepCacheTest, EntriesDoNotLeakAcrossEngineOrKernel)
+TEST_F(SweepCacheTest, EntriesDoNotLeakAcrossEngines)
 {
-    // Engine and kernel produce bitwise-identical numbers, but they
-    // are distinct key inputs (conservative: a cross-selection reuse
+    // The two engines produce bitwise-identical numbers, but they are
+    // distinct key inputs (conservative: a cross-selection reuse
     // could mask an equivalence bug instead of letting the diff
     // suites catch it). A cache primed under one selection must MISS
     // under the other — and re-simulating must still agree bitwise,
@@ -231,14 +228,6 @@ TEST_F(SweepCacheTest, EntriesDoNotLeakAcrossEngineOrKernel)
     EXPECT_EQ(cycleRunner.pointsFromCache(), 0u);
     expectBitwiseEqual(cycleOut, eventOut);
     ::setenv("HIRA_ENGINE", "event", 1);
-
-    ::setenv("HIRA_KERNEL", "generic", 1);
-    SweepRunner genericRunner(tinyKnobs(2));
-    attachCache(genericRunner);
-    std::vector<PointResult> genericOut = genericRunner.runPoints(plan);
-    EXPECT_EQ(genericRunner.pointsSimulated(), 1u);
-    expectBitwiseEqual(genericOut, eventOut);
-    ::setenv("HIRA_KERNEL", "specialized", 1);
 
     // Back on the original selection: warm.
     SweepRunner warm(tinyKnobs(2));

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the serialized sweep-plan wire format (sim/sweep_plan.hh):
- * exact round trips, hand-written JSON with defaults, and fatal
- * diagnostics on malformed plans — the daemon must reject garbage at
+ * Tests for the serialized sweep-plan format (sim/sweep_plan.hh):
+ * every field parsed, hand-written JSON with defaults, and fatal
+ * diagnostics on malformed plans — hira_sweep must reject garbage at
  * the door, not simulate something else.
  */
 
@@ -13,60 +13,64 @@
 
 using namespace hira;
 
-namespace {
-
-SweepPlan
-samplePlan()
+TEST(SweepPlan, EveryFieldParses)
 {
-    SweepPlan plan;
-    plan.mixes = {{"mcf-like", "gcc-like"}, {"corpus:x?once"}};
-    plan.warmup = 1234;
-    plan.cycles = 56789;
+    SweepPlan plan = sweepPlanFromJson(
+        R"({"mixes": [["mcf-like", "gcc-like"], ["corpus:x?once"]],
+            "warmup": 1234, "cycles": 56789,
+            "points": [
+              {"scheme": {"name": "baseline", "ref_postpone": 4}},
+              {"geom": {"capacity_gb": 8.04, "channels": 2, "ranks": 4,
+                        "standard": "ddr5_4800"},
+               "scheme": {"name": "hira", "slack_n": 8,
+                          "periodic_via_hira": false,
+                          "para_enabled": true, "nrh": 333.25,
+                          "preventive_via_hira": true,
+                          "access_pairing": false,
+                          "refresh_pairing": false, "pull_ahead": false,
+                          "spt_isolation": 0.17}},
+              {"scheme": {"name": "rfm", "raaimt": 16}},
+              {"scheme": {"name": "prac", "prac_threshold": 48}},
+              {"scheme": {"name": "graphene", "tracker_size": 12}}]})",
+        "every-field");
 
-    SweepPoint base;
-    base.scheme = schemeSpecByName("baseline");
-    plan.points.push_back(base);
+    std::vector<SweepPoint> want(5);
+    want[0].scheme = schemeSpecByName("baseline");
+    want[0].scheme.refPostpone = 4;
+    want[1].geom.capacityGb = 8.04; // %.17g keys must keep this apart
+    want[1].geom.channels = 2;
+    want[1].geom.ranks = 4;
+    want[1].geom.standard = "ddr5_4800";
+    want[1].scheme = schemeSpecByName("hira");
+    want[1].scheme.slackN = 8;
+    want[1].scheme.periodicViaHira = false;
+    want[1].scheme.paraEnabled = true;
+    want[1].scheme.nrh = 333.25;
+    want[1].scheme.preventiveViaHira = true;
+    want[1].scheme.accessPairing = false;
+    want[1].scheme.refreshPairing = false;
+    want[1].scheme.pullAhead = false;
+    want[1].scheme.sptIsolation = 0.17;
+    want[2].scheme = schemeSpecByName("rfm");
+    want[2].scheme.raaimt = 16;
+    want[3].scheme = schemeSpecByName("prac");
+    want[3].scheme.pracThreshold = 48;
+    want[4].scheme = schemeSpecByName("graphene");
+    want[4].scheme.trackerSize = 12;
 
-    SweepPoint hira;
-    hira.geom.capacityGb = 8.04; // %.17g must round-trip this
-    hira.geom.channels = 2;
-    hira.geom.ranks = 4;
-    hira.geom.standard = "ddr5_4800";
-    hira.scheme = schemeSpecByName("hira");
-    hira.scheme.slackN = 8;
-    hira.scheme.paraEnabled = true;
-    hira.scheme.preventiveViaHira = true;
-    hira.scheme.nrh = 333.25;
-    hira.scheme.sptIsolation = 0.17;
-    plan.points.push_back(hira);
-
-    SweepPoint rfm;
-    rfm.scheme = schemeSpecByName("rfm");
-    rfm.scheme.raaimt = 16;
-    plan.points.push_back(rfm);
-    return plan;
-}
-
-} // namespace
-
-TEST(SweepPlan, RoundTripIsExact)
-{
-    SweepPlan plan = samplePlan();
-    SweepPlan back =
-        sweepPlanFromJson(sweepPlanToJson(plan), "round-trip");
-    EXPECT_EQ(back.mixes, plan.mixes);
-    EXPECT_EQ(back.warmup, plan.warmup);
-    EXPECT_EQ(back.cycles, plan.cycles);
-    ASSERT_EQ(back.points.size(), plan.points.size());
-    for (std::size_t i = 0; i < plan.points.size(); ++i) {
-        // The geometry key and scheme seed-key cover every serialized
-        // field injectively, so key equality IS spec equality — and it
-        // is exactly what the result cache hashes.
-        EXPECT_EQ(back.points[i].geom.key(), plan.points[i].geom.key());
-        EXPECT_EQ(back.points[i].geom.standard,
-                  plan.points[i].geom.standard);
-        EXPECT_EQ(back.points[i].scheme.seedKey(),
-                  plan.points[i].scheme.seedKey());
+    EXPECT_EQ(plan.mixes, (std::vector<WorkloadMix>{
+                              {"mcf-like", "gcc-like"}, {"corpus:x?once"}}));
+    EXPECT_EQ(plan.warmup, 1234);
+    EXPECT_EQ(plan.cycles, 56789);
+    ASSERT_EQ(plan.points.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        // The geometry key and scheme seed-key cover every plan field
+        // injectively, so key equality IS spec equality — and it is
+        // exactly what the result cache hashes.
+        EXPECT_EQ(plan.points[i].geom.key(), want[i].geom.key()) << i;
+        EXPECT_EQ(plan.points[i].geom.standard, want[i].geom.standard);
+        EXPECT_EQ(plan.points[i].scheme.seedKey(), want[i].scheme.seedKey())
+            << i;
     }
 }
 
@@ -137,4 +141,46 @@ TEST(SweepPlan, MalformedPlansAreFatal)
                     "t"),
                 ::testing::ExitedWithCode(1),
                 "unknown geom key 'chanels'");
+
+    // Out-of-range numbers die before any conversion to int / int64.
+    EXPECT_EXIT((void)sweepPlanFromJson(
+                    "{\"mixes\": [[\"a\"]], \"points\": "
+                    "[{\"scheme\": {\"name\": \"hira\", "
+                    "\"slack_n\": 1e10}}]}",
+                    "t"),
+                ::testing::ExitedWithCode(1),
+                "invalid sweep plan: 'slack_n' = .* is outside");
+    EXPECT_EXIT((void)sweepPlanFromJson(
+                    "{\"mixes\": [[\"a\"]], \"warmup\": 1e30, \"points\": "
+                    "[{\"scheme\": {\"name\": \"hira\"}}]}",
+                    "t"),
+                ::testing::ExitedWithCode(1),
+                "invalid sweep plan: 'warmup' = .* is outside");
+    EXPECT_EXIT((void)sweepPlanFromJson(
+                    "{\"mixes\": [[\"a\"]], \"cycles\": -5, \"points\": "
+                    "[{\"scheme\": {\"name\": \"hira\"}}]}",
+                    "t"),
+                ::testing::ExitedWithCode(1),
+                "invalid sweep plan: 'cycles' = .* is outside");
+    EXPECT_EXIT((void)sweepPlanFromJson(
+                    "{\"mixes\": [[\"a\"]], \"points\": "
+                    "[{\"geom\": {\"channels\": 0}, \"scheme\": "
+                    "{\"name\": \"hira\"}}]}",
+                    "t"),
+                ::testing::ExitedWithCode(1),
+                "invalid sweep plan: 'channels' = .* is outside");
+    EXPECT_EXIT((void)sweepPlanFromJson(
+                    "{\"mixes\": [[\"a\"]], \"points\": "
+                    "[{\"geom\": {\"ranks\": -1}, \"scheme\": "
+                    "{\"name\": \"hira\"}}]}",
+                    "t"),
+                ::testing::ExitedWithCode(1),
+                "invalid sweep plan: 'ranks' = .* is outside");
+    EXPECT_EXIT((void)sweepPlanFromJson(
+                    "{\"mixes\": [[\"a\"]], \"points\": "
+                    "[{\"geom\": {\"capacity_gb\": 0}, \"scheme\": "
+                    "{\"name\": \"hira\"}}]}",
+                    "t"),
+                ::testing::ExitedWithCode(1),
+                "invalid sweep plan: 'capacity_gb' must be positive");
 }

@@ -7,7 +7,7 @@ artifact ("metrics_level", per-point "metrics" objects) but must never
 change a result the driver reports: the "sections" arrays — every
 figure/table series, every row label, every value — must be bitwise
 identical between a metrics-on and a metrics-off run. The result-cache
-contract (BUILDING.md "Result cache and sweep service") extends the
+contract (BUILDING.md "Result cache and hira_sweep") extends the
 same bar to cold-vs-warm reruns. CI enforces both with this script;
 any drift is an instrumentation or cache-fidelity bug.
 
