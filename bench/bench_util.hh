@@ -25,6 +25,7 @@
 
 #include <sys/stat.h>
 
+#include "common/json.hh"
 #include "common/knobs.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
@@ -114,27 +115,6 @@ driverName()
 #else
     return "bench"; // unknown libc: drivers share one JSON file
 #endif
-}
-
-inline std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
 }
 
 /** JSON has no NaN/Inf literals; emit null for them. */

@@ -3,35 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace hira {
-
-namespace {
-
-/** Minimal JSON string escaping for event/category names. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 TraceEventLog &
 TraceEventLog::global()

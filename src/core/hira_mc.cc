@@ -11,14 +11,12 @@ HiraMc::HiraMc(const HiraMcConfig &config)
     : cfg(config), sampler(config.preventive)
 {
     hira_assert(cfg.slackN >= 0);
-    if (!cfg.periodicViaHira)
-        baseline = std::make_unique<BaselineRefresh>();
 }
 
 void
 HiraMc::attach(MemoryController *controller)
 {
-    RefreshScheme::attach(controller);
+    BaselineRefresh::attach(controller);
     const Geometry &geom = controller->geometry();
     const TimingCycles &tcy = controller->tc();
 
@@ -64,9 +62,6 @@ HiraMc::attach(MemoryController *controller)
             static_cast<double>(total_banks);
     }
     nextGenMinValid = false;
-
-    if (baseline != nullptr)
-        baseline->attach(controller);
 }
 
 void
@@ -76,12 +71,6 @@ HiraMc::attachMetrics(const MetricScope &scope)
     // full-FIFO occupancy distinguishable from near-full.
     mPrFifoDepth = scope.histogram("pr_fifo_depth", 0.0, 5.0, 5);
     mRefptrResets = scope.counter("refptr_resets");
-}
-
-const RefreshStats *
-HiraMc::baselineStats() const
-{
-    return baseline != nullptr ? &baseline->stats() : nullptr;
 }
 
 void
@@ -161,7 +150,7 @@ HiraMc::tick(Cycle now)
     if (cfg.periodicViaHira) {
         generatePeriodic(now);
     } else {
-        baseline->tick(now);
+        BaselineRefresh::tick(now);
         if (!ctrl->busFree(now))
             return;
     }
@@ -215,7 +204,7 @@ HiraMc::nextEventCycle(Cycle now) const
         }
         if (consider(static_cast<Cycle>(std::ceil(nextGenMin))))
             return floor;
-    } else if (consider(baseline->nextEventCycle(now))) {
+    } else if (consider(BaselineRefresh::nextEventCycle(now))) {
         return floor;
     }
     return wake;

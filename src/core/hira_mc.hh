@@ -13,7 +13,9 @@
  * refreshes at the deadline.
  *
  * HiRA-N configurations set tRefSlack = N * tRC (Sections 8-9's
- * notation).
+ * notation). With periodicViaHira off (Section 9.2: PARA served by
+ * HiRA, periodic refresh on REF) the REFs come from the inherited
+ * BaselineRefresh engine and are counted in this scheme's stats.
  */
 
 #ifndef HIRA_CORE_HIRA_MC_HH
@@ -47,7 +49,8 @@ struct HiraMcConfig
     /**
      * True: periodic refresh is performed with HiRA row refreshes
      * (Section 8). False: periodic refresh stays on conventional REF
-     * commands and only preventive refreshes use HiRA (Section 9.2).
+     * commands from the inherited BaselineRefresh engine and only
+     * preventive refreshes use HiRA (Section 9.2).
      */
     bool periodicViaHira = true;
     // Ablation switches (DESIGN.md ablation index).
@@ -68,7 +71,7 @@ struct HiraMcConfig
 };
 
 /** The HiRA-MC refresh scheme for one memory controller (channel). */
-class HiraMc final : public RefreshScheme
+class HiraMc final : public BaselineRefresh
 {
   public:
     explicit HiraMc(const HiraMcConfig &cfg);
@@ -90,8 +93,6 @@ class HiraMc final : public RefreshScheme
     const PrFifoSet &prFifo(int rank) const { return fifos[rank]; }
     const SubarrayPairsTable &spt() const { return *spt_; }
     const HiraMcConfig &config() const { return cfg; }
-    /** Stats of the internal baseline REF engine (periodicViaHira=false). */
-    const RefreshStats *baselineStats() const;
 
   private:
     struct Target
@@ -119,7 +120,6 @@ class HiraMc final : public RefreshScheme
     void commit(const RefreshEntry &e, const Target &t, Cycle now);
 
     HiraMcConfig cfg;
-    std::unique_ptr<BaselineRefresh> baseline;
     std::unique_ptr<SubarrayPairsTable> spt_;
     std::vector<RefreshTable> tables;   //!< per rank
     std::vector<RefPtrTable> refptrs;   //!< per rank

@@ -6,10 +6,10 @@
  * FR-FCFS scheduling [143, 190] with the open-row policy, write-drain
  * watermarks, one command per channel cycle (the shared command bus all
  * ranks contend on, which drives the Fig. 14/16 rank-scaling behavior),
- * a pluggable refresh scheme (NoRefresh / BaselineRefresh / HiRA-MC),
- * and PARA in its original immediate form (preventive refresh as soon
- * as the activated row's bank is free) or delegated to the scheme's
- * PreventiveRC.
+ * a pluggable refresh scheme (NoRefresh, BaselineRefresh, or a scheme
+ * derived from it: HiRA-MC, RFM, PRAC, Graphene-TRR), and PARA in its
+ * original immediate form (preventive refresh as soon as the activated
+ * row's bank is free) or delegated to HiRA-MC's PreventiveRC.
  *
  * The HiRA operation is issued atomically: the controller reserves the
  * two future command-bus slots for the inner PRE and second ACT, applies
@@ -46,8 +46,10 @@ struct ControllerConfig
     ParaConfig para;
     /**
      * True: preventive refreshes execute immediately (original PARA).
-     * False: activations are only reported to the refresh scheme, whose
-     * PreventiveRC queues them with slack (HiRA-MC).
+     * False: sampled victims are discarded; System clears it for
+     * HiRA-MC, whose PreventiveRC samples activations itself and queues
+     * the victims with slack (SchemeSpec::validate rejects enabling
+     * immediate PARA on HiRA-MC).
      */
     bool paraImmediate = true;
     bool recordTrace = false; //!< feed the TimingChecker trace recorder

@@ -10,13 +10,12 @@ GrapheneTrr::GrapheneTrr(const GrapheneConfig &config) : cfg(config)
     hira_assert(cfg.trackerSize > 0);
     hira_assert(cfg.threshold > 0);
     hira_assert(cfg.queueCap > 0);
-    baseline_ = std::make_unique<BaselineRefresh>();
 }
 
 void
 GrapheneTrr::attach(MemoryController *controller)
 {
-    RefreshScheme::attach(controller);
+    BaselineRefresh::attach(controller);
     const Geometry &geom = controller->geometry();
     const TimingCycles &tcy = controller->tc();
     std::size_t nbanks = static_cast<std::size_t>(geom.ranksPerChannel) *
@@ -24,9 +23,7 @@ GrapheneTrr::attach(MemoryController *controller)
     trackers.assign(nbanks, {});
     for (auto &t : trackers)
         t.reserve(static_cast<std::size_t>(cfg.trackerSize));
-    victims.assign(nbanks, {});
-    pendingTotal = 0;
-    bankCursor = 0;
+    victims.reset(nbanks, cfg.queueCap);
     // tREFW = 8192 tREFI intervals (as in HiraMc's refptr window).
     windowCycles = tcy.refi * 8192;
     nextWindowReset = windowCycles;
@@ -38,7 +35,6 @@ GrapheneTrr::attach(MemoryController *controller)
             tcy.refi * static_cast<Cycle>(r + 1) /
             static_cast<Cycle>(geom.ranksPerChannel);
     }
-    baseline_->attach(controller);
 }
 
 void
@@ -79,7 +75,7 @@ GrapheneTrr::onActivate(int rank, BankId bank, RowId row, Cycle now)
 }
 
 void
-GrapheneTrr::trrSelect(int rank, Cycle now)
+GrapheneTrr::trrSelect(int rank)
 {
     // Hottest tracked row at or above the threshold across the rank's
     // banks; deterministic tie-break on (bank, then tracker order —
@@ -105,56 +101,8 @@ GrapheneTrr::trrSelect(int rank, Cycle now)
             static_cast<double>(trackers[bestIdx].size()));
     RowId row = best->row;
     best->hits = 0; // refreshed neighbors: restart the count
-    RowId rows = geom.rowsPerBank;
-    RowId neighbors[2] = {row > 0 ? row - 1 : kNoRow,
-                          row + 1 < rows ? row + 1 : kNoRow};
-    std::deque<RowId> &q = victims[bestIdx];
-    for (RowId victim : neighbors) {
-        if (victim == kNoRow)
-            continue;
-        ++stats_.preventiveGenerated;
-        count(mTrrSelections);
-        if (q.size() >= static_cast<std::size_t>(cfg.queueCap)) {
-            ++stats_.preventiveDropped;
-            continue;
-        }
-        q.push_back(victim);
-        ++pendingTotal;
-    }
-    (void)now;
-}
-
-bool
-GrapheneTrr::drain(Cycle now)
-{
-    if (pendingTotal == 0)
-        return false;
-    const Geometry &geom = ctrl->geometry();
-    int nbanks = geom.ranksPerChannel * geom.banksPerRank();
-    for (int i = 0; i < nbanks; ++i) {
-        int idx = (bankCursor + i) % nbanks;
-        int rank = idx / geom.banksPerRank();
-        BankId bank = static_cast<BankId>(idx % geom.banksPerRank());
-        std::deque<RowId> &q = victims[static_cast<std::size_t>(idx)];
-        if (q.empty() || ctrl->bankBlocked(rank, bank))
-            continue;
-        if (ctrl->timing().openRow(rank, bank) != kNoRow) {
-            if (ctrl->tryPre(rank, bank, now)) {
-                bankCursor = idx + 1;
-                return true;
-            }
-            continue;
-        }
-        if (ctrl->tryRefreshAct(rank, bank, q.front(), now)) {
-            q.pop_front();
-            --pendingTotal;
-            ++stats_.rowRefreshes;
-            ++stats_.standalone;
-            bankCursor = idx + 1;
-            return true;
-        }
-    }
-    return false;
+    count(mTrrSelections,
+          victims.pushNeighbors(bestIdx, row, geom.rowsPerBank, stats_));
 }
 
 void
@@ -171,18 +119,14 @@ GrapheneTrr::tick(Cycle now)
     }
     for (std::size_t r = 0; r < nextTrrAt.size(); ++r) {
         while (now >= nextTrrAt[r]) {
-            trrSelect(static_cast<int>(r), now);
+            trrSelect(static_cast<int>(r));
             nextTrrAt[r] += ctrl->tc().refi;
         }
     }
 
-    baseline_->tick(now);
-    // Mirror the internal REF engine so System::result() needs no
-    // scheme-specific aggregation.
-    stats_.refCommands = baseline_->stats().refCommands;
-    if (!ctrl->busFree(now))
-        return;
-    drain(now);
+    BaselineRefresh::tick(now);
+    if (ctrl->busFree(now))
+        victims.drain(*ctrl, now, stats_);
 }
 
 Cycle
@@ -191,16 +135,16 @@ GrapheneTrr::nextEventCycle(Cycle now) const
     // Queued victims drain against per-bank timing gates: poll densely
     // while any are pending. Otherwise the next state change is the
     // earliest of the per-rank TRR selection instants, the tracker
-    // window reset, and the baseline REF engine (tracker counters only
-    // change via onActivate, i.e. on issues, which force a poll).
-    if (pendingTotal > 0)
+    // window reset, and the inherited REF schedule (tracker counters
+    // only change via onActivate, i.e. on issues, which force a poll).
+    if (victims.pending() > 0)
         return now + 1;
     Cycle wake = nextWindowReset;
     for (Cycle t : nextTrrAt) {
         if (t < wake)
             wake = t;
     }
-    Cycle b = baseline_->nextEventCycle(now);
+    Cycle b = BaselineRefresh::nextEventCycle(now);
     if (b < wake)
         wake = b;
     return wake;

@@ -9,20 +9,19 @@
  * is full — decrements every counter (zeroed entries free their slot).
  * Once per tREFI, per rank, the tracker's hottest row at or above the
  * threshold gets its two physical neighbors queued for targeted refresh
- * (the TRR action) and its counter reset. Victims drain through the
- * controller's refresh-open machinery; the trackers reset every tREFW
- * window. Periodic refresh stays on conventional REF via an internal
- * BaselineRefresh engine, mirrored into this scheme's RefreshStats.
+ * (the TRR action) and its counter reset. Victims wait in a bounded
+ * per-bank VictimQueue and drain through the controller's refresh-open
+ * machinery; the trackers reset every tREFW window. Periodic refresh
+ * stays on conventional REF, inherited from BaselineRefresh.
  */
 
 #ifndef HIRA_MEM_GRAPHENE_TRR_HH
 #define HIRA_MEM_GRAPHENE_TRR_HH
 
-#include <deque>
-#include <memory>
 #include <vector>
 
 #include "mem/refresh.hh"
+#include "mem/victim_queue.hh"
 
 namespace hira {
 
@@ -38,7 +37,7 @@ struct GrapheneConfig
 };
 
 /** The Graphene-TRR refresh scheme for one memory controller. */
-class GrapheneTrr final : public RefreshScheme
+class GrapheneTrr final : public BaselineRefresh
 {
   public:
     explicit GrapheneTrr(const GrapheneConfig &cfg);
@@ -50,10 +49,8 @@ class GrapheneTrr final : public RefreshScheme
     void onActivate(int rank, BankId bank, RowId row, Cycle now) override;
 
     const GrapheneConfig &config() const { return cfg; }
-    /** Stats of the internal baseline REF engine (test hook). */
-    const RefreshStats &baselineStats() const { return baseline_->stats(); }
     /** Victims currently queued across all banks (test hook). */
-    std::uint64_t pendingVictims() const { return pendingTotal; }
+    std::uint64_t pendingVictims() const { return victims.pending(); }
 
   private:
     struct Tracked
@@ -62,18 +59,14 @@ class GrapheneTrr final : public RefreshScheme
         int hits;
     };
 
-    void trrSelect(int rank, Cycle now);
-    bool drain(Cycle now);
+    void trrSelect(int rank);
 
     GrapheneConfig cfg;
-    std::unique_ptr<BaselineRefresh> baseline_;
     std::vector<std::vector<Tracked>> trackers;  //!< per (rank, bank)
-    std::vector<std::deque<RowId>> victims;      //!< per (rank, bank)
+    VictimQueue victims;
     std::vector<Cycle> nextTrrAt;                //!< per rank
-    std::uint64_t pendingTotal = 0;
     Cycle windowCycles = 0;
     Cycle nextWindowReset = 0;
-    int bankCursor = 0;
 
     Counter *mTrrSelections = nullptr;    //!< TRR victims queued
     HistogramMetric *mTrackerDepth = nullptr; //!< entries at selection

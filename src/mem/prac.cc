@@ -9,13 +9,12 @@ PracRefresh::PracRefresh(const PracConfig &config) : cfg(config)
 {
     hira_assert(cfg.threshold > 0);
     hira_assert(cfg.slackRc >= 0);
-    baseline_ = std::make_unique<BaselineRefresh>();
 }
 
 void
 PracRefresh::attach(MemoryController *controller)
 {
-    RefreshScheme::attach(controller);
+    BaselineRefresh::attach(controller);
     const Geometry &geom = controller->geometry();
     slackCycles = static_cast<Cycle>(cfg.slackRc) * controller->tc().rc;
     std::size_t nbanks = static_cast<std::size_t>(geom.ranksPerChannel) *
@@ -31,7 +30,6 @@ PracRefresh::attach(MemoryController *controller)
         rowOf.emplace_back();
     }
     rankCursor = 0;
-    baseline_->attach(controller);
 }
 
 void
@@ -133,13 +131,9 @@ PracRefresh::drain(Cycle now)
 void
 PracRefresh::tick(Cycle now)
 {
-    baseline_->tick(now);
-    // Mirror the internal REF engine so System::result() needs no
-    // scheme-specific aggregation.
-    stats_.refCommands = baseline_->stats().refCommands;
-    if (!ctrl->busFree(now))
-        return;
-    drain(now);
+    BaselineRefresh::tick(now);
+    if (ctrl->busFree(now))
+        drain(now);
 }
 
 Cycle
@@ -153,7 +147,7 @@ PracRefresh::nextEventCycle(Cycle now) const
         if (!table.empty())
             return now + 1;
     }
-    return baseline_->nextEventCycle(now);
+    return BaselineRefresh::nextEventCycle(now);
 }
 
 } // namespace hira

@@ -9,14 +9,13 @@
  * disturb-fail, then resets the counter (back-off). Queued targeted
  * refreshes live in the existing RefreshTable with a slack deadline and
  * drain earliest-deadline-first through the controller's refresh-open
- * machinery. Periodic refresh stays on conventional REF via an internal
- * BaselineRefresh engine, mirrored into this scheme's RefreshStats.
+ * machinery. Periodic refresh stays on conventional REF, inherited from
+ * BaselineRefresh.
  */
 
 #ifndef HIRA_MEM_PRAC_HH
 #define HIRA_MEM_PRAC_HH
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -35,7 +34,7 @@ struct PracConfig
 };
 
 /** The PRAC refresh scheme for one memory controller (channel). */
-class PracRefresh final : public RefreshScheme
+class PracRefresh final : public BaselineRefresh
 {
   public:
     explicit PracRefresh(const PracConfig &cfg);
@@ -47,8 +46,6 @@ class PracRefresh final : public RefreshScheme
     void onActivate(int rank, BankId bank, RowId row, Cycle now) override;
 
     const PracConfig &config() const { return cfg; }
-    /** Stats of the internal baseline REF engine (test hook). */
-    const RefreshStats &baselineStats() const { return baseline_->stats(); }
     /** Queued targeted refreshes in one rank's table (test hook). */
     const RefreshTable &table(int rank) const
     {
@@ -59,7 +56,6 @@ class PracRefresh final : public RefreshScheme
     bool drain(Cycle now);
 
     PracConfig cfg;
-    std::unique_ptr<BaselineRefresh> baseline_;
     /** Per-(rank, bank) activation counters, keyed by row. */
     std::vector<std::unordered_map<RowId, int>> counters;
     std::vector<RefreshTable> tables;                //!< per rank

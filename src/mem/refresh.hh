@@ -2,7 +2,11 @@
  * @file
  * Refresh scheme interface and the two non-HiRA schemes: NoRefresh (the
  * ideal upper bound of Fig. 9a) and BaselineRefresh (rank-level REF
- * every tREFI, as in deployed DDR4 controllers).
+ * every tREFI, as in deployed DDR4 controllers). BaselineRefresh is
+ * also the REF engine of every scheme that keeps periodic refresh on
+ * REF (RFM, PRAC, Graphene-TRR, HiRA-MC in its Section 9.2 mode): they
+ * derive from it and call its tick()/nextEventCycle(), so their REFs
+ * are counted in their own stats where they are issued.
  */
 
 #ifndef HIRA_MEM_REFRESH_HH
@@ -129,8 +133,12 @@ class NoRefresh final : public RefreshScheme
  * the DDR4 postponement rules: a due REF is deferred while demand reads
  * are queued, up to max_postpone (the standard allows 8) outstanding
  * REFs, after which it is forced.
+ *
+ * Derived schemes add their own work around the qualified calls
+ * BaselineRefresh::tick() and BaselineRefresh::nextEventCycle(), and
+ * must call BaselineRefresh::attach() from their attach().
  */
-class BaselineRefresh final : public RefreshScheme
+class BaselineRefresh : public RefreshScheme
 {
   public:
     explicit BaselineRefresh(int max_postpone = 0)

@@ -7,21 +7,20 @@
  * it crosses the RAA Initial Management Threshold (RAAIMT) the
  * controller owes the bank an RFM command, during which the device
  * refreshes the rows most at risk — modeled here as targeted refreshes
- * of the last activated row's physical neighbors, issued through the
- * controller's refresh-open machinery (ACT, tRAS restore, auto-PRE),
- * which blocks the bank exactly the way tRFM does. Periodic refresh
- * stays on conventional rank-level REF via an internal BaselineRefresh
- * engine, mirrored into this scheme's RefreshStats.
+ * of the last activated row's physical neighbors, queued in a bounded
+ * per-bank VictimQueue and issued through the controller's refresh-open
+ * machinery (ACT, tRAS restore, auto-PRE), which blocks the bank exactly
+ * the way tRFM does. Periodic refresh stays on conventional rank-level
+ * REF, inherited from BaselineRefresh.
  */
 
 #ifndef HIRA_MEM_RFM_HH
 #define HIRA_MEM_RFM_HH
 
-#include <deque>
-#include <memory>
 #include <vector>
 
 #include "mem/refresh.hh"
+#include "mem/victim_queue.hh"
 
 namespace hira {
 
@@ -35,7 +34,7 @@ struct RfmConfig
 };
 
 /** The RFM refresh scheme for one memory controller (channel). */
-class RfmRefresh final : public RefreshScheme
+class RfmRefresh final : public BaselineRefresh
 {
   public:
     explicit RfmRefresh(const RfmConfig &cfg);
@@ -47,20 +46,13 @@ class RfmRefresh final : public RefreshScheme
     void onActivate(int rank, BankId bank, RowId row, Cycle now) override;
 
     const RfmConfig &config() const { return cfg; }
-    /** Stats of the internal baseline REF engine (test hook). */
-    const RefreshStats &baselineStats() const { return baseline_->stats(); }
     /** Victims currently queued across all banks (test hook). */
-    std::uint64_t pendingVictims() const { return pendingTotal; }
+    std::uint64_t pendingVictims() const { return victims.pending(); }
 
   private:
-    bool drain(Cycle now);
-
     RfmConfig cfg;
-    std::unique_ptr<BaselineRefresh> baseline_;
-    std::vector<int> raa;                    //!< per (rank, bank)
-    std::vector<std::deque<RowId>> victims;  //!< per (rank, bank)
-    std::uint64_t pendingTotal = 0;
-    int bankCursor = 0;
+    std::vector<int> raa; //!< per (rank, bank)
+    VictimQueue victims;
 
     Counter *mRfmTriggers = nullptr; //!< RAAIMT crossings (null when off)
 };

@@ -82,21 +82,43 @@ SchemeSpec::seedKey() const
     // %.17g round-trips doubles exactly, so the key (and with it the
     // golden seeds) is platform-independent. The registry appends the
     // scheme-specific knobs the base key does not cover (empty for the
-    // pre-registry schemes, preserving their golden seeds).
-    return strprintf("k%d-n%d-post%d-pvh%d-para%d-nrh%.17g-prev%d-"
+    // pre-registry schemes, preserving their golden seeds). "pvh1" is
+    // the retired periodic-via-HiRA switch, pinned at its only value
+    // so golden seeds and result-cache keys do not move.
+    return strprintf("k%d-n%d-post%d-pvh1-para%d-nrh%.17g-prev%d-"
                      "ap%d-rp%d-pull%d-spt%.17g",
                      static_cast<int>(kind), slackN, refPostpone,
-                     periodicViaHira ? 1 : 0, paraEnabled ? 1 : 0, nrh,
+                     paraEnabled ? 1 : 0, nrh,
                      preventiveViaHira ? 1 : 0, accessPairing ? 1 : 0,
                      refreshPairing ? 1 : 0, pullAhead ? 1 : 0,
                      sptIsolation) +
            schemeEntryByKind(kind).seedKeySuffix(*this);
 }
 
+void
+SchemeSpec::validate(const std::string &where) const
+{
+    if (!paraEnabled)
+        return;
+    if (!preventiveViaHira && kind == SchemeKind::HiraMc) {
+        fatal("%s: scheme '%s' is not runnable: HiRA-MC serves PARA only "
+              "through PreventiveRC (set preventive_via_hira)",
+              where.c_str(), label().c_str());
+    }
+    if (preventiveViaHira && kind != SchemeKind::Baseline &&
+        kind != SchemeKind::HiraMc) {
+        fatal("%s: scheme '%s' is not runnable: PARA(HiRA) needs periodic "
+              "refresh from Baseline or HiRA-MC",
+              where.c_str(), label().c_str());
+    }
+}
+
 SystemConfig
 makeSystemConfig(const GeomSpec &geom, const SchemeSpec &scheme,
                  const WorkloadMix &mix, std::uint64_t seed)
 {
+    scheme.validate("makeSystemConfig");
+
     SystemConfig cfg;
     cfg.geom = geom.toGeometry();
     cfg.tp = geom.toTiming();
@@ -104,7 +126,7 @@ makeSystemConfig(const GeomSpec &geom, const SchemeSpec &scheme,
     cfg.mix = mix;
     cfg.seed = seed;
 
-    // PreventiveRC promotes any scheme onto the HiRA-MC machinery; the
+    // PreventiveRC promotes Baseline onto the HiRA-MC machinery; the
     // registry entry's configure hook does the scheme-specific wiring.
     const SchemeRegistryEntry &entry =
         (scheme.paraEnabled && scheme.preventiveViaHira)
@@ -425,33 +447,6 @@ double
 SweepRunner::meanWs(const GeomSpec &geom, const SchemeSpec &scheme)
 {
     return runPoints({SweepPoint{geom, scheme}}).front().meanWs;
-}
-
-std::vector<RunResult>
-SweepRunner::runMixes(const GeomSpec &geom, const SchemeSpec &scheme)
-{
-    std::vector<RunResult> results(mixes_.size());
-    std::string geomKey = geom.key();
-    std::string schemeKey = scheme.seedKey();
-    pool.parallelFor(mixes_.size(), [&](std::size_t i) {
-        SystemConfig cfg = makeSystemConfig(
-            geom, scheme, mixes_[i],
-            sweepRunSeed(geomKey, schemeKey, i));
-        results[i] = runOne(cfg, static_cast<Cycle>(knobs.warmup),
-                            static_cast<Cycle>(knobs.cycles));
-    });
-    return results;
-}
-
-double
-SweepRunner::meanMetric(const GeomSpec &geom, const SchemeSpec &scheme,
-                        double (*metric)(const RunResult &))
-{
-    std::vector<RunResult> results = runMixes(geom, scheme);
-    double sum = 0.0;
-    for (const RunResult &r : results)
-        sum += metric(r);
-    return sum / static_cast<double>(results.size());
 }
 
 } // namespace hira

@@ -53,7 +53,6 @@ struct SchemeSpec
     SchemeKind kind = SchemeKind::Baseline;
     int slackN = 2;            //!< HiRA-N
     int refPostpone = 0;       //!< elastic-refresh postponement bound
-    bool periodicViaHira = true;
 
     bool paraEnabled = false;  //!< PARA preventive refreshes
     double nrh = 1024.0;       //!< RowHammer threshold for pth
@@ -80,6 +79,16 @@ struct SchemeSpec
      * one label), so it must never feed the seed.
      */
     std::string seedKey() const;
+
+    /**
+     * Fatal, naming @p where, unless the spec runs as labelled. Two
+     * combinations would silently run something else: immediate PARA
+     * on HiRA-MC (its controller samples the victims and discards
+     * them, leaving PARA to PreventiveRC) and PARA(HiRA) on anything
+     * but Baseline or HiRA-MC (it would run Baseline REF plus HiRA-MC's
+     * PARA sampler under the original scheme's label).
+     */
+    void validate(const std::string &where) const;
 };
 
 /** Result of one (mix, geometry, scheme) simulation. */
@@ -245,10 +254,6 @@ class SweepRunner
      */
     double meanWs(const GeomSpec &geom, const SchemeSpec &scheme);
 
-    /** Mean of an arbitrary per-run metric across mixes. */
-    double meanMetric(const GeomSpec &geom, const SchemeSpec &scheme,
-                      double (*metric)(const RunResult &));
-
     /**
      * Cached single-core IPC of @p bench alone on @p geom (the
      * weighted-speedup denominator). A "corpus:" workload whose
@@ -291,9 +296,6 @@ class SweepRunner
     const RefreshStats &lastRefreshStats() const { return lastRefresh; }
 
   private:
-    std::vector<RunResult> runMixes(const GeomSpec &geom,
-                                    const SchemeSpec &scheme);
-
     /**
      * Install workload @p bench's manifest alone-IPC prior (if any)
      * into the cache as a ready slot under @p key; true on install.

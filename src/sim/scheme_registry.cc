@@ -57,13 +57,13 @@ configurePlain(SystemConfig &cfg, const SchemeSpec &spec, std::uint64_t)
 void
 configureHira(SystemConfig &cfg, const SchemeSpec &spec, std::uint64_t seed)
 {
-    // Selected for spec.kind == HiraMc AND for any scheme promoted by
+    // Selected for spec.kind == HiraMc AND for Baseline promoted by
     // paraEnabled && preventiveViaHira (PreventiveRC needs the HiRA-MC
-    // machinery even when periodic refresh stays conventional).
+    // machinery even when periodic refresh stays on REF; other kinds
+    // are rejected by SchemeSpec::validate).
     cfg.scheme = SchemeKind::HiraMc;
     cfg.hira.slackN = spec.slackN;
-    cfg.hira.periodicViaHira =
-        spec.kind == SchemeKind::HiraMc && spec.periodicViaHira;
+    cfg.hira.periodicViaHira = spec.kind == SchemeKind::HiraMc;
     cfg.hira.enableAccessPairing = spec.accessPairing;
     cfg.hira.enableRefreshPairing = spec.refreshPairing;
     cfg.hira.enablePullAhead = spec.pullAhead;

@@ -120,8 +120,6 @@ schemeFromJson(const JsonValue &v, const std::string &where)
             spec.slackN = intField(val, "slack_n", where);
         } else if (key == "ref_postpone") {
             spec.refPostpone = intField(val, "ref_postpone", where);
-        } else if (key == "periodic_via_hira") {
-            spec.periodicViaHira = boolField(val, "periodic_via_hira", where);
         } else if (key == "para_enabled") {
             spec.paraEnabled = boolField(val, "para_enabled", where);
         } else if (key == "nrh") {
@@ -148,6 +146,7 @@ schemeFromJson(const JsonValue &v, const std::string &where)
                   where.c_str(), key.c_str());
         }
     }
+    spec.validate(where);
     return spec;
 }
 

@@ -21,10 +21,11 @@
  *
  * "scheme" starts from schemeSpecByName(name) — unknown names are
  * fatal with the registry listing — and applies any of the SchemeSpec
- * override keys (slack_n, ref_postpone, periodic_via_hira,
- * para_enabled, nrh, preventive_via_hira, access_pairing,
- * refresh_pairing, pull_ahead, spt_isolation, raaimt, prac_threshold,
- * tracker_size).
+ * override keys (slack_n, ref_postpone, para_enabled, nrh,
+ * preventive_via_hira, access_pairing, refresh_pairing, pull_ahead,
+ * spt_isolation, raaimt, prac_threshold, tracker_size). A combination
+ * SchemeSpec::validate rejects (immediate PARA on "hira", PARA(HiRA)
+ * on anything but "baseline" or "hira") is fatal.
  *
  * Plans are user-written, so numbers are range-checked before any
  * conversion: integer fields must be whole numbers that fit an int,

@@ -105,6 +105,51 @@ TEST(ExperimentSpec, PreventiveViaHiraUsesSlackAdjustedPth)
     EXPECT_FALSE(cfg.para.enabled);
 }
 
+TEST(ExperimentSpec, SchemeCombinationsThatRunSomethingElseAreFatal)
+{
+    GeomSpec g;
+    SchemeSpec immediate;
+    immediate.kind = SchemeKind::HiraMc;
+    immediate.paraEnabled = true;
+    EXPECT_EXIT((void)makeSystemConfig(g, immediate, {"gcc-like"}, 1),
+                ::testing::ExitedWithCode(1),
+                "makeSystemConfig: scheme 'HiRA-2\\+PARA' is not runnable: "
+                "HiRA-MC serves PARA only through PreventiveRC");
+
+    for (SchemeKind kind : {SchemeKind::NoRefresh, SchemeKind::Rfm,
+                            SchemeKind::Prac, SchemeKind::Graphene}) {
+        SchemeSpec s;
+        s.kind = kind;
+        s.paraEnabled = true;
+        s.preventiveViaHira = true;
+        SCOPED_TRACE(s.label());
+        EXPECT_EXIT((void)makeSystemConfig(g, s, {"gcc-like"}, 1),
+                    ::testing::ExitedWithCode(1),
+                    "is not runnable: PARA.HiRA. needs periodic refresh "
+                    "from Baseline or HiRA-MC");
+    }
+
+    // What stays runnable: immediate PARA on any non-HiRA-MC scheme,
+    // and PARA(HiRA) on Baseline or HiRA-MC.
+    for (SchemeKind kind : {SchemeKind::NoRefresh, SchemeKind::Baseline,
+                            SchemeKind::Rfm, SchemeKind::Prac,
+                            SchemeKind::Graphene}) {
+        SchemeSpec s;
+        s.kind = kind;
+        s.paraEnabled = true;
+        EXPECT_TRUE(makeSystemConfig(g, s, {"gcc-like"}, 1).para.enabled);
+    }
+    for (SchemeKind kind : {SchemeKind::Baseline, SchemeKind::HiraMc}) {
+        SchemeSpec s;
+        s.kind = kind;
+        s.paraEnabled = true;
+        s.preventiveViaHira = true;
+        SystemConfig cfg = makeSystemConfig(g, s, {"gcc-like"}, 1);
+        EXPECT_EQ(cfg.scheme, SchemeKind::HiraMc);
+        EXPECT_EQ(cfg.hira.periodicViaHira, kind == SchemeKind::HiraMc);
+    }
+}
+
 TEST(ExperimentSpec, ElasticPostponeWiring)
 {
     GeomSpec g;

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <stdlib.h>
 #include <unistd.h>
@@ -187,48 +188,75 @@ TEST(MetricsEquivalence, TracingDoesNotPerturbResults)
 
 TEST(MetricsEquivalence, SnapshotMirrorsMatchStats)
 {
-    SchemeSpec hira;
-    hira.kind = SchemeKind::HiraMc;
-    hira.slackN = 2;
-    SystemConfig cfg = makeConfig(hira);
+    // Every scheme whose periodic refresh is REF (plain, inherited by a
+    // zoo scheme, or HiRA-MC's Section 9.2 mode) plus HiRA-MC proper.
+    std::vector<SchemeSpec> specs(6);
+    specs[0].kind = SchemeKind::Baseline;
+    specs[1].kind = SchemeKind::Rfm;
+    specs[2].kind = SchemeKind::Prac;
+    specs[3].kind = SchemeKind::Graphene;
+    specs[4].kind = SchemeKind::Baseline;
+    specs[5].kind = SchemeKind::HiraMc;
+    for (std::size_t i = 4; i < specs.size(); ++i) {
+        specs[i].paraEnabled = true;
+        specs[i].preventiveViaHira = true;
+        specs[i].nrh = 256.0;
+    }
 
-    MetricsSnapshot snap;
-    SimLoopStats loop;
-    SystemResult res = runAtLevel(cfg, MetricsLevel::Full,
-                                  SimEngine::EventLoop, &snap, &loop);
-    ASSERT_FALSE(snap.empty());
+    for (const SchemeSpec &spec : specs) {
+        SCOPED_TRACE(spec.label());
+        SystemConfig cfg = makeConfig(spec);
 
-    auto counterAt = [&snap](const std::string &name) {
-        auto it = snap.values.find(name);
-        EXPECT_NE(it, snap.values.end()) << "missing metric " << name;
-        return it != snap.values.end() ? it->second.count : 0;
-    };
+        MetricsSnapshot snap;
+        SimLoopStats loop;
+        SystemResult res = runAtLevel(cfg, MetricsLevel::Full,
+                                      SimEngine::EventLoop, &snap, &loop);
+        ASSERT_FALSE(snap.empty());
 
-    // Kernel mirrors == SimLoopStats.
-    EXPECT_EQ(counterAt("kernel.simulated_cycles"), loop.simulatedCycles);
-    EXPECT_EQ(counterAt("kernel.executed_cycles"), loop.executedCycles);
-    EXPECT_EQ(counterAt("kernel.skipped_cycles"), loop.skippedCycles);
-    EXPECT_EQ(counterAt("kernel.ctrl_ticks"), loop.ctrlTicks);
+        auto counterAt = [&snap](const std::string &name) {
+            auto it = snap.values.find(name);
+            EXPECT_NE(it, snap.values.end()) << "missing metric " << name;
+            return it != snap.values.end() ? it->second.count : 0;
+        };
 
-    // Controller + scheme mirrors == the (single-channel) result sums.
-    EXPECT_EQ(counterAt("ctrl0.reads_served"), res.controller.readsServed);
-    EXPECT_EQ(counterAt("ctrl0.cmd.act"), res.controller.acts);
-    EXPECT_EQ(counterAt("ctrl0.cmd.hira"), res.controller.hiraOps);
-    EXPECT_EQ(counterAt("ctrl0.scheme.ref_commands"),
-              res.refresh.refCommands);
-    EXPECT_EQ(counterAt("ctrl0.scheme.preventive_generated"),
-              res.refresh.preventiveGenerated);
-    EXPECT_EQ(counterAt("ctrl0.scheme.preventive_dropped"),
-              res.refresh.preventiveDropped);
-    EXPECT_EQ(counterAt("llc.hits"), res.llcHits);
-    EXPECT_EQ(counterAt("llc.misses"), res.llcMisses);
+        // Kernel mirrors == SimLoopStats.
+        EXPECT_EQ(counterAt("kernel.simulated_cycles"),
+                  loop.simulatedCycles);
+        EXPECT_EQ(counterAt("kernel.executed_cycles"), loop.executedCycles);
+        EXPECT_EQ(counterAt("kernel.skipped_cycles"), loop.skippedCycles);
+        EXPECT_EQ(counterAt("kernel.ctrl_ticks"), loop.ctrlTicks);
 
-    // Live event-kernel metrics exist under Full.
-    EXPECT_EQ(snap.values.count("kernel.skip_len"), 1u);
-    EXPECT_EQ(snap.values.at("kernel.skip_len").kind,
-              MetricValue::Kind::Histogram);
-    // PR-FIFO depth histogram is registered under the scheme scope.
-    EXPECT_EQ(snap.values.count("ctrl0.scheme.pr_fifo_depth"), 1u);
+        // Controller + scheme mirrors == the (single-channel) result sums.
+        EXPECT_EQ(counterAt("ctrl0.reads_served"),
+                  res.controller.readsServed);
+        EXPECT_EQ(counterAt("ctrl0.cmd.act"), res.controller.acts);
+        EXPECT_EQ(counterAt("ctrl0.cmd.hira"), res.controller.hiraOps);
+        EXPECT_EQ(counterAt("ctrl0.scheme.ref_commands"),
+                  res.refresh.refCommands);
+        EXPECT_EQ(counterAt("ctrl0.scheme.preventive_generated"),
+                  res.refresh.preventiveGenerated);
+        EXPECT_EQ(counterAt("ctrl0.scheme.preventive_dropped"),
+                  res.refresh.preventiveDropped);
+        EXPECT_EQ(counterAt("llc.hits"), res.llcHits);
+        EXPECT_EQ(counterAt("llc.misses"), res.llcMisses);
+
+        // Every REF the controller issued is counted by the scheme that
+        // issued it.
+        EXPECT_EQ(counterAt("ctrl0.scheme.ref_commands"),
+                  counterAt("ctrl0.cmd.ref"));
+        if (spec.kind != SchemeKind::HiraMc) {
+            EXPECT_GT(counterAt("ctrl0.cmd.ref"), 0u);
+        }
+
+        // Live event-kernel metrics exist under Full.
+        EXPECT_EQ(snap.values.count("kernel.skip_len"), 1u);
+        EXPECT_EQ(snap.values.at("kernel.skip_len").kind,
+                  MetricValue::Kind::Histogram);
+        // HiRA-MC registers its PR-FIFO depth histogram under the
+        // scheme scope.
+        EXPECT_EQ(snap.values.count("ctrl0.scheme.pr_fifo_depth"),
+                  cfg.scheme == SchemeKind::HiraMc ? 1u : 0u);
+    }
 }
 
 TEST(MetricsEquivalence, OffSnapshotIsEmpty)

@@ -23,7 +23,6 @@ TEST(SweepPlan, EveryFieldParses)
               {"geom": {"capacity_gb": 8.04, "channels": 2, "ranks": 4,
                         "standard": "ddr5_4800"},
                "scheme": {"name": "hira", "slack_n": 8,
-                          "periodic_via_hira": false,
                           "para_enabled": true, "nrh": 333.25,
                           "preventive_via_hira": true,
                           "access_pairing": false,
@@ -43,7 +42,6 @@ TEST(SweepPlan, EveryFieldParses)
     want[1].geom.standard = "ddr5_4800";
     want[1].scheme = schemeSpecByName("hira");
     want[1].scheme.slackN = 8;
-    want[1].scheme.periodicViaHira = false;
     want[1].scheme.paraEnabled = true;
     want[1].scheme.nrh = 333.25;
     want[1].scheme.preventiveViaHira = true;
@@ -96,11 +94,12 @@ TEST(SweepPlan, SchemeOverridesApply)
         "{\"mixes\": [[\"mcf-like\"]],"
         " \"points\": [{\"scheme\": {\"name\": \"hira\","
         " \"slack_n\": 16, \"para_enabled\": true,"
-        " \"nrh\": 512.5}}]}",
+        " \"preventive_via_hira\": true, \"nrh\": 512.5}}]}",
         "overrides");
     const SchemeSpec &s = plan.points[0].scheme;
     EXPECT_EQ(s.slackN, 16);
     EXPECT_TRUE(s.paraEnabled);
+    EXPECT_TRUE(s.preventiveViaHira);
     EXPECT_EQ(s.nrh, 512.5);
 }
 
@@ -183,4 +182,39 @@ TEST(SweepPlan, MalformedPlansAreFatal)
                     "t"),
                 ::testing::ExitedWithCode(1),
                 "invalid sweep plan: 'capacity_gb' must be positive");
+}
+
+TEST(SweepPlan, SchemeCombinationsThatRunSomethingElseAreFatal)
+{
+    auto plan = [](const std::string &scheme) {
+        return "{\"mixes\": [[\"a\"]], \"points\": [{\"scheme\": " +
+               scheme + "}]}";
+    };
+    // Immediate PARA on HiRA-MC would sample victims and discard them.
+    EXPECT_EXIT((void)sweepPlanFromJson(
+                    plan("{\"name\": \"hira\", \"para_enabled\": true}"),
+                    "t"),
+                ::testing::ExitedWithCode(1),
+                "t: scheme 'HiRA-2\\+PARA' is not runnable: HiRA-MC serves "
+                "PARA only through PreventiveRC");
+    // PARA(HiRA) on any other kind would run Baseline REF plus the
+    // HiRA-MC sampler under the original label.
+    for (const char *name : {"norefresh", "rfm", "prac", "graphene"}) {
+        SCOPED_TRACE(name);
+        EXPECT_EXIT((void)sweepPlanFromJson(
+                        plan(std::string("{\"name\": \"") + name +
+                             "\", \"para_enabled\": true, "
+                             "\"preventive_via_hira\": true}"),
+                        "t"),
+                    ::testing::ExitedWithCode(1),
+                    "is not runnable: PARA.HiRA. needs periodic refresh "
+                    "from Baseline or HiRA-MC");
+    }
+    // The retired periodic-via-HiRA switch is an unknown key.
+    EXPECT_EXIT((void)sweepPlanFromJson(
+                    plan("{\"name\": \"hira\", "
+                         "\"periodic_via_hira\": false}"),
+                    "t"),
+                ::testing::ExitedWithCode(1),
+                "unknown scheme key 'periodic_via_hira'");
 }
