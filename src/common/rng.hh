@@ -19,6 +19,14 @@
  *    hashCombine chain. Same seed therefore yields the same stream on
  *    every conforming platform, independent of compiler, OS, or
  *    evaluation order.
+ *  - uniformBits() is the integer next() >> 11 that uniform() scales.
+ *    Because k * 2^-53 < p holds exactly when k < ceil(p * 2^53) for
+ *    every integer k in [0, 2^53), a comparison uniform() < p equals
+ *    uniformBits() < chanceThreshold(p), where chanceThreshold(p) is
+ *    ceil(p * 2^53) clamped to [0, 2^53] (0 for NaN). So
+ *    chanceBelow(chanceThreshold(p)) consumes the same draw as
+ *    chance(p) and returns the same value, for every double p; hot
+ *    loops precompute the threshold and compare integers.
  */
 
 #ifndef HIRA_COMMON_RNG_HH
@@ -97,11 +105,18 @@ class Rng
         return result;
     }
 
+    /** Uniform integer in [0, 2^53): the draw uniform() scales. */
+    std::uint64_t
+    uniformBits()
+    {
+        return next() >> 11;
+    }
+
     /** Uniform double in [0, 1). */
     double
     uniform()
     {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(uniformBits()) * 0x1.0p-53;
     }
 
     /** Uniform double in [lo, hi). */
@@ -134,6 +149,28 @@ class Rng
     chance(double p)
     {
         return uniform() < p;
+    }
+
+    /**
+     * The integer bound that makes uniformBits() < bound equivalent to
+     * uniform() < p (see the contract above): ceil(p * 2^53), clamped
+     * to [0, 2^53]; NaN maps to 0, as chance(NaN) never succeeds.
+     */
+    static std::uint64_t
+    chanceThreshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return std::uint64_t(1) << 53;
+        return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    }
+
+    /** chance(p) with p given as its precomputed chanceThreshold(p). */
+    bool
+    chanceBelow(std::uint64_t threshold)
+    {
+        return uniformBits() < threshold;
     }
 
     /** Standard normal via Box-Muller (one value per call, no caching). */

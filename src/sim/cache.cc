@@ -7,7 +7,10 @@ namespace hira {
 Llc::Llc(const LlcConfig &config, SendFn send_fn, NotifyFn notify_fn)
     : cfg(config), send(std::move(send_fn)), notify(std::move(notify_fn))
 {
-    hira_assert(cfg.ways > 0 && cfg.lineBytes > 0);
+    hira_assert(cfg.ways > 0);
+    if (cfg.lineBytes <= 0 || (cfg.lineBytes & (cfg.lineBytes - 1)) != 0)
+        fatal("LLC lineBytes = %d is not a power of two", cfg.lineBytes);
+    lineShift = __builtin_ctz(static_cast<unsigned>(cfg.lineBytes));
     sets = cfg.sizeBytes /
            (static_cast<std::uint64_t>(cfg.ways) *
             static_cast<std::uint64_t>(cfg.lineBytes));
@@ -18,7 +21,7 @@ Llc::Llc(const LlcConfig &config, SendFn send_fn, NotifyFn notify_fn)
 Addr
 Llc::lineOf(Addr addr) const
 {
-    return addr / static_cast<Addr>(cfg.lineBytes);
+    return addr >> lineShift;
 }
 
 std::size_t

@@ -50,6 +50,7 @@ class Llc
     using NotifyFn =
         std::function<void(int core_id, std::uint64_t tag, Cycle mem_now)>;
 
+    /** Fatal when @p cfg's lineBytes is not a power of two. */
     Llc(const LlcConfig &cfg, SendFn send, NotifyFn notify);
 
     /**
@@ -95,7 +96,7 @@ class Llc
      * Blocked access() could stop being Blocked: an MSHR freed, a line
      * installed, or an outbound slot drained. A core whose dispatch was
      * Blocked may skip re-issuing the access until this changes
-     * (CoreModel::dispatchOne) — the retry is provably Blocked again,
+     * (CoreModel::tick) — the retry is provably Blocked again,
      * in either engine, while the counter stands still.
      */
     std::uint64_t capacityGeneration() const { return capGen; }
@@ -136,6 +137,7 @@ class Llc
     bool sendOrQueue(const Request &req);
 
     LlcConfig cfg;
+    int lineShift = 0; //!< log2(cfg.lineBytes)
     SendFn send;
     NotifyFn notify;
     std::size_t sets;

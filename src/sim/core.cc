@@ -15,85 +15,77 @@ CoreModel::CoreModel(int core_id, TraceSource &trace, Llc &shared_llc,
 }
 
 void
-CoreModel::retireReady()
-{
-    for (int i = 0; i < width && occupancy > 0; ++i) {
-        Slot &s = window[head];
-        if (!s.done || s.readyAt > cpuCycle)
-            return;
-        s.valid = false;
-        head = (head + 1) % window.size();
-        --occupancy;
-        ++retired;
-    }
-}
-
-bool
-CoreModel::dispatchOne(Cycle mem_now)
-{
-    if (occupancy >= static_cast<std::size_t>(windowSize))
-        return false;
-    if (!hasPendingInst) {
-        pendingInst = gen.next();
-        hasPendingInst = true;
-        blockedCached = false;
-    }
-    Slot &s = window[tail];
-    s.valid = true;
-    s.tag = 0;
-    s.waitingMem = false;
-    if (!pendingInst.isMem) {
-        s.done = true;
-        s.readyAt = cpuCycle;
-    } else {
-        if (blockedCached && blockedGen == llc.capacityGeneration())
-            return false; // retry is provably Blocked; skip the probe
-        std::uint64_t tag = nextTag++;
-        LlcResult res = llc.access(pendingInst.isWrite, pendingInst.addr,
-                                   id, tag, mem_now);
-        if (res == LlcResult::Blocked) {
-            blockedCached = true;
-            blockedGen = llc.capacityGeneration();
-            return false; // keep the instruction pending, stall
-        }
-        blockedCached = false;
-        if (pendingInst.isWrite) {
-            ++stores;
-            // Stores are posted (store buffer): retire immediately.
-            s.done = true;
-            s.readyAt = cpuCycle;
-        } else {
-            ++loads;
-            if (res == LlcResult::Hit) {
-                s.done = true;
-                s.readyAt = cpuCycle +
-                            static_cast<Cycle>(30); // LLC hit latency
-            } else {
-                s.done = false;
-                s.tag = tag;
-                s.waitingMem = true;
-                ++waitingMemCount;
-            }
-        }
-    }
-    if (s.done && s.readyAt > maxReadyAt)
-        maxReadyAt = s.readyAt;
-    hasPendingInst = false;
-    tail = (tail + 1) % window.size();
-    ++occupancy;
-    return true;
-}
-
-void
 CoreModel::tick(Cycle mem_now)
 {
     ++cpuCycle;
-    retireReady();
-    int dispatched = 0;
-    for (int i = 0; i < width; ++i) {
-        if (!dispatchOne(mem_now))
+
+    // Retire: up to `width` completed instructions, in order from head.
+    for (int i = 0; i < width && occupancy > 0; ++i) {
+        Slot &s = window[head];
+        if (!s.done || s.readyAt > cpuCycle)
             break;
-        ++dispatched;
+        s.valid = false;
+        if (++head == window.size())
+            head = 0;
+        --occupancy;
+        ++retired;
+    }
+
+    // Dispatch: up to `width` instructions into the tail, stopping at
+    // the first that cannot enter (window full or LLC Blocked).
+    int dispatched = 0;
+    for (; dispatched < width; ++dispatched) {
+        if (occupancy >= window.size())
+            break;
+        if (!hasPendingInst) {
+            pendingInst = gen.next();
+            hasPendingInst = true;
+            blockedCached = false;
+        }
+        Slot &s = window[tail];
+        s.valid = true;
+        s.tag = 0;
+        s.waitingMem = false;
+        if (!pendingInst.isMem) {
+            s.done = true;
+            s.readyAt = cpuCycle;
+        } else {
+            if (blockedCached && blockedGen == llc.capacityGeneration())
+                break; // retry is provably Blocked; skip the probe
+            std::uint64_t tag = nextTag++;
+            LlcResult res = llc.access(pendingInst.isWrite, pendingInst.addr,
+                                       id, tag, mem_now);
+            if (res == LlcResult::Blocked) {
+                blockedCached = true;
+                blockedGen = llc.capacityGeneration();
+                break; // keep the instruction pending, stall
+            }
+            blockedCached = false;
+            if (pendingInst.isWrite) {
+                ++stores;
+                // Stores are posted (store buffer): retire immediately.
+                s.done = true;
+                s.readyAt = cpuCycle;
+            } else {
+                ++loads;
+                if (res == LlcResult::Hit) {
+                    s.done = true;
+                    s.readyAt = cpuCycle +
+                                static_cast<Cycle>(30); // LLC hit latency
+                } else {
+                    s.done = false;
+                    s.tag = tag;
+                    s.waitingMem = true;
+                    ++waitingMemCount;
+                }
+            }
+        }
+        if (s.done && s.readyAt > maxReadyAt)
+            maxReadyAt = s.readyAt;
+        hasPendingInst = false;
+        if (++tail == window.size())
+            tail = 0;
+        ++occupancy;
     }
     if (dispatched == 0)
         ++stallCycles;

@@ -130,9 +130,6 @@ class CoreModel
         bool waitingMem = false;
     };
 
-    bool dispatchOne(Cycle mem_now);
-    void retireReady();
-
     bool
     steadyExhausted() const
     {
@@ -165,7 +162,7 @@ class CoreModel
     // by the LLC at capacityGeneration() == blockedGen. Until that
     // counter moves, re-probing llc.access() provably returns Blocked
     // again (capacity only shrinks between generation bumps), so
-    // dispatchOne() skips the probe. Pure per-core state driven by
+    // tick() skips the probe. Pure per-core state driven by
     // deterministic LLC events: identical in both engines.
     bool blockedCached = false;
     std::uint64_t blockedGen = 0;

@@ -6,10 +6,35 @@
 
 namespace hira {
 
+namespace {
+
+/** Fatal unless @p p, field @p field of @p prof, lies in [0, 1]. */
+void
+checkProbability(const BenchmarkProfile &prof, const char *field, double p)
+{
+    // Written to reject NaN too: every comparison with NaN is false.
+    if (!(p >= 0.0 && p <= 1.0))
+        fatal("benchmark profile '%s': %s = %g is not a probability in "
+              "[0, 1]",
+              prof.name.c_str(), field, p);
+}
+
+} // namespace
+
 TraceGen::TraceGen(const BenchmarkProfile &profile, std::uint64_t seed,
                    Addr base_addr, Addr slice_bytes)
     : prof(profile), rng(seed), base(base_addr)
 {
+    checkProbability(prof, "memPerInstr", prof.memPerInstr);
+    checkProbability(prof, "writeFraction", prof.writeFraction);
+    checkProbability(prof, "streamFraction", prof.streamFraction);
+    checkProbability(prof, "hotFraction", prof.hotFraction);
+    memThreshold = Rng::chanceThreshold(prof.memPerInstr);
+    writeThreshold = Rng::chanceThreshold(prof.writeFraction);
+    hotThreshold = Rng::chanceThreshold(prof.hotFraction);
+    streamThreshold = Rng::chanceThreshold(
+        prof.hotFraction + prof.streamFraction * (1.0 - prof.hotFraction));
+
     hira_assert(slice_bytes >= 64);
     std::uint64_t slice_lines = slice_bytes / 64;
     footprint = std::min<std::uint64_t>(prof.footprintLines, slice_lines);
@@ -18,28 +43,25 @@ TraceGen::TraceGen(const BenchmarkProfile &profile, std::uint64_t seed,
     streamPtr = rng.next() % footprint;
 }
 
-Addr
-TraceGen::lineAddr(std::uint64_t line_index) const
-{
-    return base + (line_index % footprint) * 64;
-}
-
 TraceInst
 TraceGen::next()
 {
+    // Every draw compares integers against the constructor's thresholds
+    // (Rng::chanceThreshold), consuming the same draws, with the same
+    // outcomes, as comparing uniform() against the profile's fractions.
     TraceInst inst;
-    if (!rng.chance(prof.memPerInstr))
+    if (!rng.chanceBelow(memThreshold))
         return inst;
     inst.isMem = true;
-    inst.isWrite = rng.chance(prof.writeFraction);
-    double kind = rng.uniform();
-    if (kind < prof.hotFraction) {
+    inst.isWrite = rng.chanceBelow(writeThreshold);
+    std::uint64_t kind = rng.uniformBits();
+    if (kind < hotThreshold) {
         // Cache-resident hot set (private caches / LLC absorb these).
         inst.addr = lineAddr(rng.below(hot));
-    } else if (kind < prof.hotFraction + prof.streamFraction *
-                          (1.0 - prof.hotFraction)) {
+    } else if (kind < streamThreshold) {
         // Sequential stream: consecutive lines, high row-buffer locality.
-        streamPtr = (streamPtr + 1) % footprint;
+        if (++streamPtr == footprint)
+            streamPtr = 0;
         inst.addr = lineAddr(streamPtr);
     } else {
         // Irregular access over the full footprint.

@@ -42,6 +42,9 @@ class TraceGen final : public TraceSource
      * @param seed per-core stream seed
      * @param base_addr start of the core's private address slice
      * @param slice_bytes size of the slice (footprint clamps to it)
+     *
+     * Fatal, naming the profile, when one of its fractions is not a
+     * probability in [0, 1] (NaN and infinities included).
      */
     TraceGen(const BenchmarkProfile &profile, std::uint64_t seed,
              Addr base_addr, Addr slice_bytes);
@@ -54,14 +57,24 @@ class TraceGen final : public TraceSource
     const BenchmarkProfile &profile() const { return prof; }
 
   private:
-    Addr lineAddr(std::uint64_t line_index) const;
+    /** Address of line @p line_index; the index is below footprint. */
+    Addr
+    lineAddr(std::uint64_t line_index) const
+    {
+        return base + line_index * 64;
+    }
 
     BenchmarkProfile prof;
     Rng rng;
     Addr base;
     std::uint64_t footprint;  //!< lines, clamped to the slice
-    std::uint64_t hot;        //!< lines
-    std::uint64_t streamPtr = 0;
+    std::uint64_t hot;        //!< lines, at most footprint
+    std::uint64_t streamPtr = 0; //!< always below footprint
+    // Rng::chanceThreshold of the profile's fractions, for next().
+    std::uint64_t memThreshold = 0;
+    std::uint64_t writeThreshold = 0;
+    std::uint64_t hotThreshold = 0;    //!< kind draw: hot set below this
+    std::uint64_t streamThreshold = 0; //!< then the stream below this
 };
 
 } // namespace hira

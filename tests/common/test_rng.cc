@@ -11,6 +11,7 @@
 #include <set>
 
 #include "common/rng.hh"
+#include "sim/workloads.hh"
 
 using namespace hira;
 
@@ -91,6 +92,83 @@ TEST(Rng, ChanceExtremes)
     for (int i = 0; i < 100; ++i) {
         EXPECT_FALSE(r.chance(0.0));
         EXPECT_TRUE(r.chance(1.0));
+    }
+}
+
+namespace {
+
+/** uniform()'s value for the 53-bit draw @p k (the rng.hh contract). */
+double
+uniformOf(std::uint64_t k)
+{
+    return static_cast<double>(k) * 0x1.0p-53;
+}
+
+/**
+ * chanceBelow(chanceThreshold(p)) must equal chance(p): on the draws at
+ * and next to the threshold, at both ends of the draw range, and along
+ * a shared random stream, consuming one draw per trial.
+ */
+void
+expectThresholdMatchesChance(double p, std::uint64_t seed)
+{
+    SCOPED_TRACE(testing::Message() << "p = " << std::hexfloat << p);
+    const std::uint64_t top = std::uint64_t(1) << 53;
+    const std::uint64_t k = Rng::chanceThreshold(p);
+    ASSERT_LE(k, top);
+    const std::uint64_t draws[] = {0, k - 2, k - 1, k, k + 1, top - 1};
+    for (std::uint64_t d : draws) {
+        if (d >= top)
+            continue; // k - 2 and k - 1 wrap when k < 2
+        EXPECT_EQ(uniformOf(d) < p, d < k) << "draw " << d;
+    }
+    Rng a(seed), b(seed);
+    for (int i = 0; i < 32; ++i)
+        ASSERT_EQ(a.chance(p), b.chanceBelow(k)) << "trial " << i;
+    EXPECT_EQ(a.next(), b.next());
+}
+
+} // namespace
+
+TEST(Rng, ChanceThresholdMatchesChance)
+{
+    const double edges[] = {0.0,
+                            0x1.0p-53,
+                            0.5,
+                            1.0 - 0x1.0p-53,
+                            1.0,
+                            // Out of range: chance() is constant there.
+                            -0.0,
+                            -1.0,
+                            0x1.0p-1074,
+                            1.5,
+                            HUGE_VAL,
+                            -HUGE_VAL,
+                            std::nan("")};
+    std::uint64_t seed = 1;
+    for (double p : edges)
+        expectThresholdMatchesChance(p, seed++);
+    EXPECT_EQ(Rng::chanceThreshold(0.0), 0u);
+    EXPECT_EQ(Rng::chanceThreshold(0x1.0p-53), 1u);
+    EXPECT_EQ(Rng::chanceThreshold(0.5), std::uint64_t(1) << 52);
+    EXPECT_EQ(Rng::chanceThreshold(1.0), std::uint64_t(1) << 53);
+
+    // Every probability the synthetic pool feeds TraceGen, including
+    // the cumulative hot + stream bound of its access-kind draw.
+    for (const BenchmarkProfile &prof : benchmarkPool()) {
+        SCOPED_TRACE(prof.name);
+        const double h = prof.hotFraction, st = prof.streamFraction;
+        for (double p : {prof.memPerInstr, prof.writeFraction, h, st,
+                         h + st * (1.0 - h)})
+            expectThresholdMatchesChance(p, seed++);
+    }
+
+    // Random probabilities: on the 2^-53 grid (where the threshold is
+    // exact and the boundary draw must fail) and off it.
+    Rng r(0x7e57);
+    for (int i = 0; i < 10000; ++i) {
+        double p = (i % 2 == 0) ? r.uniform() : r.uniform() * r.uniform();
+        expectThresholdMatchesChance(p, seed++);
     }
 }
 

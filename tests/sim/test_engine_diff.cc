@@ -367,6 +367,43 @@ TEST_F(EngineDiffFiles, ExhaustedFastForwardSurvivesStatsReset)
                        /*warm=*/2000, /*run=*/20000);
 }
 
+TEST_F(EngineDiffFiles, OddRingSizes)
+{
+    // The instruction window is a ring whose head and tail wrap by
+    // compare, and fastForward() advances them in closed form. Window
+    // sizes that are not powers of two, an odd issue width, and a
+    // window smaller than the width must all keep both engines bitwise
+    // equal: on a memory-heavy synthetic mix (dense ticks and stall
+    // skips), on ?once traces that run dry (the exhausted steady run),
+    // and on a single exhausted core across a stats reset.
+    struct Ring
+    {
+        int window;
+        int width;
+    };
+    const Ring rings[] = {{5, 4}, {130, 4}, {128, 3}, {3, 4}};
+    const WorkloadMix once = {"file:" + dir + "/mcf-like.trace?once",
+                              "file:" + dir + "/gcc-like.trace?once"};
+    const WorkloadMix solo = {"file:" + dir + "/h264-like.bin?once"};
+    SchemeSpec base;
+    base.kind = SchemeKind::Baseline;
+    for (const Ring &r : rings) {
+        std::string ring = "window " + std::to_string(r.window) +
+                           " width " + std::to_string(r.width);
+        auto shaped = [&](const WorkloadMix &mix) {
+            SystemConfig cfg = makeConfig(base, mix);
+            cfg.windowEntries = r.window;
+            cfg.coreWidth = r.width;
+            return cfg;
+        };
+        expectEnginesAgree(shaped(memHeavyMix()), ring + " mem-heavy");
+        expectEnginesAgree(shaped(once), ring + " exhausted once traces",
+                           /*warm=*/1000, /*run=*/60000);
+        expectEnginesAgree(shaped(solo), ring + " exhausted alone run",
+                           /*warm=*/2000, /*run=*/20000);
+    }
+}
+
 TEST_F(EngineDiffFiles, SkipAheadEngagesOnIdleHeavyConfig)
 {
     // Regression guard for the skip-ahead path itself: once the ?once

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/cache.hh"
 #include "sim/core.hh"
 #include "sim/trace.hh"
@@ -98,6 +100,23 @@ TEST(Workloads, UnknownBenchmarkIsFatal)
 {
     EXPECT_EXIT(benchmarkByName("no-such-bench"),
                 ::testing::ExitedWithCode(1), "unknown benchmark");
+}
+
+TEST(TraceGen, NonProbabilityFractionIsFatal)
+{
+    BenchmarkProfile nan = benchmarkByName("mcf-like");
+    nan.name = "nan-profile";
+    nan.memPerInstr = std::nan("");
+    EXPECT_EXIT(TraceGen(nan, 1, 0, 1 << 20),
+                ::testing::ExitedWithCode(1),
+                "profile 'nan-profile': memPerInstr");
+
+    BenchmarkProfile high = benchmarkByName("mcf-like");
+    high.name = "high-profile";
+    high.writeFraction = 1.25;
+    EXPECT_EXIT(TraceGen(high, 1, 0, 1 << 20),
+                ::testing::ExitedWithCode(1),
+                "profile 'high-profile': writeFraction");
 }
 
 namespace {
@@ -195,6 +214,14 @@ TEST(Llc, OutboundQueueRetries)
     h.accept = true;
     h.llc.tick(5);
     EXPECT_EQ(h.sent.size(), 1u);
+}
+
+TEST(Llc, NonPowerOfTwoLineIsFatal)
+{
+    LlcConfig cfg;
+    cfg.lineBytes = 48;
+    EXPECT_EXIT(LlcHarness h(cfg), ::testing::ExitedWithCode(1),
+                "lineBytes = 48 is not a power of two");
 }
 
 namespace {
