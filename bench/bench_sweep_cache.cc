@@ -67,8 +67,7 @@ runPass(const std::string &name, const std::string &cacheDir,
         const std::vector<SweepPoint> &plan)
 {
     SweepRunner runner(knobs, mixes);
-    runner.setResultCache(std::make_unique<ResultCache>(
-        cacheDir, ResultCacheMode::ReadWrite));
+    runner.setResultCache(std::make_unique<ResultCache>(cacheDir));
     auto t0 = std::chrono::steady_clock::now();
     PassOutcome out;
     out.results = runner.runPoints(plan);

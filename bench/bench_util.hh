@@ -67,7 +67,7 @@ struct TimingRow
 struct CacheRecord
 {
     bool have = false;   //!< a cache-enabled runner was recorded
-    std::string mode;    //!< "off" / "read" / "readwrite"
+    std::string mode;    //!< "readwrite" with a cache, else "off"
     ResultCacheStats stats;
     std::uint64_t pointsSimulated = 0;
     std::uint64_t pointsFromCache = 0;
@@ -435,8 +435,7 @@ recordCacheStats(const SweepRunner &runner)
     detail::CacheRecord &rec = detail::capture().cache;
     const ResultCache *cache = runner.resultCache();
     rec.have = true;
-    rec.mode = cache != nullptr ? resultCacheModeName(cache->mode())
-                                : "off";
+    rec.mode = cache != nullptr ? "readwrite" : "off";
     rec.stats = cache != nullptr ? cache->stats() : ResultCacheStats{};
     rec.pointsSimulated = runner.pointsSimulated();
     rec.pointsFromCache = runner.pointsFromCache();

@@ -94,7 +94,6 @@ main()
             cleanup.push_back(e.path.empty() ? dir + "/" + e.file
                                              : e.path);
         cleanup.push_back(dir + "/manifest.tsv");
-        cleanup.push_back(dir + "/manifest.json");
     }
 
     auto corpus = std::make_shared<const Corpus>(Corpus::load(dir));

@@ -530,25 +530,28 @@ MemoryController::issueRowCommand(std::deque<Request> &queue, Cycle now)
     return false;
 }
 
+bool
+MemoryController::nextWriteMode() const
+{
+    // Enter write drain at drainHigh, or opportunistically when there
+    // is no read work at all; leave it at drainLow once reads wait, or
+    // when no write is left.
+    if (writeQ.empty())
+        return false;
+    if (!writeMode)
+        return writeQ.size() >= static_cast<std::size_t>(cfg.drainHigh) ||
+               readQ.empty();
+    return writeQ.size() > static_cast<std::size_t>(cfg.drainLow) ||
+           readQ.empty();
+}
+
 void
 MemoryController::scheduleDemand(Cycle now)
 {
     if (!busFree(now))
         return;
 
-    // Write-drain mode hysteresis; also drain opportunistically when
-    // there is no read work at all.
-    if (!writeMode) {
-        if (writeQ.size() >= static_cast<std::size_t>(cfg.drainHigh) ||
-            (readQ.empty() && !writeQ.empty())) {
-            writeMode = true;
-        }
-    } else if (writeQ.size() <= static_cast<std::size_t>(cfg.drainLow) &&
-               !readQ.empty()) {
-        writeMode = false;
-    }
-    if (writeMode && writeQ.empty())
-        writeMode = false;
+    writeMode = nextWriteMode();
 
     std::deque<Request> &active = writeMode ? writeQ : readQ;
     if (active.empty())
@@ -606,23 +609,8 @@ MemoryController::computeNextEvent(Cycle now) const
     // completions pushed, preventive victims sampled, bank refreshOpen
     // transitions, scheme bookkeeping, data-bus adjusted horizons —
     // re-enters through the scan, which runs on post-issue state.
-    {
-        bool wm = writeMode;
-        if (!wm) {
-            if (writeQ.size() >= static_cast<std::size_t>(cfg.drainHigh) ||
-                (readQ.empty() && !writeQ.empty())) {
-                wm = true;
-            }
-        } else if (writeQ.size() <=
-                       static_cast<std::size_t>(cfg.drainLow) &&
-                   !readQ.empty()) {
-            wm = false;
-        }
-        if (wm && writeQ.empty())
-            wm = false;
-        if (wm != writeMode)
-            return now + 1;
-    }
+    if (nextWriteMode() != writeMode)
+        return now + 1;
 
     // Horizons can never push the wake below the next cycle, so the
     // scan bails as soon as the running minimum reaches that floor.

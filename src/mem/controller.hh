@@ -223,6 +223,11 @@ class MemoryController
     /** Every activation funnels through here (PARA sampling hook). */
     void onRowActivation(int rank, BankId bank, RowId row, Cycle now);
     void preventiveTick(Cycle now);
+    /**
+     * writeMode after the write-drain hysteresis step on the current
+     * queue depths (a pure function of them and writeMode).
+     */
+    bool nextWriteMode() const;
     void scheduleDemand(Cycle now);
     bool issueRowCommand(std::deque<Request> &queue, Cycle now);
     bool tryDemandAct(const Request &req, Cycle now);

@@ -82,12 +82,13 @@ SchemeSpec::seedKey() const
     // %.17g round-trips doubles exactly, so the key (and with it the
     // golden seeds) is platform-independent. The registry appends the
     // scheme-specific knobs the base key does not cover (empty for the
-    // pre-registry schemes, preserving their golden seeds). "pvh1" is
-    // the retired periodic-via-HiRA switch, pinned at its only value
-    // so golden seeds and result-cache keys do not move.
-    return strprintf("k%d-n%d-post%d-pvh1-para%d-nrh%.17g-prev%d-"
+    // pre-registry schemes, preserving their golden seeds). "post0"
+    // and "pvh1" are the retired elastic-refresh bound and
+    // periodic-via-HiRA switch, pinned at their only values so golden
+    // seeds and result-cache keys do not move.
+    return strprintf("k%d-n%d-post0-pvh1-para%d-nrh%.17g-prev%d-"
                      "ap%d-rp%d-pull%d-spt%.17g",
-                     static_cast<int>(kind), slackN, refPostpone,
+                     static_cast<int>(kind), slackN,
                      paraEnabled ? 1 : 0, nrh,
                      preventiveViaHira ? 1 : 0, accessPairing ? 1 : 0,
                      refreshPairing ? 1 : 0, pullAhead ? 1 : 0,

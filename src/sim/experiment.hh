@@ -52,7 +52,6 @@ struct SchemeSpec
 {
     SchemeKind kind = SchemeKind::Baseline;
     int slackN = 2;            //!< HiRA-N
-    int refPostpone = 0;       //!< elastic-refresh postponement bound
 
     bool paraEnabled = false;  //!< PARA preventive refreshes
     double nrh = 1024.0;       //!< RowHammer threshold for pth

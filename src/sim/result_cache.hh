@@ -21,44 +21,24 @@
  * the full key and is rejected as stale when it does not match the
  * lookup key — a hash collision or a tampered file can never alias.
  *
- * Knobs: HIRA_RESULT_CACHE=<dir> enables the cache for every
- * SweepRunner in the process; HIRA_RESULT_CACHE_MODE selects
- * {off, read, readwrite} (default readwrite). Corrupt or truncated
- * entries are treated as misses (warned once, counted), never trusted.
- * Lookup hits are additionally served from an in-memory LRU front.
+ * Knob: HIRA_RESULT_CACHE=<dir> enables the cache, reading and
+ * writing, for every SweepRunner in the process; unset, there is no
+ * cache. Corrupt or truncated entries are treated as misses (warned
+ * once, counted), never trusted.
  */
 
 #ifndef HIRA_SIM_RESULT_CACHE_HH
 #define HIRA_SIM_RESULT_CACHE_HH
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "common/metrics.hh"
 #include "sim/experiment.hh"
 
 namespace hira {
-
-/** Cache operating mode (HIRA_RESULT_CACHE_MODE). */
-enum class ResultCacheMode
-{
-    Off,       //!< cache disabled even when a directory is set
-    Read,      //!< serve hits, never write new entries
-    ReadWrite, //!< serve hits and persist misses (the default)
-};
-
-/** Display name ("off" / "read" / "readwrite"). */
-const char *resultCacheModeName(ResultCacheMode mode);
-
-/**
- * Mode selected by HIRA_RESULT_CACHE_MODE (default readwrite; unknown
- * values warn once and fall back to the default).
- */
-ResultCacheMode defaultResultCacheMode();
 
 /**
  * The code-revision stamp folded into every cache key: the
@@ -71,7 +51,7 @@ std::string codeRevision();
 /** Lookup/store counters (also exposed as a metrics snapshot). */
 struct ResultCacheStats
 {
-    std::uint64_t hits = 0;    //!< lookups served (memory or disk)
+    std::uint64_t hits = 0;    //!< lookups served
     std::uint64_t misses = 0;  //!< lookups with no entry on disk
     std::uint64_t stale = 0;   //!< entries rejected on key mismatch
     std::uint64_t corrupt = 0; //!< entries rejected as unparseable
@@ -82,38 +62,36 @@ struct ResultCacheStats
 
 /**
  * The cache: a directory of content-addressed entry files (the key's
- * hash names the file; the file repeats the key for verification) with
- * an in-memory LRU front. Thread-safe; one instance may be shared by
- * every thread of a sweep. Concurrent writers — including other
- * processes sharing the directory — are safe because entries are
- * written to a temp file and committed by rename(2), and any two
- * writers of one key write identical bytes (determinism).
+ * hash names the file; the file repeats the key for verification).
+ * Thread-safe; one instance may be shared by every thread of a sweep.
+ * Concurrent writers — including other processes sharing the
+ * directory — are safe because entries are written to a temp file and
+ * committed by rename(2), and any two writers of one key write
+ * identical bytes (determinism).
  */
 class ResultCache
 {
   public:
-    ResultCache(std::string dir, ResultCacheMode mode,
-                std::size_t lruCapacity = 256);
+    explicit ResultCache(std::string dir);
 
     /**
      * Cache configured by the environment: nullptr unless
-     * HIRA_RESULT_CACHE names a directory and the mode is not off.
+     * HIRA_RESULT_CACHE names a directory.
      */
     static std::unique_ptr<ResultCache> fromEnv();
 
     const std::string &dir() const { return dir_; }
-    ResultCacheMode mode() const { return mode_; }
 
     /** Point-result lookup; true and fills @p out on a hit. */
     bool lookupPoint(const std::string &key, PointResult &out);
 
-    /** Persist @p r under @p key (no-op unless mode is readwrite). */
+    /** Persist @p r under @p key. */
     void storePoint(const std::string &key, const PointResult &r);
 
     /** Alone-IPC lookup; true and fills @p ipc on a hit. */
     bool lookupAlone(const std::string &key, double &ipc);
 
-    /** Persist an alone-IPC value (no-op unless mode is readwrite). */
+    /** Persist an alone-IPC value. */
     void storeAlone(const std::string &key, double ipc);
 
     ResultCacheStats stats() const;
@@ -134,24 +112,10 @@ class ResultCache
     void storeEntry(const std::string &key, bool is_point,
                     const PointResult &point, double ipc);
 
-    // In-memory LRU front (points and alone values share it).
-    struct LruEntry
-    {
-        std::string tag; //!< "p|" or "a|" + key
-        PointResult point;
-        double ipc = 0.0;
-    };
-    bool lruGet(const std::string &tag, LruEntry &out);
-    void lruPut(LruEntry entry);
-
     std::string dir_;
-    ResultCacheMode mode_;
-    std::size_t lruCapacity_;
 
     mutable std::mutex mutex_;
     ResultCacheStats stats_;
-    std::list<LruEntry> lru_; //!< front = most recent
-    std::unordered_map<std::string, std::list<LruEntry>::iterator> lruIndex_;
 };
 
 /**

@@ -18,9 +18,9 @@ makeNoRefresh(const SystemConfig &)
 }
 
 std::unique_ptr<RefreshScheme>
-makeBaseline(const SystemConfig &cfg)
+makeBaseline(const SystemConfig &)
 {
-    return std::make_unique<BaselineRefresh>(cfg.refPostpone);
+    return std::make_unique<BaselineRefresh>();
 }
 
 std::unique_ptr<RefreshScheme>
@@ -51,7 +51,6 @@ void
 configurePlain(SystemConfig &cfg, const SchemeSpec &spec, std::uint64_t)
 {
     cfg.scheme = spec.kind;
-    cfg.refPostpone = spec.refPostpone;
 }
 
 void

@@ -118,8 +118,6 @@ schemeFromJson(const JsonValue &v, const std::string &where)
             continue;
         } else if (key == "slack_n") {
             spec.slackN = intField(val, "slack_n", where);
-        } else if (key == "ref_postpone") {
-            spec.refPostpone = intField(val, "ref_postpone", where);
         } else if (key == "para_enabled") {
             spec.paraEnabled = boolField(val, "para_enabled", where);
         } else if (key == "nrh") {

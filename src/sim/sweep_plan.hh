@@ -21,9 +21,9 @@
  *
  * "scheme" starts from schemeSpecByName(name) — unknown names are
  * fatal with the registry listing — and applies any of the SchemeSpec
- * override keys (slack_n, ref_postpone, para_enabled, nrh,
- * preventive_via_hira, access_pairing, refresh_pairing, pull_ahead,
- * spt_isolation, raaimt, prac_threshold, tracker_size). A combination
+ * override keys (slack_n, para_enabled, nrh, preventive_via_hira,
+ * access_pairing, refresh_pairing, pull_ahead, spt_isolation, raaimt,
+ * prac_threshold, tracker_size); any other key is fatal. A combination
  * SchemeSpec::validate rejects (immediate PARA on "hira", PARA(HiRA)
  * on anything but "baseline" or "hira") is fatal.
  *

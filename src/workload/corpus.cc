@@ -11,7 +11,6 @@
 
 #include <sys/stat.h>
 
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -27,9 +26,9 @@ fileExists(const std::string &path)
 }
 
 /**
- * Reject @p value if it cannot round-trip through the manifest
- * formats: whitespace/'#' break the TSV columns, '"' and '\\' are
- * written unescaped into JSON, and control characters break both.
+ * Reject @p value if it cannot round-trip through the manifest:
+ * whitespace, '#' and control characters break the TSV columns, and
+ * '"' and '\\' are reserved so a name never needs quoting.
  */
 void
 checkManifestToken(const std::string &what, const std::string &value,
@@ -86,7 +85,7 @@ classFromLetter(const std::string &s, const std::string &where)
 }
 
 // ---------------------------------------------------------------------
-// Manifest readers
+// Manifest reader
 // ---------------------------------------------------------------------
 
 std::vector<CorpusEntry>
@@ -141,77 +140,6 @@ parseTsvManifest(const std::string &path)
                 fatal("%s: bad alone-IPC '%s' (expected a positive "
                       "number or '-')",
                       where.c_str(), alone.c_str());
-            }
-        }
-        entries.push_back(std::move(e));
-    }
-    return entries;
-}
-
-std::vector<CorpusEntry>
-parseJsonManifest(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal("cannot open corpus manifest '%s'", path.c_str());
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string text = buf.str();
-
-    JsonValue root = parseJson(text, path);
-    if (root.kind != JsonValue::Kind::Object)
-        fatal("%s: manifest root must be a JSON object", path.c_str());
-    const JsonValue *traces = root.get("traces");
-    if (traces == nullptr || traces->kind != JsonValue::Kind::Array)
-        fatal("%s: manifest needs a \"traces\" array", path.c_str());
-
-    std::vector<CorpusEntry> entries;
-    for (std::size_t i = 0; i < traces->array.size(); ++i) {
-        const JsonValue &t = traces->array[i];
-        std::string where = strprintf("%s: traces[%zu]", path.c_str(), i);
-        if (t.kind != JsonValue::Kind::Object)
-            fatal("%s: must be an object", where.c_str());
-        CorpusEntry e;
-        auto str = [&](const char *key, bool required) -> std::string {
-            const JsonValue *v = t.get(key);
-            if (v == nullptr || v->kind == JsonValue::Kind::Null) {
-                if (required) {
-                    fatal("%s: missing \"%s\"", where.c_str(), key);
-                }
-                return std::string();
-            }
-            if (v->kind != JsonValue::Kind::String)
-                fatal("%s: \"%s\" must be a string", where.c_str(), key);
-            return v->string;
-        };
-        e.name = str("name", true);
-        e.file = str("file", true);
-        std::string format = str("format", false);
-        e.format = format.empty() ? TraceFormat::Text
-                                  : formatFromString(format, where);
-        if (const JsonValue *v = t.get("instructions")) {
-            // The range check (and rejecting NaN, which fails every
-            // comparison) keeps the double -> uint64 cast defined;
-            // 2^53 is where doubles stop holding exact counts anyway.
-            if (v->kind != JsonValue::Kind::Number ||
-                !(v->number >= 0.0) || v->number > 0x1.0p53) {
-                fatal("%s: \"instructions\" must be a number in "
-                      "[0, 2^53]",
-                      where.c_str());
-            }
-            e.instructions = static_cast<std::uint64_t>(v->number);
-        }
-        e.mpki = classFromLetter(str("class", true), where);
-        if (const JsonValue *v = t.get("alone_ipc")) {
-            if (v->kind == JsonValue::Kind::Null) {
-                // explicit "not measured"
-            } else if (v->kind != JsonValue::Kind::Number ||
-                       !std::isfinite(v->number) || v->number <= 0.0) {
-                fatal("%s: \"alone_ipc\" must be a positive finite "
-                      "number or null",
-                      where.c_str());
-            } else {
-                e.aloneIpc = v->number;
             }
         }
         entries.push_back(std::move(e));
@@ -302,14 +230,9 @@ Corpus
 Corpus::load(const std::string &dir)
 {
     std::string tsv = dir + "/manifest.tsv";
-    std::string json = dir + "/manifest.json";
-    if (fileExists(tsv))
-        return Corpus(dir, parseTsvManifest(tsv));
-    if (fileExists(json))
-        return Corpus(dir, parseJsonManifest(json));
-    fatal("corpus directory '%s' has neither manifest.tsv nor "
-          "manifest.json",
-          dir.c_str());
+    if (!fileExists(tsv))
+        fatal("corpus directory '%s' has no manifest.tsv", dir.c_str());
+    return Corpus(dir, parseTsvManifest(tsv));
 }
 
 const CorpusEntry *
@@ -353,8 +276,8 @@ Corpus::activeOrFatal(const char *what)
     std::shared_ptr<const Corpus> c = active();
     if (c == nullptr) {
         fatal("%s needs an active trace corpus: set HIRA_CORPUS=<dir> "
-              "(a directory with manifest.tsv or manifest.json, see "
-              "BUILDING.md) or install one via Corpus::setActive",
+              "(a directory with a manifest.tsv, see BUILDING.md) or "
+              "install one via Corpus::setActive",
               what);
     }
     return c;
@@ -372,20 +295,20 @@ Corpus::setActive(std::shared_ptr<const Corpus> corpus)
 
 void
 writeManifest(const std::string &dir,
-              const std::vector<CorpusEntry> &entries, bool also_json,
+              const std::vector<CorpusEntry> &entries,
               const std::string &comment)
 {
     std::string tsv = dir + "/manifest.tsv";
     // Entries usually come through a validated Corpus, but tools and
     // tests may hand-build them: reject fields that would produce a
-    // manifest the readers mis-parse — before truncating any existing
+    // manifest the reader mis-parses — before truncating any existing
     // manifest file.
     for (const CorpusEntry &e : entries) {
         std::string context = "writing manifest '" + tsv + "'";
         checkManifestToken("trace name", e.name, context);
         checkManifestToken("file path", e.file, context);
         // A non-finite prior would print as a bare 'inf'/'nan' token
-        // that the readers (and any JSON consumer) reject.
+        // that the reader rejects.
         if (e.hasAloneIpc() && !std::isfinite(e.aloneIpc)) {
             fatal("%s: entry '%s' has non-finite alone-IPC %g",
                   context.c_str(), e.name.c_str(), e.aloneIpc);
@@ -409,42 +332,6 @@ writeManifest(const std::string &dir,
     out.flush();
     if (!out)
         fatal("write error on corpus manifest '%s'", tsv.c_str());
-
-    if (!also_json)
-        return;
-    std::string json = dir + "/manifest.json";
-    std::ofstream jout(json);
-    if (!jout)
-        fatal("cannot write corpus manifest '%s'", json.c_str());
-    jout << "{\n  \"version\": 1,\n";
-    if (!comment.empty()) {
-        // The reader ignores unknown keys; this is for humans.
-        std::string escaped;
-        for (char c : comment) {
-            if (c == '"' || c == '\\')
-                escaped.push_back('\\');
-            escaped.push_back(c);
-        }
-        jout << "  \"note\": \"" << escaped << "\",\n";
-    }
-    jout << "  \"traces\": [\n";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        const CorpusEntry &e = entries[i];
-        jout << strprintf(
-            "    {\"name\": \"%s\", \"file\": \"%s\", \"format\": "
-            "\"%s\", \"instructions\": %llu, \"class\": \"%c\", "
-            "\"alone_ipc\": ",
-            e.name.c_str(), e.file.c_str(), formatToString(e.format),
-            static_cast<unsigned long long>(e.instructions),
-            mpkiClassLetter(e.mpki));
-        jout << (e.hasAloneIpc() ? strprintf("%.17g", e.aloneIpc)
-                                 : std::string("null"));
-        jout << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
-    }
-    jout << "  ]\n}\n";
-    jout.flush();
-    if (!jout)
-        fatal("write error on corpus manifest '%s'", json.c_str());
 }
 
 std::vector<WorkloadMix>

@@ -242,6 +242,32 @@ TEST(Controller, BaselineRefreshIssuesRefPerTrefi)
     EXPECT_EQ(ctrl.stats().refs, 4u);
 }
 
+TEST(Controller, BaselineRefreshKeepsRateUnderReads)
+{
+    // Queued demand reads never postpone a due REF: the k-th REF is
+    // issued within a few hundred cycles of k * tREFI, however the
+    // reads fall.
+    auto cc = makeConfig();
+    MemoryController ctrl(0, cc, std::make_unique<BaselineRefresh>());
+    TimingCycles tc(cc.tp);
+    Rng rng(21);
+    std::uint64_t tag = 1;
+    const Cycle grace = 300;
+    for (Cycle now = 1; now < 6 * tc.refi + grace; ++now) {
+        if (rng.chance(0.05) && !ctrl.readQueueFull()) {
+            ctrl.enqueue(readReq(
+                cc.geom, 0, static_cast<BankId>(rng.below(16)),
+                static_cast<RowId>(rng.below(4096)), 0, tag++));
+        }
+        ctrl.tick(now);
+        ctrl.completions().clear();
+        if (now % tc.refi == grace) {
+            EXPECT_EQ(ctrl.stats().refs, now / tc.refi) << "at " << now;
+        }
+    }
+    EXPECT_EQ(ctrl.stats().refs, 6u);
+}
+
 TEST(Controller, RefreshDelaysColdReadDuringRfc)
 {
     auto cc = makeConfig(32.0); // long tRFC

@@ -4,7 +4,7 @@
  * event-driven skip-ahead kernel must reproduce the legacy dense
  * cycle loop bitwise at the SystemResult level — every IPC double,
  * every command/refresh counter — across refresh schemes (Baseline,
- * elastic Baseline, NoRefresh, PARA, HiRA-MC in all its modes),
+ * NoRefresh, PARA, HiRA-MC in all its modes),
  * geometries, and workload kinds (synthetic, file-backed, corpus,
  * exhausted ?once traces). Also guards the skip-ahead path itself:
  * on an idle-heavy config the event loop must execute strictly fewer
@@ -116,11 +116,6 @@ TEST(EngineDiff, BaselineSchemes)
     SchemeSpec base;
     base.kind = SchemeKind::Baseline;
     expectEnginesAgree(makeConfig(base, memHeavyMix()), "baseline");
-
-    SchemeSpec elastic = base;
-    elastic.refPostpone = 4;
-    expectEnginesAgree(makeConfig(elastic, memHeavyMix()),
-                       "baseline+postpone4");
 
     SchemeSpec none;
     none.kind = SchemeKind::NoRefresh;
@@ -288,7 +283,7 @@ class EngineDiffFiles : public ::testing::Test
             e.mpki = classifyApki(1000.0 * prof.memPerInstr);
             entries.push_back(std::move(e));
         }
-        writeManifest(dir, entries, /*also_json=*/false);
+        writeManifest(dir, entries);
         files.push_back(dir + "/manifest.tsv");
     }
 

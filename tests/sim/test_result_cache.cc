@@ -4,13 +4,11 @@
  * golden cache-key strings (the cross-process contract between
  * SweepRunner and every hira_sweep process sharing a cache directory),
  * key sensitivity to every behavior-affecting input, exact store/load
- * round trips, LRU-front behavior, read-mode, and rejection of
- * stale/corrupt entries.
+ * round trips, and rejection of stale/corrupt entries.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
@@ -38,7 +36,6 @@ class ResultCacheTest : public ::testing::Test
         ::unsetenv("HIRA_METRICS");
         ::unsetenv("HIRA_STANDARD");
         ::unsetenv("HIRA_RESULT_CACHE");
-        ::unsetenv("HIRA_RESULT_CACHE_MODE");
         ::unsetenv("HIRA_CORPUS");
         Corpus::setActive(nullptr);
         std::string templ = "/tmp/hira_rcache.XXXXXX";
@@ -282,13 +279,13 @@ TEST_F(ResultCacheTest, PointRoundTripIsExact)
     std::string key = SweepPoint().cacheKey(knobs(), mixes());
     PointResult stored = samplePoint();
     {
-        ResultCache cache(dir, ResultCacheMode::ReadWrite);
+        ResultCache cache(dir);
         cache.storePoint(key, stored);
         EXPECT_EQ(cache.stats().writes, 1u);
     }
-    // A FRESH instance (empty LRU): the round trip below is through
-    // the file bytes, not memory.
-    ResultCache cache(dir, ResultCacheMode::ReadWrite);
+    // A fresh instance: the round trip below is through the file
+    // bytes.
+    ResultCache cache(dir);
     PointResult loaded;
     ASSERT_TRUE(cache.lookupPoint(key, loaded));
     expectEqualResults(loaded, stored);
@@ -303,37 +300,12 @@ TEST_F(ResultCacheTest, PointRoundTripIsExact)
 TEST_F(ResultCacheTest, AloneRoundTripIsExact)
 {
     std::string key = aloneResultCacheKey("mcf-like", GeomSpec(), knobs());
-    ResultCache cache(dir, ResultCacheMode::ReadWrite);
+    ResultCache cache(dir);
     cache.storeAlone(key, 0.1 + 0.2);
-    ResultCache fresh(dir, ResultCacheMode::ReadWrite);
+    ResultCache fresh(dir);
     double ipc = 0.0;
     ASSERT_TRUE(fresh.lookupAlone(key, ipc));
     EXPECT_EQ(ipc, 0.1 + 0.2);
-}
-
-TEST_F(ResultCacheTest, LruFrontServesWithoutTheFile)
-{
-    std::string key = SweepPoint().cacheKey(knobs(), mixes());
-    ResultCache cache(dir, ResultCacheMode::ReadWrite);
-    cache.storePoint(key, samplePoint()); // store populates the LRU
-    ASSERT_EQ(std::remove(cache.pointPath(key).c_str()), 0);
-    PointResult out;
-    EXPECT_TRUE(cache.lookupPoint(key, out));
-    expectEqualResults(out, samplePoint());
-    // A fresh instance must miss: the file is gone.
-    ResultCache fresh(dir, ResultCacheMode::ReadWrite);
-    EXPECT_FALSE(fresh.lookupPoint(key, out));
-}
-
-TEST_F(ResultCacheTest, ReadModeNeverWrites)
-{
-    std::string key = SweepPoint().cacheKey(knobs(), mixes());
-    ResultCache cache(dir, ResultCacheMode::Read);
-    cache.storePoint(key, samplePoint());
-    EXPECT_EQ(cache.stats().writes, 0u);
-    EXPECT_FALSE(std::filesystem::exists(cache.pointPath(key)));
-    PointResult out;
-    EXPECT_FALSE(cache.lookupPoint(key, out));
 }
 
 TEST_F(ResultCacheTest, FromEnvHonorsKnobs)
@@ -344,18 +316,8 @@ TEST_F(ResultCacheTest, FromEnvHonorsKnobs)
     auto cache = ResultCache::fromEnv();
     ASSERT_NE(cache, nullptr);
     EXPECT_EQ(cache->dir(), dir);
-    EXPECT_EQ(cache->mode(), ResultCacheMode::ReadWrite);
-
-    ::setenv("HIRA_RESULT_CACHE_MODE", "read", 1);
-    cache = ResultCache::fromEnv();
-    ASSERT_NE(cache, nullptr);
-    EXPECT_EQ(cache->mode(), ResultCacheMode::Read);
-
-    ::setenv("HIRA_RESULT_CACHE_MODE", "off", 1);
-    EXPECT_EQ(ResultCache::fromEnv(), nullptr);
 
     ::unsetenv("HIRA_RESULT_CACHE");
-    ::unsetenv("HIRA_RESULT_CACHE_MODE");
 }
 
 TEST_F(ResultCacheTest, StaleEntryIsRejectedOnKeyMismatch)
@@ -369,11 +331,11 @@ TEST_F(ResultCacheTest, StaleEntryIsRejectedOnKeyMismatch)
     b.scheme.kind = SchemeKind::HiraMc;
     std::string keyA = a.cacheKey(knobs(), mixes());
     std::string keyB = b.cacheKey(knobs(), mixes());
-    ResultCache cache(dir, ResultCacheMode::ReadWrite);
+    ResultCache cache(dir);
     cache.storePoint(keyA, samplePoint());
     std::filesystem::copy_file(cache.pointPath(keyA),
                                cache.pointPath(keyB));
-    ResultCache fresh(dir, ResultCacheMode::ReadWrite);
+    ResultCache fresh(dir);
     PointResult out;
     EXPECT_FALSE(fresh.lookupPoint(keyB, out));
     EXPECT_EQ(fresh.stats().stale, 1u);
@@ -384,7 +346,7 @@ TEST_F(ResultCacheTest, StaleEntryIsRejectedOnKeyMismatch)
 TEST_F(ResultCacheTest, CorruptAndTruncatedEntriesAreSkipped)
 {
     std::string key = SweepPoint().cacheKey(knobs(), mixes());
-    ResultCache writer(dir, ResultCacheMode::ReadWrite);
+    ResultCache writer(dir);
     writer.storePoint(key, samplePoint());
     std::string path = writer.pointPath(key);
 
@@ -401,7 +363,7 @@ TEST_F(ResultCacheTest, CorruptAndTruncatedEntriesAreSkipped)
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << bytes.substr(0, bytes.size() - 20);
     }
-    ResultCache truncated(dir, ResultCacheMode::ReadWrite);
+    ResultCache truncated(dir);
     PointResult out;
     EXPECT_FALSE(truncated.lookupPoint(key, out));
     EXPECT_EQ(truncated.stats().corrupt, 1u);
@@ -411,20 +373,20 @@ TEST_F(ResultCacheTest, CorruptAndTruncatedEntriesAreSkipped)
         std::ofstream g(path, std::ios::binary | std::ios::trunc);
         g << "not a cache entry\n";
     }
-    ResultCache garbage(dir, ResultCacheMode::ReadWrite);
+    ResultCache garbage(dir);
     EXPECT_FALSE(garbage.lookupPoint(key, out));
     EXPECT_EQ(garbage.stats().corrupt, 1u);
 
     // And a rewrite repairs the slot.
     garbage.storePoint(key, samplePoint());
-    ResultCache repaired(dir, ResultCacheMode::ReadWrite);
+    ResultCache repaired(dir);
     EXPECT_TRUE(repaired.lookupPoint(key, out));
     expectEqualResults(out, samplePoint());
 }
 
 TEST_F(ResultCacheTest, MetricsSnapshotExposesCounters)
 {
-    ResultCache cache(dir, ResultCacheMode::ReadWrite);
+    ResultCache cache(dir);
     PointResult out;
     (void)cache.lookupPoint("nope", out);
     cache.storePoint("k", samplePoint());

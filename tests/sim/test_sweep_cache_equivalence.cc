@@ -36,7 +36,6 @@ class SweepCacheTest : public ::testing::Test
         ::unsetenv("HIRA_METRICS");
         ::unsetenv("HIRA_STANDARD");
         ::unsetenv("HIRA_RESULT_CACHE");
-        ::unsetenv("HIRA_RESULT_CACHE_MODE");
         ::unsetenv("HIRA_CORPUS");
         std::string templ = "/tmp/hira_swcache.XXXXXX";
         std::vector<char> buf(templ.begin(), templ.end());
@@ -86,8 +85,7 @@ class SweepCacheTest : public ::testing::Test
     void
     attachCache(SweepRunner &runner)
     {
-        runner.setResultCache(std::make_unique<ResultCache>(
-            dir, ResultCacheMode::ReadWrite));
+        runner.setResultCache(std::make_unique<ResultCache>(dir));
     }
 
     std::string dir;

@@ -19,7 +19,7 @@ TEST(SweepPlan, EveryFieldParses)
         R"({"mixes": [["mcf-like", "gcc-like"], ["corpus:x?once"]],
             "warmup": 1234, "cycles": 56789,
             "points": [
-              {"scheme": {"name": "baseline", "ref_postpone": 4}},
+              {"scheme": {"name": "baseline"}},
               {"geom": {"capacity_gb": 8.04, "channels": 2, "ranks": 4,
                         "standard": "ddr5_4800"},
                "scheme": {"name": "hira", "slack_n": 8,
@@ -35,7 +35,6 @@ TEST(SweepPlan, EveryFieldParses)
 
     std::vector<SweepPoint> want(5);
     want[0].scheme = schemeSpecByName("baseline");
-    want[0].scheme.refPostpone = 4;
     want[1].geom.capacityGb = 8.04; // %.17g keys must keep this apart
     want[1].geom.channels = 2;
     want[1].geom.ranks = 4;
@@ -210,11 +209,15 @@ TEST(SweepPlan, SchemeCombinationsThatRunSomethingElseAreFatal)
                     "is not runnable: PARA.HiRA. needs periodic refresh "
                     "from Baseline or HiRA-MC");
     }
-    // The retired periodic-via-HiRA switch is an unknown key.
-    EXPECT_EXIT((void)sweepPlanFromJson(
-                    plan("{\"name\": \"hira\", "
-                         "\"periodic_via_hira\": false}"),
-                    "t"),
-                ::testing::ExitedWithCode(1),
-                "unknown scheme key 'periodic_via_hira'");
+    // Retired keys (the periodic-via-HiRA switch, the elastic-refresh
+    // bound) are unknown keys.
+    for (const char *key : {"periodic_via_hira", "ref_postpone"}) {
+        SCOPED_TRACE(key);
+        EXPECT_EXIT((void)sweepPlanFromJson(
+                        plan(std::string("{\"name\": \"baseline\", \"") +
+                             key + "\": 0}"),
+                        "t"),
+                    ::testing::ExitedWithCode(1),
+                    std::string("unknown scheme key '") + key + "'");
+    }
 }

@@ -63,7 +63,7 @@ class CorpusIntegrationTest : public ::testing::Test
             e.mpki = classifyApki(1000.0 * prof.memPerInstr);
             entries.push_back(std::move(e));
         }
-        writeManifest(dir, entries, /*also_json=*/false);
+        writeManifest(dir, entries);
         files.push_back(dir + "/manifest.tsv");
     }
 
@@ -173,7 +173,7 @@ TEST_F(CorpusIntegrationTest, PriorsReproduceMeasuredSweepWithoutAloneRuns)
         if (used.count(e.spec()) != 0)
             e.aloneIpc = measured.aloneIpc(e.spec(), ref);
     }
-    writeManifest(dir, entries, /*also_json=*/false);
+    writeManifest(dir, entries);
     activate();
 
     SweepRunner primed(tinyKnobs(2), mixes);

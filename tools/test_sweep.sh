@@ -28,7 +28,6 @@ export HIRA_METRICS=
 export HIRA_TRACE_EVENTS=
 export HIRA_CORPUS=
 export HIRA_CORPUS_ONCE=
-export HIRA_RESULT_CACHE_MODE=
 export HIRA_CACHE_REV=
 export HIRA_STANDARD=
 export HIRA_JSON=
