@@ -34,8 +34,9 @@ main()
         s.kind = SchemeKind::HiraMc;
         s.slackN = 4;
         s.sptIsolation = iso;
-        double ws = runner.meanWs(g, s);
-        const RefreshStats &rs = runner.lastRefreshStats();
+        PointResult pr = runner.runPoints({SweepPoint{g, s}}).front();
+        double ws = pr.meanWs;
+        const RefreshStats &rs = pr.refresh;
         double paired =
             rs.rowRefreshes == 0
                 ? 0.0

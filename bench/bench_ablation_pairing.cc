@@ -56,8 +56,9 @@ main()
         s.accessPairing = v.access;
         s.refreshPairing = v.rr || v.pull;
         s.pullAhead = v.pull;
-        double ws = runner.meanWs(g, s);
-        const RefreshStats &rs = runner.lastRefreshStats();
+        PointResult pr = runner.runPoints({SweepPoint{g, s}}).front();
+        double ws = pr.meanWs;
+        const RefreshStats &rs = pr.refresh;
         double paired =
             rs.rowRefreshes == 0
                 ? 0.0

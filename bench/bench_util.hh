@@ -236,24 +236,11 @@ writeJson()
     std::fprintf(f, "  \"points\": [\n");
     for (std::size_t i = 0; i < cap.points.size(); ++i) {
         const PointRow &p = cap.points[i];
-        const RefreshStats &rs = p.refresh;
-        std::fprintf(
-            f,
-            "    {\"label\": \"%s\", \"point\": \"%s\", \"refresh\": {"
-            "\"ref_commands\": %llu, \"row_refreshes\": %llu, "
-            "\"access_paired\": %llu, \"refresh_paired\": %llu, "
-            "\"standalone\": %llu, \"deadline_misses\": %llu, "
-            "\"preventive_generated\": %llu, "
-            "\"preventive_dropped\": %llu}",
-            jsonEscape(p.label).c_str(), jsonEscape(p.point).c_str(),
-            static_cast<unsigned long long>(rs.refCommands),
-            static_cast<unsigned long long>(rs.rowRefreshes),
-            static_cast<unsigned long long>(rs.accessPaired),
-            static_cast<unsigned long long>(rs.refreshPaired),
-            static_cast<unsigned long long>(rs.standalone),
-            static_cast<unsigned long long>(rs.deadlineMisses),
-            static_cast<unsigned long long>(rs.preventiveGenerated),
-            static_cast<unsigned long long>(rs.preventiveDropped));
+        std::fprintf(f,
+                     "    {\"label\": \"%s\", \"point\": \"%s\", "
+                     "\"refresh\": %s",
+                     jsonEscape(p.label).c_str(), jsonEscape(p.point).c_str(),
+                     refreshStatsJson(p.refresh).c_str());
         if (!p.metrics.empty()) {
             std::fprintf(f, ",\n     \"metrics\": {");
             bool first = true;

@@ -67,8 +67,8 @@ main()
                           60000);
     double sb = 0.0, sh = 0.0;
     for (std::size_t i = 0; i < mix.size(); ++i) {
-        sb += rb.ipc[i];
-        sh += rh.ipc[i];
+        sb += rb.sys.ipc[i];
+        sh += rh.sys.ipc[i];
     }
     std::printf("64 Gb chips, 8 cores: sum-IPC %.3f with REF baseline, "
                 "%.3f with HiRA-2 (%+.1f %%)\n",

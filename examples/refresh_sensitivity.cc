@@ -21,7 +21,7 @@ double
 sumIpc(const RunResult &r)
 {
     double s = 0.0;
-    for (double v : r.ipc)
+    for (double v : r.sys.ipc)
         s += v;
     return s;
 }

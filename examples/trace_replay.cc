@@ -90,10 +90,10 @@ main()
                     "identical");
         bool identical = true;
         for (std::size_t i = 0; i < mix.size(); ++i) {
-            bool same = live.ipc[i] == replay.ipc[i];
+            bool same = live.sys.ipc[i] == replay.sys.ipc[i];
             identical = identical && same;
-            std::printf("%-8zu%14.6f%14.6f%12s\n", i, live.ipc[i],
-                        replay.ipc[i], same ? "yes" : "NO");
+            std::printf("%-8zu%14.6f%14.6f%12s\n", i, live.sys.ipc[i],
+                        replay.sys.ipc[i], same ? "yes" : "NO");
         }
         std::printf("memory traffic: live %llu reads / %llu writes, "
                     "replay %llu / %llu\n",

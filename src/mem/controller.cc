@@ -334,19 +334,13 @@ MemoryController::tryRefreshAct(int rank, BankId bank, RowId row,
     return true;
 }
 
-bool
-MemoryController::tryHiraRefreshPair(int rank, BankId bank, RowId first,
-                                     RowId second, Cycle now)
+Cycle
+MemoryController::tryIssueHira(int rank, BankId bank, RowId first,
+                               RowId second, Cycle now)
 {
     const TimingCycles &tcy = model.cycles();
-    if (!busFree(now) || slotReservedAt(now + tcy.c1) ||
-        slotReservedAt(now + tcy.hiraSpan())) {
-        return false;
-    }
-    if (rankHeld(rank) || model.openRow(rank, bank) != kNoRow ||
-        model.earliestHira(rank, bank) > now) {
-        return false;
-    }
+    if (slotReservedAt(now + tcy.c1) || slotReservedAt(now + tcy.hiraSpan()))
+        return kNeverCycle;
     Cycle second_at = model.issueHira(rank, bank, first, second, now);
     record(CommandType::ACT, now, rank, bank, first, HiraRole::FirstAct);
     record(CommandType::PRE, now + tcy.c1, rank, bank, 0,
@@ -356,8 +350,23 @@ MemoryController::tryHiraRefreshPair(int rank, BankId bank, RowId first,
     reserveHiraSlots(now);
     markIssued(now);
     ++stats_.hiraOps;
-    aux(rank, bank).refreshOpen = true; // auto-PRE after the second tRAS
     recountHits(rank, bank); // bank now open with `second`
+    return second_at;
+}
+
+bool
+MemoryController::tryHiraRefreshPair(int rank, BankId bank, RowId first,
+                                     RowId second, Cycle now)
+{
+    if (!busFree(now) || rankHeld(rank) ||
+        model.openRow(rank, bank) != kNoRow ||
+        model.earliestHira(rank, bank) > now) {
+        return false;
+    }
+    Cycle second_at = tryIssueHira(rank, bank, first, second, now);
+    if (second_at == kNeverCycle)
+        return false;
+    aux(rank, bank).refreshOpen = true; // auto-PRE after the second tRAS
     onRowActivation(rank, bank, first, now);
     onRowActivation(rank, bank, second, second_at);
     return true;
@@ -463,24 +472,10 @@ MemoryController::tryDemandAct(const Request &req, Cycle now)
     // refresh under this activation with a HiRA operation.
     RowId hidden =
         refreshScheme->pickHiddenRefresh(rank, bank, req.da.row, now);
-    if (hidden != kNoRow) {
-        const TimingCycles &tcy = model.cycles();
-        if (model.earliestHira(rank, bank) <= now &&
-            !slotReservedAt(now + tcy.c1) &&
-            !slotReservedAt(now + tcy.hiraSpan())) {
-            Cycle second_at =
-                model.issueHira(rank, bank, hidden, req.da.row, now);
-            record(CommandType::ACT, now, rank, bank, hidden,
-                   HiraRole::FirstAct);
-            record(CommandType::PRE, now + tcy.c1, rank, bank, 0,
-                   HiraRole::CutPre);
-            record(CommandType::ACT, second_at, rank, bank, req.da.row,
-                   HiraRole::SecondAct);
-            reserveHiraSlots(now);
-            markIssued(now);
-            ++stats_.hiraOps;
+    if (hidden != kNoRow && model.earliestHira(rank, bank) <= now) {
+        Cycle second_at = tryIssueHira(rank, bank, hidden, req.da.row, now);
+        if (second_at != kNeverCycle) {
             count(mRowMisses); // the demand ACT rode a closed bank
-            recountHits(rank, bank); // bank now open with req's row
             refreshScheme->onHiraIssued(rank, bank, hidden, now);
             onRowActivation(rank, bank, hidden, now);
             onRowActivation(rank, bank, req.da.row, second_at);

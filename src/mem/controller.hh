@@ -76,6 +76,34 @@ struct ControllerStats
     std::uint64_t refs = 0;
     std::uint64_t hiraOps = 0;
     std::uint64_t rejectedRequests = 0; //!< enqueue failures (full queue)
+
+    /**
+     * The one list of the counters above, in declaration order, like
+     * RefreshStats::forEachField (names pinned by test_system.cc). Its
+     * consumers: operator+= (System::result), the ctrlN.<name> metric
+     * mirrors and tests/result_expect.hh. A new counter is one line.
+     */
+    template <typename F>
+    static void
+    forEachField(F &&f)
+    {
+        f("reads_served", &ControllerStats::readsServed);
+        f("writes_served", &ControllerStats::writesServed);
+        f("read_latency_sum", &ControllerStats::readLatencySum);
+        f("forwards", &ControllerStats::forwards);
+        f("cmd.act", &ControllerStats::acts);
+        f("cmd.pre", &ControllerStats::pres);
+        f("cmd.ref", &ControllerStats::refs);
+        f("cmd.hira", &ControllerStats::hiraOps);
+        f("rejected_requests", &ControllerStats::rejectedRequests);
+    }
+
+    ControllerStats &
+    operator+=(const ControllerStats &o)
+    {
+        forEachField([&](const char *, auto m) { this->*m += o.*m; });
+        return *this;
+    }
 };
 
 /** One channel's memory controller. */
@@ -216,6 +244,13 @@ class MemoryController
     void markIssued(Cycle now);
     bool slotReservedAt(Cycle c) const;
     void reserveHiraSlots(Cycle now);
+    /**
+     * Issue HiRA (ACT @p first, PRE, ACT @p second) unless one of its
+     * two future bus slots is reserved; returns the second ACT's cycle,
+     * or kNeverCycle. Callers check the bank and do the ACT bookkeeping.
+     */
+    Cycle tryIssueHira(int rank, BankId bank, RowId first, RowId second,
+                       Cycle now);
     void autoPreTick(Cycle now);
     bool issueColumnIfReady(std::deque<Request> &queue, bool is_read,
                             Cycle now);

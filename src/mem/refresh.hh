@@ -34,6 +34,39 @@ struct RefreshStats
     std::uint64_t preventiveGenerated = 0;
     /** Preventive victims rejected by a full PR-FIFO (never refreshed). */
     std::uint64_t preventiveDropped = 0;
+
+    /**
+     * The one list of the counters above: calls f(name, &member) for
+     * each, in declaration order. The names are an on-disk contract,
+     * pinned by tests/sim/test_system.cc. Every consumer loops over
+     * this list instead of naming the counters: operator+= (the
+     * channel sum in System::result and the mix sum in
+     * SweepRunner::runPoints), the ctrlN.scheme.<name> metric mirrors
+     * in System::metricsSnapshot, the result cache's "refresh" line,
+     * the "refresh" JSON object of HIRA_JSON artifacts and hira_sweep
+     * (refreshStatsJson), and the test comparators in
+     * tests/result_expect.hh. A new counter is one line here.
+     */
+    template <typename F>
+    static void
+    forEachField(F &&f)
+    {
+        f("ref_commands", &RefreshStats::refCommands);
+        f("row_refreshes", &RefreshStats::rowRefreshes);
+        f("access_paired", &RefreshStats::accessPaired);
+        f("refresh_paired", &RefreshStats::refreshPaired);
+        f("standalone", &RefreshStats::standalone);
+        f("deadline_misses", &RefreshStats::deadlineMisses);
+        f("preventive_generated", &RefreshStats::preventiveGenerated);
+        f("preventive_dropped", &RefreshStats::preventiveDropped);
+    }
+
+    RefreshStats &
+    operator+=(const RefreshStats &o)
+    {
+        forEachField([&](const char *, auto m) { this->*m += o.*m; });
+        return *this;
+    }
 };
 
 /**

@@ -12,23 +12,6 @@
 
 namespace hira {
 
-namespace {
-
-void
-accumulateRefresh(RefreshStats &agg, const RefreshStats &rs)
-{
-    agg.refCommands += rs.refCommands;
-    agg.rowRefreshes += rs.rowRefreshes;
-    agg.accessPaired += rs.accessPaired;
-    agg.refreshPaired += rs.refreshPaired;
-    agg.standalone += rs.standalone;
-    agg.deadlineMisses += rs.deadlineMisses;
-    agg.preventiveGenerated += rs.preventiveGenerated;
-    agg.preventiveDropped += rs.preventiveDropped;
-}
-
-} // namespace
-
 Geometry
 GeomSpec::toGeometry() const
 {
@@ -163,13 +146,23 @@ runOne(const SystemConfig &cfg, Cycle warmup, Cycle measure)
     }
     RunResult r;
     r.sys = sys.result();
-    r.ipc = r.sys.ipc;
     r.metrics = sys.metricsSnapshot().diff(base);
     r.wallSeconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
     r.simCycles = warmup + measure;
     return r;
+}
+
+std::string
+refreshStatsJson(const RefreshStats &rs)
+{
+    std::string out = "{";
+    RefreshStats::forEachField([&](const char *name, auto m) {
+        out += strprintf("%s\"%s\": %llu", out.size() > 1 ? ", " : "", name,
+                         static_cast<unsigned long long>(rs.*m));
+    });
+    return out + "}";
 }
 
 double
@@ -275,7 +268,7 @@ SweepRunner::aloneIpc(const std::string &bench, const GeomSpec &geom)
                 RunResult r =
                     runOne(cfg, static_cast<Cycle>(knobs.warmup),
                            static_cast<Cycle>(knobs.cycles));
-                ipc = r.ipc.at(0);
+                ipc = r.sys.ipc.at(0);
             }
         } catch (...) {
             // Drop the placeholder so waiters retry (and one of them
@@ -333,11 +326,8 @@ SweepRunner::runPoints(const std::vector<SweepPoint> &plan)
             missIdx.push_back(pi);
     }
     pointsSimulated_.fetch_add(missIdx.size());
-    if (missIdx.empty()) {
-        // Fully-warm plan: no simulation, no alone warmups.
-        lastRefresh = out.back().refresh;
-        return out;
-    }
+    if (missIdx.empty())
+        return out; // fully-warm plan: no simulation, no alone warmups
 
     // Deduplicated IPC-alone warmup items: one per (bench, geometry)
     // key — of the cache-miss points only — that is neither cached nor
@@ -429,9 +419,9 @@ SweepRunner::runPoints(const std::vector<SweepPoint> &plan)
             for (const std::string &b : mixes_[mi])
                 alone.push_back(aloneIpc(b, p.geom));
             sum += weightedSpeedup(
-                runs[k][mi].ipc, alone,
+                runs[k][mi].sys.ipc, alone,
                 strprintf("mix %zu on %s", mi, p.geom.key().c_str()));
-            accumulateRefresh(out[pi].refresh, runs[k][mi].sys.refresh);
+            out[pi].refresh += runs[k][mi].sys.refresh;
             out[pi].wallSeconds += runs[k][mi].wallSeconds;
             out[pi].simCycles += runs[k][mi].simCycles;
             out[pi].metrics.merge(runs[k][mi].metrics);
@@ -440,7 +430,6 @@ SweepRunner::runPoints(const std::vector<SweepPoint> &plan)
         if (resultCache_ != nullptr)
             resultCache_->storePoint(missKeys[k], out[pi]);
     }
-    lastRefresh = out.back().refresh;
     return out;
 }
 

@@ -93,7 +93,6 @@ struct SchemeSpec
 /** Result of one (mix, geometry, scheme) simulation. */
 struct RunResult
 {
-    std::vector<double> ipc;
     SystemResult sys;
     /** Wall clock spent simulating (construction + warmup + run). */
     double wallSeconds = 0.0;
@@ -159,6 +158,13 @@ struct PointResult
      */
     bool cacheHit = false;
 };
+
+/**
+ * The "refresh" JSON object of HIRA_JSON artifacts
+ * (bench/bench_util.hh) and hira_sweep results: every RefreshStats
+ * counter under its field-list name, {"ref_commands": N, ...}.
+ */
+std::string refreshStatsJson(const RefreshStats &rs);
 
 /**
  * RNG seed of mix @p mixIndex at one (geometry, scheme) sweep point.
@@ -286,14 +292,6 @@ class SweepRunner
     /** Plan points served from the result cache by runPoints(). */
     std::uint64_t pointsFromCache() const { return pointsFromCache_.load(); }
 
-    /**
-     * Refresh stats of the most recent point evaluated: after
-     * meanWs(), that call's mix-summed aggregate; after a multi-point
-     * runPoints(), the FINAL plan point's aggregate only (per-point
-     * stats are in each PointResult::refresh).
-     */
-    const RefreshStats &lastRefreshStats() const { return lastRefresh; }
-
   private:
     /**
      * Install workload @p bench's manifest alone-IPC prior (if any)
@@ -322,8 +320,6 @@ class SweepRunner
     std::unique_ptr<ResultCache> resultCache_;
     std::atomic<std::uint64_t> pointsSimulated_{0};
     std::atomic<std::uint64_t> pointsFromCache_{0};
-
-    RefreshStats lastRefresh;
 };
 
 } // namespace hira

@@ -104,21 +104,16 @@ renderEntry(const std::string &key, bool is_point,
         out += "end\n";
         return out;
     }
-    const RefreshStats &rs = point.refresh;
     out += "mean_ws " + hexDouble(point.meanWs) + "\n";
     out += "wall_seconds " + hexDouble(point.wallSeconds) + "\n";
     out += strprintf("sim_cycles %llu\n",
                      static_cast<unsigned long long>(point.simCycles));
-    out += strprintf(
-        "refresh %llu %llu %llu %llu %llu %llu %llu %llu\n",
-        static_cast<unsigned long long>(rs.refCommands),
-        static_cast<unsigned long long>(rs.rowRefreshes),
-        static_cast<unsigned long long>(rs.accessPaired),
-        static_cast<unsigned long long>(rs.refreshPaired),
-        static_cast<unsigned long long>(rs.standalone),
-        static_cast<unsigned long long>(rs.deadlineMisses),
-        static_cast<unsigned long long>(rs.preventiveGenerated),
-        static_cast<unsigned long long>(rs.preventiveDropped));
+    out += "refresh";
+    RefreshStats::forEachField([&](const char *, auto m) {
+        out += strprintf(" %llu",
+                         static_cast<unsigned long long>(point.refresh.*m));
+    });
+    out += '\n';
     out += strprintf("metrics %zu\n", point.metrics.values.size());
     for (const auto &kv : point.metrics.values) {
         const std::string &name = kv.first;
@@ -208,16 +203,14 @@ parsePayload(EntryCursor &cur, bool is_point, PointResult &point,
         std::istringstream in(line);
         if (!(in >> tag) || tag != "refresh")
             return false;
-        RefreshStats &rs = point.refresh;
-        std::uint64_t *fields[8] = {
-            &rs.refCommands,    &rs.rowRefreshes,
-            &rs.accessPaired,   &rs.refreshPaired,
-            &rs.standalone,     &rs.deadlineMisses,
-            &rs.preventiveGenerated, &rs.preventiveDropped};
-        for (std::uint64_t *f : fields) {
-            if (!(in >> tok) || !parseU64(tok, *f))
-                return false;
-        }
+        // Exactly one token per counter: a missing or extra one is a
+        // corrupt entry.
+        bool ok = true;
+        RefreshStats::forEachField([&](const char *, auto m) {
+            ok = ok && (in >> tok) && parseU64(tok, point.refresh.*m);
+        });
+        if (!ok || (in >> tok))
+            return false;
     }
     if (!cur.line(line))
         return false;

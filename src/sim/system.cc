@@ -359,24 +359,13 @@ System::metricsSnapshot()
     for (std::size_t ch = 0; ch < controllers.size(); ++ch) {
         std::string p = strprintf("ctrl%zu.", ch);
         const ControllerStats &cs = controllers[ch]->stats();
-        mirror(p + "reads_served", cs.readsServed);
-        mirror(p + "writes_served", cs.writesServed);
-        mirror(p + "read_latency_sum", cs.readLatencySum);
-        mirror(p + "forwards", cs.forwards);
-        mirror(p + "cmd.act", cs.acts);
-        mirror(p + "cmd.pre", cs.pres);
-        mirror(p + "cmd.ref", cs.refs);
-        mirror(p + "cmd.hira", cs.hiraOps);
-        mirror(p + "rejected_requests", cs.rejectedRequests);
+        ControllerStats::forEachField([&](const char *name, auto m) {
+            mirror(p + name, cs.*m);
+        });
         const RefreshStats &rs = controllers[ch]->scheme().stats();
-        mirror(p + "scheme.ref_commands", rs.refCommands);
-        mirror(p + "scheme.row_refreshes", rs.rowRefreshes);
-        mirror(p + "scheme.access_paired", rs.accessPaired);
-        mirror(p + "scheme.refresh_paired", rs.refreshPaired);
-        mirror(p + "scheme.standalone", rs.standalone);
-        mirror(p + "scheme.deadline_misses", rs.deadlineMisses);
-        mirror(p + "scheme.preventive_generated", rs.preventiveGenerated);
-        mirror(p + "scheme.preventive_dropped", rs.preventiveDropped);
+        RefreshStats::forEachField([&](const char *name, auto m) {
+            mirror(p + "scheme." + name, rs.*m);
+        });
     }
 
     mirror("llc.hits", llc->hits);
@@ -404,28 +393,11 @@ System::result() const
     for (const auto &core : cores)
         r.ipc.push_back(core->ipc());
     for (const auto &ctrl : controllers) {
-        const ControllerStats &cs = ctrl->stats();
-        r.memReads += cs.readsServed;
-        r.memWrites += cs.writesServed;
-        r.controller.readsServed += cs.readsServed;
-        r.controller.writesServed += cs.writesServed;
-        r.controller.readLatencySum += cs.readLatencySum;
-        r.controller.acts += cs.acts;
-        r.controller.pres += cs.pres;
-        r.controller.refs += cs.refs;
-        r.controller.hiraOps += cs.hiraOps;
-        r.controller.forwards += cs.forwards;
-        r.controller.rejectedRequests += cs.rejectedRequests;
-        const RefreshStats &rs = ctrl->scheme().stats();
-        r.refresh.refCommands += rs.refCommands;
-        r.refresh.rowRefreshes += rs.rowRefreshes;
-        r.refresh.accessPaired += rs.accessPaired;
-        r.refresh.refreshPaired += rs.refreshPaired;
-        r.refresh.standalone += rs.standalone;
-        r.refresh.deadlineMisses += rs.deadlineMisses;
-        r.refresh.preventiveGenerated += rs.preventiveGenerated;
-        r.refresh.preventiveDropped += rs.preventiveDropped;
+        r.controller += ctrl->stats();
+        r.refresh += ctrl->scheme().stats();
     }
+    r.memReads = r.controller.readsServed;
+    r.memWrites = r.controller.writesServed;
     if (r.controller.readsServed > 0) {
         r.avgReadLatencyCycles =
             static_cast<double>(r.controller.readLatencySum) /

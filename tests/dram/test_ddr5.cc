@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "dram/timing_state.hh"
+#include "result_expect.hh"
 #include "sim/experiment.hh"
 
 using namespace hira;
@@ -90,15 +91,7 @@ TEST(Ddr5, EndToEndSystemRunMatchesAcrossEngines)
     SystemResult cyc = runWith(SimEngine::CycleLoop);
     SystemResult evt = runWith(SimEngine::EventLoop);
 
-    ASSERT_EQ(cyc.ipc.size(), evt.ipc.size());
-    for (std::size_t i = 0; i < cyc.ipc.size(); ++i)
-        EXPECT_EQ(cyc.ipc[i], evt.ipc[i]) << "core " << i;
-    EXPECT_EQ(cyc.memReads, evt.memReads);
-    EXPECT_EQ(cyc.memWrites, evt.memWrites);
-    EXPECT_EQ(cyc.avgReadLatencyCycles, evt.avgReadLatencyCycles);
-    EXPECT_EQ(cyc.refresh.refCommands, evt.refresh.refCommands);
-    EXPECT_EQ(cyc.controller.acts, evt.controller.acts);
-    EXPECT_EQ(cyc.controller.refs, evt.controller.refs);
+    expectSameResult(cyc, evt);
 
     EXPECT_GT(cyc.memReads, 0u);
     EXPECT_GT(cyc.refresh.refCommands, 0u);

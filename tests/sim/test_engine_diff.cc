@@ -20,6 +20,7 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include "result_expect.hh"
 #include "sim/experiment.hh"
 #include "sim/trace.hh"
 #include "sim/workloads.hh"
@@ -60,46 +61,13 @@ runEngine(SystemConfig cfg, SimEngine engine, Cycle warm, Cycle run,
 }
 
 void
-expectIdentical(const SystemResult &a, const SystemResult &b,
-                const std::string &label)
-{
-    SCOPED_TRACE(label);
-    ASSERT_EQ(a.ipc.size(), b.ipc.size());
-    for (std::size_t i = 0; i < a.ipc.size(); ++i)
-        EXPECT_EQ(a.ipc[i], b.ipc[i]) << "core " << i;
-    EXPECT_EQ(a.memReads, b.memReads);
-    EXPECT_EQ(a.memWrites, b.memWrites);
-    EXPECT_EQ(a.avgReadLatencyCycles, b.avgReadLatencyCycles);
-    EXPECT_EQ(a.llcHits, b.llcHits);
-    EXPECT_EQ(a.llcMisses, b.llcMisses);
-
-    EXPECT_EQ(a.controller.readsServed, b.controller.readsServed);
-    EXPECT_EQ(a.controller.writesServed, b.controller.writesServed);
-    EXPECT_EQ(a.controller.readLatencySum, b.controller.readLatencySum);
-    EXPECT_EQ(a.controller.forwards, b.controller.forwards);
-    EXPECT_EQ(a.controller.acts, b.controller.acts);
-    EXPECT_EQ(a.controller.pres, b.controller.pres);
-    EXPECT_EQ(a.controller.refs, b.controller.refs);
-    EXPECT_EQ(a.controller.hiraOps, b.controller.hiraOps);
-    EXPECT_EQ(a.controller.rejectedRequests, b.controller.rejectedRequests);
-
-    EXPECT_EQ(a.refresh.refCommands, b.refresh.refCommands);
-    EXPECT_EQ(a.refresh.rowRefreshes, b.refresh.rowRefreshes);
-    EXPECT_EQ(a.refresh.accessPaired, b.refresh.accessPaired);
-    EXPECT_EQ(a.refresh.refreshPaired, b.refresh.refreshPaired);
-    EXPECT_EQ(a.refresh.standalone, b.refresh.standalone);
-    EXPECT_EQ(a.refresh.deadlineMisses, b.refresh.deadlineMisses);
-    EXPECT_EQ(a.refresh.preventiveGenerated, b.refresh.preventiveGenerated);
-    EXPECT_EQ(a.refresh.preventiveDropped, b.refresh.preventiveDropped);
-}
-
-void
 expectEnginesAgree(const SystemConfig &cfg, const std::string &label,
                    Cycle warm = kWarm, Cycle run = kRun)
 {
     SystemResult cyc = runEngine(cfg, SimEngine::CycleLoop, warm, run);
     SystemResult evt = runEngine(cfg, SimEngine::EventLoop, warm, run);
-    expectIdentical(cyc, evt, label);
+    SCOPED_TRACE(label);
+    expectSameResult(cyc, evt);
 }
 
 SystemConfig
@@ -440,7 +408,7 @@ TEST(EngineDiff, MemoryStallSkipsEngageOnLatencyBoundConfig)
     EXPECT_LT(evt.executedCycles, evt.simulatedCycles);
 
     SystemResult c = runEngine(cfg, SimEngine::CycleLoop, kWarm, kRun);
-    expectIdentical(c, e, "single-core mcf");
+    expectSameResult(c, e);
 }
 
 TEST(EngineDiff, RepeatedRunsInterleaveWithResetStats)
@@ -463,6 +431,6 @@ TEST(EngineDiff, RepeatedRunsInterleaveWithResetStats)
         sys.run(8000);
         return sys.result();
     };
-    expectIdentical(sequence(SimEngine::CycleLoop),
-                    sequence(SimEngine::EventLoop), "double reset");
+    expectSameResult(sequence(SimEngine::CycleLoop),
+                     sequence(SimEngine::EventLoop));
 }

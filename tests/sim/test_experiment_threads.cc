@@ -15,6 +15,7 @@
 
 #include <stdlib.h>
 
+#include "result_expect.hh"
 #include "sim/experiment.hh"
 
 using namespace hira;
@@ -56,16 +57,8 @@ TEST(SweepRunnerThreads, HiraMcMeanWsAndStatsIdenticalOneVsFourThreads)
     SchemeSpec s;
     s.kind = SchemeKind::HiraMc;
     s.slackN = 2;
-    EXPECT_EQ(serial.meanWs(g, s), pooled.meanWs(g, s));
-
-    const RefreshStats &a = serial.lastRefreshStats();
-    const RefreshStats &b = pooled.lastRefreshStats();
-    EXPECT_EQ(a.refCommands, b.refCommands);
-    EXPECT_EQ(a.rowRefreshes, b.rowRefreshes);
-    EXPECT_EQ(a.accessPaired, b.accessPaired);
-    EXPECT_EQ(a.refreshPaired, b.refreshPaired);
-    EXPECT_EQ(a.standalone, b.standalone);
-    EXPECT_EQ(a.deadlineMisses, b.deadlineMisses);
+    expectSamePoints(serial.runPoints({SweepPoint{g, s}}),
+                     pooled.runPoints({SweepPoint{g, s}}));
 }
 
 TEST(SweepRunnerThreads, RunPointsIdenticalOneVsFourThreads)
@@ -88,16 +81,7 @@ TEST(SweepRunnerThreads, RunPointsIdenticalOneVsFourThreads)
     }
     SweepRunner serial(tinyKnobs(1));
     SweepRunner pooled(tinyKnobs(4));
-    std::vector<PointResult> a = serial.runPoints(plan);
-    std::vector<PointResult> b = pooled.runPoints(plan);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].meanWs, b[i].meanWs) << "point " << i;
-        EXPECT_EQ(a[i].refresh.rowRefreshes, b[i].refresh.rowRefreshes);
-        EXPECT_EQ(a[i].refresh.accessPaired, b[i].refresh.accessPaired);
-        EXPECT_EQ(a[i].refresh.deadlineMisses,
-                  b[i].refresh.deadlineMisses);
-    }
+    expectSamePoints(serial.runPoints(plan), pooled.runPoints(plan));
 }
 
 TEST(SweepRunnerThreads, RunPointsIdenticalAcrossEnginesAndThreadCounts)
@@ -132,17 +116,8 @@ TEST(SweepRunnerThreads, RunPointsIdenticalAcrossEnginesAndThreadCounts)
 
     ASSERT_EQ(results.size(), 3u);
     for (std::size_t v = 1; v < results.size(); ++v) {
-        ASSERT_EQ(results[v].size(), results[0].size());
-        for (std::size_t i = 0; i < results[0].size(); ++i) {
-            EXPECT_EQ(results[v][i].meanWs, results[0][i].meanWs)
-                << "variant " << v << " point " << i;
-            EXPECT_EQ(results[v][i].refresh.rowRefreshes,
-                      results[0][i].refresh.rowRefreshes);
-            EXPECT_EQ(results[v][i].refresh.refCommands,
-                      results[0][i].refresh.refCommands);
-            EXPECT_EQ(results[v][i].refresh.deadlineMisses,
-                      results[0][i].refresh.deadlineMisses);
-        }
+        SCOPED_TRACE("variant " + std::to_string(v));
+        expectSamePoints(results[v], results[0]);
     }
 }
 

@@ -58,32 +58,18 @@ resultDigest(const SystemResult &r)
     std::uint64_t h = hashCombine(0, r.ipc.size());
     for (double ipc : r.ipc)
         h = hashCombine(h, bits(ipc));
-    const std::uint64_t fields[] = {
-        r.memReads,
-        r.memWrites,
-        bits(r.avgReadLatencyCycles),
-        r.llcHits,
-        r.llcMisses,
-        r.controller.readsServed,
-        r.controller.writesServed,
-        r.controller.readLatencySum,
-        r.controller.forwards,
-        r.controller.acts,
-        r.controller.pres,
-        r.controller.refs,
-        r.controller.hiraOps,
-        r.controller.rejectedRequests,
-        r.refresh.refCommands,
-        r.refresh.rowRefreshes,
-        r.refresh.accessPaired,
-        r.refresh.refreshPaired,
-        r.refresh.standalone,
-        r.refresh.deadlineMisses,
-        r.refresh.preventiveGenerated,
-        r.refresh.preventiveDropped,
-    };
-    for (std::uint64_t f : fields)
+    // Counters enter in field-list order: controller, then refresh.
+    for (std::uint64_t f : {r.memReads, r.memWrites,
+                            bits(r.avgReadLatencyCycles), r.llcHits,
+                            r.llcMisses}) {
         h = hashCombine(h, f);
+    }
+    ControllerStats::forEachField([&](const char *, auto m) {
+        h = hashCombine(h, r.controller.*m);
+    });
+    RefreshStats::forEachField([&](const char *, auto m) {
+        h = hashCombine(h, r.refresh.*m);
+    });
     return h;
 }
 

@@ -22,6 +22,7 @@
 
 #include "common/logging.hh"
 #include "common/trace_events.hh"
+#include "result_expect.hh"
 #include "sim/experiment.hh"
 
 using namespace hira;
@@ -55,50 +56,20 @@ runAtLevel(SystemConfig cfg, MetricsLevel level, SimEngine engine,
 }
 
 void
-expectIdentical(const SystemResult &a, const SystemResult &b,
-                const std::string &label)
-{
-    SCOPED_TRACE(label);
-    ASSERT_EQ(a.ipc.size(), b.ipc.size());
-    for (std::size_t i = 0; i < a.ipc.size(); ++i)
-        EXPECT_EQ(a.ipc[i], b.ipc[i]) << "core " << i;
-    EXPECT_EQ(a.memReads, b.memReads);
-    EXPECT_EQ(a.memWrites, b.memWrites);
-    EXPECT_EQ(a.avgReadLatencyCycles, b.avgReadLatencyCycles);
-    EXPECT_EQ(a.llcHits, b.llcHits);
-    EXPECT_EQ(a.llcMisses, b.llcMisses);
-
-    EXPECT_EQ(a.controller.readsServed, b.controller.readsServed);
-    EXPECT_EQ(a.controller.writesServed, b.controller.writesServed);
-    EXPECT_EQ(a.controller.readLatencySum, b.controller.readLatencySum);
-    EXPECT_EQ(a.controller.forwards, b.controller.forwards);
-    EXPECT_EQ(a.controller.acts, b.controller.acts);
-    EXPECT_EQ(a.controller.pres, b.controller.pres);
-    EXPECT_EQ(a.controller.refs, b.controller.refs);
-    EXPECT_EQ(a.controller.hiraOps, b.controller.hiraOps);
-    EXPECT_EQ(a.controller.rejectedRequests, b.controller.rejectedRequests);
-
-    EXPECT_EQ(a.refresh.refCommands, b.refresh.refCommands);
-    EXPECT_EQ(a.refresh.rowRefreshes, b.refresh.rowRefreshes);
-    EXPECT_EQ(a.refresh.accessPaired, b.refresh.accessPaired);
-    EXPECT_EQ(a.refresh.refreshPaired, b.refresh.refreshPaired);
-    EXPECT_EQ(a.refresh.standalone, b.refresh.standalone);
-    EXPECT_EQ(a.refresh.deadlineMisses, b.refresh.deadlineMisses);
-    EXPECT_EQ(a.refresh.preventiveGenerated, b.refresh.preventiveGenerated);
-    EXPECT_EQ(a.refresh.preventiveDropped, b.refresh.preventiveDropped);
-}
-
-void
 expectLevelsAgree(const SystemConfig &cfg, const std::string &label)
 {
     for (SimEngine engine : {SimEngine::CycleLoop, SimEngine::EventLoop}) {
         const char *ename =
             engine == SimEngine::CycleLoop ? "cycle" : "event";
         SystemResult off = runAtLevel(cfg, MetricsLevel::Off, engine);
-        SystemResult full = runAtLevel(cfg, MetricsLevel::Full, engine);
-        expectIdentical(off, full, label + " off-vs-full " + ename);
-        SystemResult ctrs = runAtLevel(cfg, MetricsLevel::Counters, engine);
-        expectIdentical(off, ctrs, label + " off-vs-counters " + ename);
+        for (MetricsLevel level :
+             {MetricsLevel::Full, MetricsLevel::Counters}) {
+            SCOPED_TRACE(label +
+                         (level == MetricsLevel::Full ? " off-vs-full "
+                                                      : " off-vs-counters ") +
+                         ename);
+            expectSameResult(off, runAtLevel(cfg, level, engine));
+        }
     }
 }
 
@@ -172,7 +143,7 @@ TEST(MetricsEquivalence, TracingDoesNotPerturbResults)
     tlog.flush();
     tlog.resetForTest(std::string());
 
-    expectIdentical(untraced, traced, "traced vs untraced");
+    expectSameResult(untraced, traced);
 
     // The flushed file is a Trace Event Format envelope.
     std::ifstream in(path);
@@ -227,16 +198,14 @@ TEST(MetricsEquivalence, SnapshotMirrorsMatchStats)
         EXPECT_EQ(counterAt("kernel.ctrl_ticks"), loop.ctrlTicks);
 
         // Controller + scheme mirrors == the (single-channel) result sums.
-        EXPECT_EQ(counterAt("ctrl0.reads_served"),
-                  res.controller.readsServed);
-        EXPECT_EQ(counterAt("ctrl0.cmd.act"), res.controller.acts);
-        EXPECT_EQ(counterAt("ctrl0.cmd.hira"), res.controller.hiraOps);
-        EXPECT_EQ(counterAt("ctrl0.scheme.ref_commands"),
-                  res.refresh.refCommands);
-        EXPECT_EQ(counterAt("ctrl0.scheme.preventive_generated"),
-                  res.refresh.preventiveGenerated);
-        EXPECT_EQ(counterAt("ctrl0.scheme.preventive_dropped"),
-                  res.refresh.preventiveDropped);
+        ControllerStats::forEachField([&](const char *name, auto m) {
+            EXPECT_EQ(counterAt(std::string("ctrl0.") + name),
+                      res.controller.*m);
+        });
+        RefreshStats::forEachField([&](const char *name, auto m) {
+            EXPECT_EQ(counterAt(std::string("ctrl0.scheme.") + name),
+                      res.refresh.*m);
+        });
         EXPECT_EQ(counterAt("llc.hits"), res.llcHits);
         EXPECT_EQ(counterAt("llc.misses"), res.llcMisses);
 

@@ -14,6 +14,7 @@
 
 #include <stdlib.h>
 
+#include "result_expect.hh"
 #include "sim/result_cache.hh"
 #include "workload/corpus.hh"
 
@@ -77,14 +78,12 @@ class ResultCacheTest : public ::testing::Test
         r.meanWs = 1.0 / 3.0; // not exactly representable in decimal
         r.wallSeconds = 0.125;
         r.simCycles = 15000;
-        r.refresh.refCommands = 11;
-        r.refresh.rowRefreshes = 22;
-        r.refresh.accessPaired = 3;
-        r.refresh.refreshPaired = 4;
-        r.refresh.standalone = 5;
-        r.refresh.deadlineMisses = 6;
-        r.refresh.preventiveGenerated = 7;
-        r.refresh.preventiveDropped = 8;
+        // A distinct value per counter, so one written or read at the
+        // wrong position fails the round trip.
+        std::uint64_t v = 11;
+        RefreshStats::forEachField([&](const char *, auto m) {
+            r.refresh.*m = v++;
+        });
         MetricValue c;
         c.kind = MetricValue::Kind::Counter;
         c.count = 42;
@@ -113,15 +112,7 @@ expectEqualResults(const PointResult &a, const PointResult &b)
     EXPECT_EQ(a.meanWs, b.meanWs);
     EXPECT_EQ(a.wallSeconds, b.wallSeconds);
     EXPECT_EQ(a.simCycles, b.simCycles);
-    EXPECT_EQ(a.refresh.refCommands, b.refresh.refCommands);
-    EXPECT_EQ(a.refresh.rowRefreshes, b.refresh.rowRefreshes);
-    EXPECT_EQ(a.refresh.accessPaired, b.refresh.accessPaired);
-    EXPECT_EQ(a.refresh.refreshPaired, b.refresh.refreshPaired);
-    EXPECT_EQ(a.refresh.standalone, b.refresh.standalone);
-    EXPECT_EQ(a.refresh.deadlineMisses, b.refresh.deadlineMisses);
-    EXPECT_EQ(a.refresh.preventiveGenerated,
-              b.refresh.preventiveGenerated);
-    EXPECT_EQ(a.refresh.preventiveDropped, b.refresh.preventiveDropped);
+    expectSameRefresh(a.refresh, b.refresh);
     ASSERT_EQ(a.metrics.values.size(), b.metrics.values.size());
     for (const auto &kv : a.metrics.values) {
         auto it = b.metrics.values.find(kv.first);
@@ -376,6 +367,21 @@ TEST_F(ResultCacheTest, CorruptAndTruncatedEntriesAreSkipped)
     ResultCache garbage(dir);
     EXPECT_FALSE(garbage.lookupPoint(key, out));
     EXPECT_EQ(garbage.stats().corrupt, 1u);
+
+    // A refresh line one counter short, and one counter long.
+    std::size_t eol = bytes.find('\n', bytes.find("\nrefresh ") + 1);
+    std::size_t lastSpace = bytes.rfind(' ', eol);
+    for (const std::string &mutated :
+         {bytes.substr(0, lastSpace) + bytes.substr(eol),
+          bytes.substr(0, eol) + " 99" + bytes.substr(eol)}) {
+        {
+            std::ofstream m(path, std::ios::binary | std::ios::trunc);
+            m << mutated;
+        }
+        ResultCache reader(dir);
+        EXPECT_FALSE(reader.lookupPoint(key, out));
+        EXPECT_EQ(reader.stats().corrupt, 1u);
+    }
 
     // And a rewrite repairs the slot.
     garbage.storePoint(key, samplePoint());

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "dram/timing_checker.hh"
 #include "sim/experiment.hh"
 
@@ -42,6 +46,46 @@ quickRun(const GeomSpec &g, const SchemeSpec &s, const WorkloadMix &mix,
 
 } // namespace
 
+TEST(SystemSim, StatsFieldListsKeepTheirOnDiskNames)
+{
+    // The names reach metric mirrors (ctrlN.<name>, ctrlN.scheme.<name>)
+    // and artifact "refresh" objects, and the order is the result
+    // cache's "refresh" line: renaming, reordering or re-pointing a
+    // field must fail here.
+    using C = ControllerStats;
+    using CField = std::pair<std::string, std::uint64_t C::*>;
+    std::vector<CField> ctrl;
+    C::forEachField([&](const char *name, std::uint64_t C::*m) {
+        ctrl.emplace_back(name, m);
+    });
+    EXPECT_EQ(ctrl, (std::vector<CField>{
+                        {"reads_served", &C::readsServed},
+                        {"writes_served", &C::writesServed},
+                        {"read_latency_sum", &C::readLatencySum},
+                        {"forwards", &C::forwards},
+                        {"cmd.act", &C::acts},
+                        {"cmd.pre", &C::pres},
+                        {"cmd.ref", &C::refs},
+                        {"cmd.hira", &C::hiraOps},
+                        {"rejected_requests", &C::rejectedRequests}}));
+
+    using R = RefreshStats;
+    using RField = std::pair<std::string, std::uint64_t R::*>;
+    std::vector<RField> refresh;
+    R::forEachField([&](const char *name, std::uint64_t R::*m) {
+        refresh.emplace_back(name, m);
+    });
+    EXPECT_EQ(refresh, (std::vector<RField>{
+                           {"ref_commands", &R::refCommands},
+                           {"row_refreshes", &R::rowRefreshes},
+                           {"access_paired", &R::accessPaired},
+                           {"refresh_paired", &R::refreshPaired},
+                           {"standalone", &R::standalone},
+                           {"deadline_misses", &R::deadlineMisses},
+                           {"preventive_generated", &R::preventiveGenerated},
+                           {"preventive_dropped", &R::preventiveDropped}}));
+}
+
 TEST(SystemSim, DeterministicAcrossRuns)
 {
     GeomSpec g;
@@ -49,9 +93,9 @@ TEST(SystemSim, DeterministicAcrossRuns)
     s.kind = SchemeKind::Baseline;
     RunResult a = quickRun(g, s, memHeavyMix());
     RunResult b = quickRun(g, s, memHeavyMix());
-    ASSERT_EQ(a.ipc.size(), b.ipc.size());
-    for (std::size_t i = 0; i < a.ipc.size(); ++i)
-        EXPECT_DOUBLE_EQ(a.ipc[i], b.ipc[i]);
+    ASSERT_EQ(a.sys.ipc.size(), b.sys.ipc.size());
+    for (std::size_t i = 0; i < a.sys.ipc.size(); ++i)
+        EXPECT_DOUBLE_EQ(a.sys.ipc[i], b.sys.ipc[i]);
 }
 
 TEST(SystemSim, AllCoresMakeProgress)
@@ -59,7 +103,7 @@ TEST(SystemSim, AllCoresMakeProgress)
     GeomSpec g;
     SchemeSpec s;
     RunResult r = quickRun(g, s, memHeavyMix());
-    for (double ipc : r.ipc)
+    for (double ipc : r.sys.ipc)
         EXPECT_GT(ipc, 0.005);
     EXPECT_GT(r.sys.memReads, 1000u);
 }
@@ -73,8 +117,8 @@ TEST(SystemSim, RefreshCostsPerformanceAtHighCapacity)
     SchemeSpec none, base;
     none.kind = SchemeKind::NoRefresh;
     base.kind = SchemeKind::Baseline;
-    double ipc_none = sumIpc(quickRun(g, none, memHeavyMix()).ipc);
-    double ipc_base = sumIpc(quickRun(g, base, memHeavyMix()).ipc);
+    double ipc_none = sumIpc(quickRun(g, none, memHeavyMix()).sys.ipc);
+    double ipc_base = sumIpc(quickRun(g, base, memHeavyMix()).sys.ipc);
     EXPECT_LT(ipc_base, ipc_none * 0.90);
 }
 
@@ -88,8 +132,8 @@ TEST(SystemSim, HiraBeatsBaselineAtHighCapacity)
     base.kind = SchemeKind::Baseline;
     hira.kind = SchemeKind::HiraMc;
     hira.slackN = 2;
-    double ipc_base = sumIpc(quickRun(g, base, memHeavyMix()).ipc);
-    double ipc_hira = sumIpc(quickRun(g, hira, memHeavyMix()).ipc);
+    double ipc_base = sumIpc(quickRun(g, base, memHeavyMix()).sys.ipc);
+    double ipc_hira = sumIpc(quickRun(g, hira, memHeavyMix()).sys.ipc);
     EXPECT_GT(ipc_hira, ipc_base * 1.02);
 }
 
@@ -122,9 +166,9 @@ TEST(SystemSim, ParaSlowsSystemMoreAtLowerNrh)
     p1024.nrh = 1024.0;
     p64 = p1024;
     p64.nrh = 64.0;
-    double ipc_none = sumIpc(quickRun(g, none, memHeavyMix()).ipc);
-    double ipc_1024 = sumIpc(quickRun(g, p1024, memHeavyMix()).ipc);
-    double ipc_64 = sumIpc(quickRun(g, p64, memHeavyMix()).ipc);
+    double ipc_none = sumIpc(quickRun(g, none, memHeavyMix()).sys.ipc);
+    double ipc_1024 = sumIpc(quickRun(g, p1024, memHeavyMix()).sys.ipc);
+    double ipc_64 = sumIpc(quickRun(g, p64, memHeavyMix()).sys.ipc);
     EXPECT_LT(ipc_1024, ipc_none);
     EXPECT_LT(ipc_64, ipc_1024 * 0.6); // NRH=64 is devastating (Fig. 12)
 }
@@ -140,8 +184,8 @@ TEST(SystemSim, HiraRecoversParaOverheadAtLowNrh)
     hira = para;
     hira.preventiveViaHira = true;
     hira.slackN = 4;
-    double ipc_para = sumIpc(quickRun(g, para, memHeavyMix()).ipc);
-    double ipc_hira = sumIpc(quickRun(g, hira, memHeavyMix()).ipc);
+    double ipc_para = sumIpc(quickRun(g, para, memHeavyMix()).sys.ipc);
+    double ipc_hira = sumIpc(quickRun(g, hira, memHeavyMix()).sys.ipc);
     EXPECT_GT(ipc_hira, ipc_para * 1.2);
 }
 
@@ -156,8 +200,8 @@ TEST(SystemSim, MultiChannelImprovesThroughput)
     GeomSpec one, four;
     four.channels = 4;
     SchemeSpec s;
-    double ipc1 = sumIpc(quickRun(one, s, memHeavyMix()).ipc);
-    double ipc4 = sumIpc(quickRun(four, s, memHeavyMix()).ipc);
+    double ipc1 = sumIpc(quickRun(one, s, memHeavyMix()).sys.ipc);
+    double ipc4 = sumIpc(quickRun(four, s, memHeavyMix()).sys.ipc);
     EXPECT_GT(ipc4, ipc1 * 1.3);
 }
 

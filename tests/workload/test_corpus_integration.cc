@@ -17,6 +17,7 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include "result_expect.hh"
 #include "sim/experiment.hh"
 #include "sim/trace.hh"
 #include "sim/workloads.hh"
@@ -132,18 +133,9 @@ TEST_F(CorpusIntegrationTest, RunPointsBitwiseIdenticalOneVsFourThreads)
     SweepRunner pooled(tinyKnobs(4), mixes);
     std::vector<SweepPoint> plan = smallPlan();
     std::vector<PointResult> a = serial.runPoints(plan);
-    std::vector<PointResult> b = pooled.runPoints(plan);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        // EXPECT_EQ, not NEAR: corpus replay and the reduction order
-        // must both be exact, so any divergence is a real leak.
-        EXPECT_EQ(a[i].meanWs, b[i].meanWs) << "point " << i;
-        EXPECT_EQ(a[i].refresh.rowRefreshes, b[i].refresh.rowRefreshes)
-            << "point " << i;
-        EXPECT_EQ(a[i].refresh.preventiveDropped,
-                  b[i].refresh.preventiveDropped)
-            << "point " << i;
-    }
+    // Exact, not NEAR: corpus replay and the reduction order must both
+    // be exact, so any divergence is a real leak.
+    expectSamePoints(a, pooled.runPoints(plan));
     EXPECT_GT(a[0].meanWs, 0.0);
 }
 

@@ -141,21 +141,14 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < points.size(); ++i) {
         const SweepPoint &p = points[i];
         const PointResult &r = results[i];
-        const RefreshStats &rs = r.refresh;
         out += i == 0 ? "\n" : ",\n";
         out += strprintf(
             "    {\"label\": \"%s\", \"geom\": \"%s\", "
-            "\"mean_ws\": %s, \"sim_cycles\": %llu, "
-            "\"refresh\": {\"ref_commands\": %llu, "
-            "\"row_refreshes\": %llu, \"deadline_misses\": %llu, "
-            "\"preventive_generated\": %llu}}",
+            "\"mean_ws\": %s, \"sim_cycles\": %llu, \"refresh\": %s}",
             jsonEscape(p.scheme.label()).c_str(),
             jsonEscape(p.geom.key()).c_str(), jsonDouble(r.meanWs).c_str(),
             static_cast<unsigned long long>(r.simCycles),
-            static_cast<unsigned long long>(rs.refCommands),
-            static_cast<unsigned long long>(rs.rowRefreshes),
-            static_cast<unsigned long long>(rs.deadlineMisses),
-            static_cast<unsigned long long>(rs.preventiveGenerated));
+            refreshStatsJson(r.refresh).c_str());
     }
     out += "\n  ]\n}\n";
     std::fputs(out.c_str(), stdout);

@@ -230,7 +230,7 @@ measureAloneIpc(const CorpusEntry &entry, const Options &opt)
         geom, none, solo, hashString(aloneIpcCacheKey(spec, geom)));
     RunResult r = runOne(cfg, static_cast<Cycle>(opt.aloneWarmup),
                          static_cast<Cycle>(opt.aloneCycles));
-    double ipc = r.ipc.at(0);
+    double ipc = r.sys.ipc.at(0);
     if (!(ipc > 0.0) || !std::isfinite(ipc)) {
         fatal("alone-IPC reference run of '%s' yielded IPC = %g; the "
               "trace made no progress",
