@@ -85,17 +85,16 @@ class ChannelTimingModel
     // The earliest-command queries read struct-of-arrays horizons
     // (resolvedAct/Pre/Rd/Wr below, flat-indexed by bankIndex) that are
     // rebuilt in one pass over all banks the first time a query runs
-    // after a mutation. The controller's scheduling loops query every
-    // queued request per wake, so one batch rebuild per issued command
-    // replaces hundreds of per-query max-chains.
+    // after a mutation. The controller's wake scan and scheduling scans
+    // query every bank with queued work per tick, so one batch rebuild
+    // per issued command replaces many per-query max-chains.
 
-    // Inline: every scheduler scan reads the open row once per queued
-    // request, so this is the single most-called query in the model.
+    // Inline: the scheduler's queue walks read the open row once per
+    // visited request, so this is the most-called query in the model.
     RowId
     openRow(int rank, BankId bank) const
     {
-        return banks[static_cast<std::size_t>(bankIndex(rank, bank))]
-            .openRow;
+        return openRowAt(static_cast<std::size_t>(bankIndex(rank, bank)));
     }
     bool
     bankClosed(int rank, BankId bank) const
@@ -112,30 +111,51 @@ class ChannelTimingModel
     /** Earliest cycle an ACT to (rank, bank) may issue. */
     Cycle earliestAct(int rank, BankId bank) const
     {
-        if (resolvedDirty)
-            rebuildResolved();
-        return resolvedAct[static_cast<std::size_t>(bankIndex(rank, bank))];
+        return earliestActAt(static_cast<std::size_t>(bankIndex(rank, bank)));
     }
     /** Earliest cycle a PRE to (rank, bank) may issue. */
     Cycle earliestPre(int rank, BankId bank) const
     {
-        if (resolvedDirty)
-            rebuildResolved();
-        return resolvedPre[static_cast<std::size_t>(bankIndex(rank, bank))];
+        return earliestPreAt(static_cast<std::size_t>(bankIndex(rank, bank)));
     }
     /** Earliest RD issue cycle (bank must be open; data bus checked). */
     Cycle earliestRd(int rank, BankId bank) const
     {
-        if (resolvedDirty)
-            rebuildResolved();
-        return resolvedRd[static_cast<std::size_t>(bankIndex(rank, bank))];
+        return earliestRdAt(static_cast<std::size_t>(bankIndex(rank, bank)));
     }
     /** Earliest WR issue cycle. */
     Cycle earliestWr(int rank, BankId bank) const
     {
+        return earliestWrAt(static_cast<std::size_t>(bankIndex(rank, bank)));
+    }
+
+    // Flat-index forms of the queries above, for callers that already
+    // hold a bankIndex() (the controller's per-bank scheduling scans):
+    // no rank * banksPerRank multiply per query.
+    RowId openRowAt(std::size_t idx) const { return banks[idx].openRow; }
+    Cycle earliestActAt(std::size_t idx) const
+    {
         if (resolvedDirty)
             rebuildResolved();
-        return resolvedWr[static_cast<std::size_t>(bankIndex(rank, bank))];
+        return resolvedAct[idx];
+    }
+    Cycle earliestPreAt(std::size_t idx) const
+    {
+        if (resolvedDirty)
+            rebuildResolved();
+        return resolvedPre[idx];
+    }
+    Cycle earliestRdAt(std::size_t idx) const
+    {
+        if (resolvedDirty)
+            rebuildResolved();
+        return resolvedRd[idx];
+    }
+    Cycle earliestWrAt(std::size_t idx) const
+    {
+        if (resolvedDirty)
+            rebuildResolved();
+        return resolvedWr[idx];
     }
     /** Earliest all-bank REF for the rank (all banks must be closed). */
     Cycle earliestRef(int rank) const;

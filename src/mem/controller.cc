@@ -16,15 +16,23 @@ MemoryController::MemoryController(int channel_id,
       paraSampler(config.para)
 {
     hira_assert(refreshScheme != nullptr);
-    bankAux.resize(static_cast<std::size_t>(cfg.geom.ranksPerChannel) *
-                   static_cast<std::size_t>(cfg.geom.banksPerRank()));
+    const std::size_t nbanks =
+        static_cast<std::size_t>(cfg.geom.banksPerChannel());
     rankHold.assign(static_cast<std::size_t>(cfg.geom.ranksPerChannel),
                     false);
-    nRead.assign(bankAux.size(), 0);
-    nWrite.assign(bankAux.size(), 0);
-    nReadHit.assign(bankAux.size(), 0);
-    nWriteHit.assign(bankAux.size(), 0);
-    bankSeenScratch.assign(bankAux.size(), 0);
+    bankRank.resize(nbanks);
+    for (std::size_t i = 0; i < nbanks; ++i)
+        bankRank[i] = static_cast<int>(
+            i / static_cast<std::size_t>(cfg.geom.banksPerRank()));
+    preventiveVictims.resize(nbanks);
+    nRead.assign(nbanks, 0);
+    nWrite.assign(nbanks, 0);
+    nReadHit.assign(nbanks, 0);
+    nWriteHit.assign(nbanks, 0);
+    for (BankBits *bits : {&refreshOpen, &readQueued, &writeQueued,
+                           &readHit, &writeHit, &pickedScratch}) {
+        bits->resize(nbanks);
+    }
     recorder.setEnabled(cfg.recordTrace);
     refreshScheme->attach(this);
 
@@ -43,10 +51,10 @@ MemoryController::MemoryController(int channel_id,
     mWriteQDepth = ms.histogram(
         "write_q_depth", 0.0,
         static_cast<double>(cfg.writeQueueCap + 1), 16);
-    mBankReads.resize(bankAux.size(), nullptr);
-    mBankWrites.resize(bankAux.size(), nullptr);
+    mBankReads.resize(nbanks, nullptr);
+    mBankWrites.resize(nbanks, nullptr);
     if (ms.registry() != nullptr) {
-        for (std::size_t i = 0; i < bankAux.size(); ++i) {
+        for (std::size_t i = 0; i < nbanks; ++i) {
             MetricScope bank = ms.sub(strprintf("bank%zu", i));
             mBankReads[i] = bank.counter("reads");
             mBankWrites[i] = bank.counter("writes");
@@ -63,16 +71,51 @@ MemoryController::bankIndex(int rank, BankId bank) const
            bank;
 }
 
-MemoryController::BankAux &
-MemoryController::aux(int rank, BankId bank)
+void
+MemoryController::syncBankBits(std::size_t idx)
 {
-    return bankAux[bankIndex(rank, bank)];
+    readQueued.assign(idx, nRead[idx] != 0);
+    writeQueued.assign(idx, nWrite[idx] != 0);
+    readHit.assign(idx, nReadHit[idx] != 0);
+    writeHit.assign(idx, nWriteHit[idx] != 0);
 }
 
-const MemoryController::BankAux &
-MemoryController::aux(int rank, BankId bank) const
+std::string
+MemoryController::countIndexAudit() const
 {
-    return bankAux[bankIndex(rank, bank)];
+    const std::size_t nbanks = nRead.size();
+    std::vector<std::uint16_t> rd(nbanks, 0), wr(nbanks, 0);
+    std::vector<std::uint16_t> rdHit(nbanks, 0), wrHit(nbanks, 0);
+    auto tally = [&](const std::deque<Request> &q,
+                     std::vector<std::uint16_t> &n,
+                     std::vector<std::uint16_t> &hit) {
+        for (const Request &r : q) {
+            std::size_t idx = bankIndex(r.da.rank, r.da.bank);
+            ++n[idx];
+            if (model.openRowAt(idx) == r.da.row)
+                ++hit[idx];
+        }
+    };
+    tally(readQ, rd, rdHit);
+    tally(writeQ, wr, wrHit);
+    for (std::size_t i = 0; i < nbanks; ++i) {
+        if (nRead[i] != rd[i] || nWrite[i] != wr[i] ||
+            nReadHit[i] != rdHit[i] || nWriteHit[i] != wrHit[i]) {
+            return strprintf("bank %zu: index r/w/rhit/whit %u/%u/%u/%u, "
+                             "queues %u/%u/%u/%u",
+                             i, nRead[i], nWrite[i], nReadHit[i],
+                             nWriteHit[i], rd[i], wr[i], rdHit[i],
+                             wrHit[i]);
+        }
+        if (readQueued.test(i) != (rd[i] != 0) ||
+            writeQueued.test(i) != (wr[i] != 0) ||
+            readHit.test(i) != (rdHit[i] != 0) ||
+            writeHit.test(i) != (wrHit[i] != 0)) {
+            return strprintf("bank %zu: bit words disagree with the counts",
+                             i);
+        }
+    }
+    return "";
 }
 
 void
@@ -101,14 +144,13 @@ MemoryController::trace() const
 bool
 MemoryController::bankBlocked(int rank, BankId bank) const
 {
-    const BankAux &a = aux(rank, bank);
-    return a.refreshOpen || !a.preventive.empty();
+    return bankBlockedAt(bankIndex(rank, bank));
 }
 
 std::size_t
 MemoryController::pendingPreventive(int rank, BankId bank) const
 {
-    return aux(rank, bank).preventive.size();
+    return preventiveVictims[bankIndex(rank, bank)].size();
 }
 
 bool
@@ -171,8 +213,9 @@ MemoryController::enqueue(const Request &req)
         std::size_t idx = bankIndex(req.da.rank, req.da.bank);
         count(mBankReads[idx]);
         ++nRead[idx];
-        if (model.openRow(req.da.rank, req.da.bank) == req.da.row)
+        if (model.openRowAt(idx) == req.da.row)
             ++nReadHit[idx];
+        syncBankBits(idx);
         lowerWake();
         return true;
     }
@@ -184,8 +227,9 @@ MemoryController::enqueue(const Request &req)
     std::size_t idx = bankIndex(req.da.rank, req.da.bank);
     count(mBankWrites[idx]);
     ++nWrite[idx];
-    if (model.openRow(req.da.rank, req.da.bank) == req.da.row)
+    if (model.openRowAt(idx) == req.da.row)
         ++nWriteHit[idx];
+    syncBankBits(idx);
     lowerWake();
     return true;
 }
@@ -194,24 +238,21 @@ void
 MemoryController::recountHits(int rank, BankId bank)
 {
     std::size_t idx = bankIndex(rank, bank);
-    RowId open = model.openRow(rank, bank);
-    std::uint16_t nr = 0, nw = 0;
-    if (open != kNoRow) {
-        for (const Request &r : readQ) {
-            if (r.da.rank == rank && r.da.bank == bank &&
-                r.da.row == open) {
-                ++nr;
-            }
+    RowId open = model.openRowAt(idx);
+    // A class with no request queued to the bank has no hit on it.
+    auto hits = [&](const std::deque<Request> &q, std::uint16_t queued) {
+        std::uint16_t n = 0;
+        if (open == kNoRow || queued == 0)
+            return n;
+        for (const Request &r : q) {
+            if (r.da.rank == rank && r.da.bank == bank && r.da.row == open)
+                ++n;
         }
-        for (const Request &r : writeQ) {
-            if (r.da.rank == rank && r.da.bank == bank &&
-                r.da.row == open) {
-                ++nw;
-            }
-        }
-    }
-    nReadHit[idx] = nr;
-    nWriteHit[idx] = nw;
+        return n;
+    };
+    nReadHit[idx] = hits(readQ, nRead[idx]);
+    nWriteHit[idx] = hits(writeQ, nWrite[idx]);
+    syncBankBits(idx);
 }
 
 void
@@ -308,11 +349,12 @@ MemoryController::tryPre(int rank, BankId bank, Cycle now)
     record(CommandType::PRE, now, rank, bank, 0);
     markIssued(now);
     ++stats_.pres;
-    aux(rank, bank).refreshOpen = false;
     // Row closed: nothing hits it any more (recountHits shortcut).
     std::size_t idx = bankIndex(rank, bank);
+    refreshOpen.assign(idx, false);
     nReadHit[idx] = 0;
     nWriteHit[idx] = 0;
+    syncBankBits(idx);
     return true;
 }
 
@@ -328,7 +370,7 @@ MemoryController::tryRefreshAct(int rank, BankId bank, RowId row,
     model.issueAct(rank, bank, row, now);
     record(CommandType::ACT, now, rank, bank, row);
     markIssued(now);
-    aux(rank, bank).refreshOpen = true;
+    refreshOpen.assign(bankIndex(rank, bank), true);
     recountHits(rank, bank); // a refresh row can match queued requests
     onRowActivation(rank, bank, row, now);
     return true;
@@ -366,7 +408,8 @@ MemoryController::tryHiraRefreshPair(int rank, BankId bank, RowId first,
     Cycle second_at = tryIssueHira(rank, bank, first, second, now);
     if (second_at == kNeverCycle)
         return false;
-    aux(rank, bank).refreshOpen = true; // auto-PRE after the second tRAS
+    // Auto-PRE after the second tRAS.
+    refreshOpen.assign(bankIndex(rank, bank), true);
     onRowActivation(rank, bank, first, now);
     onRowActivation(rank, bank, second, second_at);
     return true;
@@ -385,7 +428,7 @@ MemoryController::onRowActivation(int rank, BankId bank, RowId row,
         return;
     ++paraSampler.generated;
     if (cfg.paraImmediate)
-        aux(rank, bank).preventive.push_back(victim);
+        preventiveVictims[bankIndex(rank, bank)].push_back(victim);
     // In PreventiveRC mode the scheme saw the activation via onActivate
     // and does its own (slack-adjusted) sampling.
 }
@@ -434,8 +477,9 @@ MemoryController::preventiveTick(Cycle now)
         int idx = (preventiveCursor + i) % nbanks;
         int rank = idx / cfg.geom.banksPerRank();
         BankId bank = static_cast<BankId>(idx % cfg.geom.banksPerRank());
-        BankAux &a = aux(rank, bank);
-        if (a.preventive.empty() || a.refreshOpen)
+        std::size_t flat = static_cast<std::size_t>(idx);
+        std::deque<RowId> &victims = preventiveVictims[flat];
+        if (victims.empty() || refreshOpen.test(flat))
             continue;
         if (model.openRow(rank, bank) == kNoRow) {
             // Pop the victim only once the refresh ACT actually issued:
@@ -444,12 +488,12 @@ MemoryController::preventiveTick(Cycle now)
             // hold placed between our earliestAct probe and the issue).
             // Popping first would silently drop the victim — a missed
             // preventive refresh, invisible until a bit flips.
-            if (tryRefreshAct(rank, bank, a.preventive.front(), now)) {
-                a.preventive.pop_front();
+            if (tryRefreshAct(rank, bank, victims.front(), now)) {
+                victims.pop_front();
                 preventiveCursor = idx + 1;
                 return;
             }
-        } else if (!bankHasOpenRowHit(bankIndex(rank, bank)) &&
+        } else if (!bankHasOpenRowHit(flat) &&
                    model.earliestPre(rank, bank) <= now) {
             // Close the bank so the preventive refresh can proceed; row
             // hits in flight drain first.
@@ -493,36 +537,41 @@ MemoryController::tryDemandAct(const Request &req, Cycle now)
 }
 
 bool
-MemoryController::issueRowCommand(std::deque<Request> &queue, Cycle now)
+MemoryController::issueRowCommand(bool is_read, Cycle now)
 {
-    // Oldest-first, one attempt per bank.
-    std::fill(bankSeenScratch.begin(), bankSeenScratch.end(), 0);
-    for (const Request &req : queue) {
-        int rank = req.da.rank;
-        BankId bank = req.da.bank;
-        std::size_t idx = bankIndex(rank, bank);
-        if (bankSeenScratch[idx] != 0)
-            continue;
-        bankSeenScratch[idx] = 1;
-        if (bankBlocked(rank, bank))
-            continue;
-        RowId open = model.openRow(rank, bank);
-        if (open == req.da.row)
-            continue; // row hit waiting on CAS timing
-        if (open == kNoRow) {
-            if (tryDemandAct(req, now))
-                return true;
-            continue;
+    // Oldest-first, one attempt per bank. Only a bank's oldest queued
+    // request gets a row command, and whether it issues depends on the
+    // bank alone: a closed bank takes its ACT, an open one whose row no
+    // queued request still hits takes the conflict PRE (a bank whose
+    // row is hit waits for the column commands). So pick the banks that
+    // would issue from the queued bits first, and walk the queue only
+    // if one did: its first request to a picked bank is the oldest such
+    // bank's oldest request, the one the full walk would have served.
+    const BankBits &queued = is_read ? readQueued : writeQueued;
+    bool any = pickedScratch.assignFiltered(queued, [&](std::size_t idx) {
+        if (bankBlockedAt(idx))
+            return false;
+        if (model.openRowAt(idx) == kNoRow) {
+            return !rankHold[static_cast<std::size_t>(bankRank[idx])] &&
+                   model.earliestActAt(idx) <= now;
         }
-        // Conflict: close the row once its queued hits have drained.
-        if (bankHasOpenRowHit(idx))
+        return !bankHasOpenRowHit(idx) && model.earliestPreAt(idx) <= now;
+    });
+    if (!any)
+        return false;
+    for (const Request &req : is_read ? readQ : writeQ) {
+        std::size_t idx = bankIndex(req.da.rank, req.da.bank);
+        if (!pickedScratch.test(idx))
             continue;
-        if (model.earliestPre(rank, bank) <= now) {
-            count(mRowConflicts);
-            return tryPre(rank, bank, now);
+        if (model.openRowAt(idx) == kNoRow) {
+            bool issued = tryDemandAct(req, now);
+            hira_assert(issued);
+            return issued;
         }
+        count(mRowConflicts);
+        return tryPre(req.da.rank, req.da.bank, now);
     }
-    return false;
+    panic("issueRowCommand: picked bank has no queued request");
 }
 
 bool
@@ -548,15 +597,11 @@ MemoryController::scheduleDemand(Cycle now)
 
     writeMode = nextWriteMode();
 
-    std::deque<Request> &active = writeMode ? writeQ : readQ;
-    if (active.empty())
-        return;
-
     // FR-FCFS: ready column accesses first, then oldest-first row
-    // commands.
-    if (issueColumnIfReady(active, !writeMode, now))
+    // commands. An empty queue has no bit set, so both return at once.
+    if (issueColumnIfReady(!writeMode, now))
         return;
-    issueRowCommand(active, now);
+    issueRowCommand(!writeMode, now);
 }
 
 void
@@ -564,17 +609,16 @@ MemoryController::autoPreTick(Cycle now)
 {
     if (!busFree(now))
         return;
-    for (int rank = 0; rank < cfg.geom.ranksPerChannel; ++rank) {
-        for (BankId b = 0;
-             b < static_cast<BankId>(cfg.geom.banksPerRank()); ++b) {
-            BankAux &a = aux(rank, b);
-            if (a.refreshOpen && model.openRow(rank, b) != kNoRow &&
-                model.earliestPre(rank, b) <= now) {
-                tryPre(rank, b, now);
-                return;
-            }
-        }
-    }
+    // Ascending flat index is the (rank, bank) order of a full sweep.
+    const std::size_t bpr = static_cast<std::size_t>(cfg.geom.banksPerRank());
+    refreshOpen.anyOf([&](std::size_t idx) {
+        if (model.openRowAt(idx) == kNoRow || model.earliestPreAt(idx) > now)
+            return false;
+        int rank = bankRank[idx];
+        std::size_t first = static_cast<std::size_t>(rank) * bpr;
+        tryPre(rank, static_cast<BankId>(idx - first), now);
+        return true;
+    });
 }
 
 Cycle
@@ -635,36 +679,35 @@ MemoryController::computeNextEvent(Cycle now) const
         const bool held = rankHold[static_cast<std::size_t>(rank)];
         for (BankId b = 0; b < static_cast<BankId>(bpr); ++b) {
             std::size_t idx = bankIndex(rank, b);
-            const BankAux &a = bankAux[idx];
-            if (a.refreshOpen) {
+            if (refreshOpen.test(idx)) {
                 // Demand and preventive work is withheld; the bank's
                 // only event is the auto-PRE of the refresh row.
-                if (model.openRow(rank, b) != kNoRow &&
-                    consider(model.earliestPre(rank, b))) {
+                if (model.openRowAt(idx) != kNoRow &&
+                    consider(model.earliestPreAt(idx))) {
                     return floor;
                 }
                 continue;
             }
             std::uint16_t nq = writeMode ? nWrite[idx] : nRead[idx];
             std::uint16_t nh = writeMode ? nWriteHit[idx] : nReadHit[idx];
-            bool preventivePending = !a.preventive.empty();
+            bool preventivePending = !preventiveVictims[idx].empty();
             if (nq == 0 && !preventivePending)
                 continue;
-            if (model.openRow(rank, b) == kNoRow) {
+            if (model.openRowAt(idx) == kNoRow) {
                 // Everything queued wants an ACT (demand row or
                 // preventive victim).
-                if (!held && consider(model.earliestAct(rank, b)))
+                if (!held && consider(model.earliestActAt(idx)))
                     return floor;
                 continue;
             }
             if (nh != 0 &&
-                consider(writeMode ? model.earliestWr(rank, b)
-                                   : model.earliestRd(rank, b))) {
+                consider(writeMode ? model.earliestWrAt(idx)
+                                   : model.earliestRdAt(idx))) {
                 return floor;
             }
             if ((nq > nh || preventivePending) &&
                 !bankHasOpenRowHit(idx) &&
-                consider(model.earliestPre(rank, b))) {
+                consider(model.earliestPreAt(idx))) {
                 return floor;
             }
         }
@@ -685,46 +728,49 @@ MemoryController::computeNextEvent(Cycle now) const
 }
 
 bool
-MemoryController::issueColumnIfReady(std::deque<Request> &queue,
-                                     bool is_read, Cycle now)
+MemoryController::issueColumnIfReady(bool is_read, Cycle now)
 {
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        const Request &req = queue[i];
+    // The oldest ready row hit: pick the banks with a queued hit whose
+    // column command may issue now, and walk the queue only if one did,
+    // to its first request that hits a picked bank's open row.
+    const BankBits &hits = is_read ? readHit : writeHit;
+    bool any = pickedScratch.assignFiltered(hits, [&](std::size_t idx) {
+        return !refreshOpen.test(idx) &&
+               (is_read ? model.earliestRdAt(idx)
+                        : model.earliestWrAt(idx)) <= now;
+    });
+    if (!any)
+        return false;
+    std::deque<Request> &queue = is_read ? readQ : writeQ;
+    for (auto it = queue.begin(); it != queue.end(); ++it) {
+        const Request &req = *it;
+        std::size_t idx = bankIndex(req.da.rank, req.da.bank);
+        if (!pickedScratch.test(idx) || model.openRowAt(idx) != req.da.row)
+            continue;
         int rank = req.da.rank;
         BankId bank = req.da.bank;
-        if (aux(rank, bank).refreshOpen)
-            continue;
-        if (model.openRow(rank, bank) != req.da.row)
-            continue;
         if (is_read) {
-            if (model.earliestRd(rank, bank) > now)
-                continue;
             Cycle done = model.issueRd(rank, bank, now);
             record(CommandType::RD, now, rank, bank, req.da.row);
             completions_.push_back({req.tag, req.coreId, done});
             stats_.readLatencySum += done - req.arrival;
             ++stats_.readsServed;
-        } else {
-            if (model.earliestWr(rank, bank) > now)
-                continue;
-            model.issueWr(rank, bank, now);
-            record(CommandType::WR, now, rank, bank, req.da.row);
-            ++stats_.writesServed;
-        }
-        markIssued(now);
-        count(mRowHits);
-        std::size_t idx = bankIndex(rank, bank);
-        if (is_read) {
             --nRead[idx];
             --nReadHit[idx]; // the issued request hit the open row
         } else {
+            model.issueWr(rank, bank, now);
+            record(CommandType::WR, now, rank, bank, req.da.row);
+            ++stats_.writesServed;
             --nWrite[idx];
             --nWriteHit[idx];
         }
-        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
+        syncBankBits(idx);
+        markIssued(now);
+        count(mRowHits);
+        queue.erase(it);
         return true;
     }
-    return false;
+    panic("issueColumnIfReady: picked bank has no queued hit");
 }
 
 } // namespace hira

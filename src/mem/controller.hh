@@ -23,6 +23,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/metrics.hh"
@@ -104,6 +105,74 @@ struct ControllerStats
         forEachField([&](const char *, auto m) { this->*m += o.*m; });
         return *this;
     }
+};
+
+/**
+ * One bit per flat bank index (MemoryController::bankIndex order, so
+ * ascending index is (rank, bank) order), 64 banks per word. The
+ * scheduler keeps its per-bank state here so that a scan visits only
+ * the banks whose bit is set.
+ */
+class BankBits
+{
+  public:
+    void resize(std::size_t nbanks) { words.assign((nbanks + 63) / 64, 0); }
+
+    bool
+    test(std::size_t idx) const
+    {
+        return ((words[idx >> 6] >> (idx & 63)) & 1u) != 0;
+    }
+
+    void
+    assign(std::size_t idx, bool on)
+    {
+        const std::uint64_t bit = std::uint64_t(1) << (idx & 63);
+        std::uint64_t &w = words[idx >> 6];
+        w = on ? (w | bit) : (w & ~bit);
+    }
+
+    /**
+     * Call @p f(idx) on the set bits in ascending order until it returns
+     * true; returns whether it did.
+     */
+    template <typename F>
+    bool
+    anyOf(F &&f) const
+    {
+        for (std::size_t w = 0; w < words.size(); ++w) {
+            for (std::uint64_t m = words[w]; m != 0; m &= m - 1) {
+                if (f(w * 64 + static_cast<std::size_t>(__builtin_ctzll(m))))
+                    return true;
+            }
+        }
+        return false;
+    }
+
+    /**
+     * Become the set bits of @p src that @p keep(idx) accepts (same
+     * size as this); returns whether any did.
+     */
+    template <typename F>
+    bool
+    assignFiltered(const BankBits &src, F &&keep)
+    {
+        std::uint64_t any = 0;
+        for (std::size_t w = 0; w < words.size(); ++w) {
+            std::uint64_t kept = 0;
+            for (std::uint64_t m = src.words[w]; m != 0; m &= m - 1) {
+                int b = __builtin_ctzll(m);
+                if (keep(w * 64 + static_cast<std::size_t>(b)))
+                    kept |= std::uint64_t(1) << b;
+            }
+            words[w] = kept;
+            any |= kept;
+        }
+        return any != 0;
+    }
+
+  private:
+    std::vector<std::uint64_t> words;
 };
 
 /** One channel's memory controller. */
@@ -228,16 +297,22 @@ class MemoryController
     /** Pending preventive refreshes on the bank (immediate PARA). */
     std::size_t pendingPreventive(int rank, BankId bank) const;
 
-  private:
-    struct BankAux
-    {
-        bool refreshOpen = false;      //!< refresh row open, PRE pending
-        std::deque<RowId> preventive;  //!< immediate-PARA victims
-    };
+    /**
+     * Test-only O(queue) audit of the per-bank count index: recounts
+     * nRead/nWrite/nReadHit/nWriteHit and their bit words from the
+     * queues and the open rows. Returns "" when they agree, else a
+     * description of the first mismatching bank.
+     */
+    std::string countIndexAudit() const;
 
+  private:
     std::size_t bankIndex(int rank, BankId bank) const;
-    BankAux &aux(int rank, BankId bank);
-    const BankAux &aux(int rank, BankId bank) const;
+    bool bankBlockedAt(std::size_t idx) const
+    {
+        return refreshOpen.test(idx) || !preventiveVictims[idx].empty();
+    }
+    /** Mirror the bank's four index counts into their bit words. */
+    void syncBankBits(std::size_t idx);
 
     void record(CommandType type, Cycle cycle, int rank, BankId bank,
                 RowId row, HiraRole role = HiraRole::None);
@@ -252,8 +327,7 @@ class MemoryController
     Cycle tryIssueHira(int rank, BankId bank, RowId first, RowId second,
                        Cycle now);
     void autoPreTick(Cycle now);
-    bool issueColumnIfReady(std::deque<Request> &queue, bool is_read,
-                            Cycle now);
+    bool issueColumnIfReady(bool is_read, Cycle now);
     Cycle computeNextEvent(Cycle now) const;
     /** Every activation funnels through here (PARA sampling hook). */
     void onRowActivation(int rank, BankId bank, RowId row, Cycle now);
@@ -264,7 +338,7 @@ class MemoryController
      */
     bool nextWriteMode() const;
     void scheduleDemand(Cycle now);
-    bool issueRowCommand(std::deque<Request> &queue, Cycle now);
+    bool issueRowCommand(bool is_read, Cycle now);
     bool tryDemandAct(const Request &req, Cycle now);
 
     /** Rebuild the bank's open-row-hit counts from the queues. */
@@ -292,10 +366,16 @@ class MemoryController
 
     std::deque<Request> readQ, writeQ;
     std::vector<Completion> completions_;
-    std::vector<BankAux> bankAux;
     std::vector<Cycle> reservedSlots; //!< future HiRA PRE/ACT bus slots
 
     std::vector<bool> rankHold;
+    std::vector<int> bankRank; //!< flat bank index -> rank
+    // Immediate-PARA victims per bank (bankIndex order).
+    std::vector<std::deque<RowId>> preventiveVictims;
+    // Banks holding an open refresh row (refresh ACT or HiRA refresh
+    // pair) whose auto-PRE is pending; withheld from demand and
+    // preventive work until autoPreTick closes them.
+    BankBits refreshOpen;
     bool writeMode = false;
     bool issuedThisCycle = false;
     Cycle lastTick = 0;
@@ -314,9 +394,18 @@ class MemoryController
     // one bank (recountHits / tryPre) — so the wake scan and the
     // scheduler's row-hit gates run over banks, not queue entries.
     std::vector<std::uint16_t> nRead, nWrite, nReadHit, nWriteHit;
-    // issueRowCommand() scratch: per-bank attempted marks (one row-
-    // command attempt per bank per call, oldest request wins).
-    std::vector<std::uint8_t> bankSeenScratch;
+    // The same index as bit words (count != 0), kept in sync by
+    // syncBankBits at every place a count changes. The FR-FCFS scans
+    // visit only the set bits of the active class (hit bits for column
+    // commands, queued bits for row commands) and walk the queue only
+    // once a bank is known to issue.
+    BankBits readQueued, writeQueued, readHit, writeHit;
+    // Scheduler scratch: the banks a scan picked to issue this cycle,
+    // overwritten whole by each scan (no per-call clear). It replaces
+    // the per-call "bank already seen" marks the row-command walk used
+    // to keep: the walk's first request to a picked bank is that bank's
+    // oldest, so no mark is needed.
+    BankBits pickedScratch;
 
     ControllerStats stats_;
     CommandTraceRecorder recorder;

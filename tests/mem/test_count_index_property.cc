@@ -1,0 +1,83 @@
+/**
+ * @file
+ * Property: the controller's per-bank count index never drifts from
+ * its queues.
+ *
+ * The FR-FCFS scans trust the index (nRead/nWrite/nReadHit/nWriteHit
+ * and their bit words) to say which banks have queued work and row
+ * hits, and walk the queue only for a bank the index picked. An
+ * undercount would not fail anything; it would silently hold a bank
+ * back and reorder commands. So every tick of randomized runs is
+ * audited against a recount from the queues
+ * (MemoryController::countIndexAudit), under every scheme and both
+ * geometries of tests/controller_drive.hh, and each case's runs must
+ * have reached the transitions that move the index: write drain, rank
+ * holds for REF, refresh rows opened by refresh ACTs or HiRA pairs, and
+ * HiRA operations.
+ */
+
+#include <gtest/gtest.h>
+
+#include "controller_drive.hh"
+
+using namespace hira;
+using namespace hira::testing_drive;
+
+namespace {
+
+constexpr Cycle kAuditCycles = 200000;
+
+class CountIndexProperty : public ::testing::TestWithParam<DriveCase>
+{
+};
+
+} // namespace
+
+TEST_P(CountIndexProperty, IndexMatchesQueuesAfterEveryTick)
+{
+    const DriveCase &dc = GetParam();
+    const SchemeKind kind = dc.scheme.kind;
+    bool saw_drain = false, saw_hold = false, saw_refresh_row = false;
+    std::uint64_t hira_ops = 0;
+    for (std::uint64_t seed : {1u, 2u}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        std::unique_ptr<MemoryController> ctrl =
+            makeDrivenController(dc, seed);
+        const Geometry &g = ctrl->geometry();
+        TrafficDriver traffic(g, hashCombine(seed, 0xa0d17),
+                              kAuditCycles / 2);
+        for (Cycle now = 0; now < kAuditCycles; ++now) {
+            traffic.step(*ctrl, now);
+            ASSERT_EQ(ctrl->countIndexAudit(), "") << "cycle " << now;
+            saw_drain |= ctrl->queuedWrites() >=
+                         static_cast<std::size_t>(ControllerConfig{}.drainHigh);
+            for (int r = 0; r < g.ranksPerChannel; ++r) {
+                saw_hold |= ctrl->rankHeld(r);
+                for (BankId b = 0;
+                     b < static_cast<BankId>(g.banksPerRank()); ++b) {
+                    saw_refresh_row |= ctrl->bankBlocked(r, b) &&
+                                       ctrl->pendingPreventive(r, b) == 0;
+                }
+            }
+        }
+        hira_ops += ctrl->stats().hiraOps;
+    }
+    EXPECT_TRUE(saw_drain);
+    if (kind != SchemeKind::NoRefresh && kind != SchemeKind::HiraMc) {
+        EXPECT_TRUE(saw_hold); // REF preparation
+    }
+    if (kind != SchemeKind::NoRefresh &&
+        (kind != SchemeKind::Baseline || dc.scheme.paraEnabled)) {
+        EXPECT_TRUE(saw_refresh_row);
+    }
+    if (kind == SchemeKind::HiraMc) {
+        EXPECT_GT(hira_ops, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemesBothGeometries, CountIndexProperty,
+    ::testing::ValuesIn(driveCases()),
+    [](const ::testing::TestParamInfo<DriveCase> &param_info) {
+        return param_info.param.name;
+    });

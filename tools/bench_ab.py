@@ -2,14 +2,16 @@
 """Run the repository benchmark on two checkouts in alternation and compare.
 
     python3 tools/bench_ab.py --parent ../parent --change . \\
-        --workload light_llc --seeds 1-5 --out ../ab
+        --workload periodic_hira,light_llc --seeds 1-5 --out ../ab
 
 This is the recipe of bench/perf/README.md ("Comparing two commits") as
-a script. For each seed it runs `bench/perf/run.py --trace 0 --save` in
-both checkouts, one after the other, and flips which side goes first on
-every seed, so that a drift in the host's speed falls on both sides
-alike. Each run's output goes to OUT/<side>_s<seed>.log and its saved
-results to OUT/parent/ and OUT/change/. Then it runs the change's
+a script. --workload takes one BENCHMARK.json workload, a comma-separated
+list of them, or all. For each seed and each listed workload it runs
+`bench/perf/run.py --trace 0 --save` in both checkouts, one after the
+other, and flips which side goes first on every seed, so that a drift in
+the host's speed falls on both sides alike. Each run's output goes to
+OUT/<side>_<workload>_s<seed>.log and its saved results to OUT/parent/
+and OUT/change/. Then it runs the change's
 bench/perf/compare.py on the two result directories and exits with its
 status: 1 on a "worse" verdict or an identity difference, else 0.
 
@@ -19,6 +21,7 @@ seeds per side for a verdict. A failing run stops the script.
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -47,17 +50,29 @@ def checkout(path):
     return os.path.abspath(path)
 
 
+def parse_workloads(text, root):
+    """'periodic_hira,light_llc' -> a list of BENCHMARK.json workloads."""
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        known = [w["name"] for w in json.load(f)["workloads"]] + ["all"]
+    names = text.split(",")
+    for name in names:
+        if name not in known:
+            sys.exit("bench_ab: unknown workload %r; BENCHMARK.json has: %s"
+                     % (name, ", ".join(known)))
+    return names
+
+
 def run_side(side, root, workload, seed, out):
     save = os.path.join(out, side)
-    log_path = os.path.join(out, "%s_s%d.log" % (side, seed))
+    log_path = os.path.join(out, "%s_%s_s%d.log" % (side, workload, seed))
     cmd = [sys.executable, os.path.join("bench", "perf", "run.py"),
            "--workload", workload, "--seed", str(seed), "--trace", "0",
            "--save", save]
     with open(log_path, "w") as log:
         rc = subprocess.run(cmd, cwd=root, stdout=log,
                             stderr=subprocess.STDOUT).returncode
-    print("seed %d %-6s exit %d  (%s)" % (seed, side, rc, log_path),
-          flush=True)
+    print("seed %d %-6s %s exit %d  (%s)"
+          % (seed, side, workload, rc, log_path), flush=True)
     if rc != 0:
         sys.exit("bench_ab: %s run failed on seed %d; see %s"
                  % (side, seed, log_path))
@@ -70,19 +85,22 @@ def main():
     p.add_argument("--change", type=checkout, required=True,
                    help="checkout of the change")
     p.add_argument("--workload", required=True,
-                   help="a BENCHMARK.json workload, or all")
+                   help="a BENCHMARK.json workload, a comma-separated "
+                        "list of them, or all")
     p.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-5"),
                    help="seed list such as 1-5 or 1,3,7-9 (default 1-5)")
     p.add_argument("--out", required=True,
                    help="directory for the logs and both sides' results")
     args = p.parse_args()
 
+    workloads = parse_workloads(args.workload, args.change)
     out = os.path.abspath(args.out)
     os.makedirs(out, exist_ok=True)
     sides = [("parent", args.parent), ("change", args.change)]
     for i, seed in enumerate(args.seeds):
-        for side, root in (sides if i % 2 == 0 else sides[::-1]):
-            run_side(side, root, args.workload, seed, out)
+        for workload in workloads:
+            for side, root in (sides if i % 2 == 0 else sides[::-1]):
+                run_side(side, root, workload, seed, out)
 
     compare = os.path.join(args.change, "bench", "perf", "compare.py")
     return subprocess.run([sys.executable, compare,
