@@ -499,12 +499,6 @@ paraSchemeLabel(int slack)
  * output and the JSON artifact), else the generated synthetic mixes.
  * Pass the result to the explicit-mixes SweepRunner constructor; call
  * after banner() so the corpus note lands in the capture.
- *
- * HIRA_CORPUS_ONCE=1 switches corpus mixes to fixed-work mode: every
- * spec gets the "?once" suffix, so each core executes its trace once
- * and then idles on non-memory instructions instead of looping. This
- * is the standard run-N-instructions trace methodology, and its long
- * idle tails are where the event engine's skip-ahead pays off most.
  */
 inline std::vector<WorkloadMix>
 mixesFromEnv(const BenchKnobs &k)
@@ -514,20 +508,9 @@ mixesFromEnv(const BenchKnobs &k)
         return makeMixes(k.mixes, k.cores);
     std::shared_ptr<const Corpus> corpus =
         Corpus::activeOrFatal("HIRA_CORPUS");
-    std::size_t priors = 0;
-    for (const CorpusEntry &e : corpus->entries())
-        priors += e.hasAloneIpc() ? 1 : 0;
-    note(strprintf("corpus: %s (%zu traces, %zu with alone-IPC priors)",
-                   corpus->dir().c_str(), corpus->size(), priors));
-    std::vector<WorkloadMix> mixes =
-        makeCorpusMixes(k.mixes, k.cores, *corpus);
-    if (envKnob("HIRA_CORPUS_ONCE", 0) != 0) {
-        note("corpus mixes run in fixed-work (?once) mode");
-        for (WorkloadMix &mix : mixes)
-            for (std::string &spec : mix)
-                spec += "?once";
-    }
-    return mixes;
+    note(strprintf("corpus: %s (%zu traces)", corpus->dir().c_str(),
+                   corpus->size()));
+    return makeCorpusMixes(k.mixes, k.cores, *corpus);
 }
 
 /**

@@ -2,12 +2,15 @@
  * @file
  * Trace-corpus walkthrough (src/workload/corpus.hh).
  *
- * Sweeps intensity-binned mixes of a trace corpus twice: once
- * measuring the IPC-alone references by simulation, then again with
- * those measurements written into the manifest as alone-IPC priors.
- * The prior-backed sweep must skip every IPC-alone warmup run and
- * still produce bitwise-identical weighted speedups — so this doubles
- * as a CI smoke check of the corpus path, including under sanitizers.
+ * Sweeps intensity-binned mixes of a trace corpus on two geometries,
+ * twice, over one result-cache directory. Pass 1 measures every
+ * trace's IPC-alone reference on each geometry and saves it in the
+ * cache. Pass 2 is a fresh runner sweeping a different scheme, so its
+ * points miss the cache, but its alone IPCs must all come from pass 1's
+ * entries: zero alone runs, bitwise-equal values. This is how alone
+ * IPC is kept across processes (HIRA_RESULT_CACHE) for every workload
+ * spec, and it doubles as a CI smoke check of the corpus path,
+ * including under sanitizers.
  *
  * With HIRA_CORPUS=<dir> set, the corpus is loaded from there (e.g.,
  * one built by tools/hira_tracegen); otherwise a tiny corpus is
@@ -18,30 +21,30 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include "common/knobs.hh"
 #include "sim/experiment.hh"
+#include "sim/result_cache.hh"
 #include "sim/trace.hh"
 #include "sim/workloads.hh"
 #include "workload/corpus.hh"
+#include "workload/file_trace.hh"
 
 using namespace hira;
 
 namespace {
 
 std::string
-makeTempDir()
+makeTempDir(const char *stem)
 {
     const char *base = std::getenv("TMPDIR");
     std::string templ = std::string(base != nullptr ? base : "/tmp") +
-                        "/hira_corpus_sweep.XXXXXX";
+                        "/" + stem + ".XXXXXX";
     std::vector<char> buf(templ.begin(), templ.end());
     buf.push_back('\0');
     if (mkdtemp(buf.data()) == nullptr) {
@@ -51,8 +54,8 @@ makeTempDir()
     return std::string(buf.data());
 }
 
-/** Synthesize a 4-trace corpus (no priors) into @p dir. */
-std::vector<CorpusEntry>
+/** Synthesize a 4-trace corpus into @p dir. */
+void
 synthesizeCorpus(const std::string &dir)
 {
     const std::vector<std::string> names = {"mcf-like", "gcc-like",
@@ -60,20 +63,41 @@ synthesizeCorpus(const std::string &dir)
                                             "libquantum-like"};
     std::vector<CorpusEntry> entries;
     for (std::size_t i = 0; i < names.size(); ++i) {
+        TraceFormat format =
+            i % 2 == 0 ? TraceFormat::Text : TraceFormat::Binary;
         CorpusEntry e;
         e.name = names[i];
-        e.format = i % 2 == 0 ? TraceFormat::Text : TraceFormat::Binary;
-        e.file = e.name +
-                 (e.format == TraceFormat::Binary ? ".bin" : ".trace");
-        e.instructions = 20000;
+        e.file = e.name + (format == TraceFormat::Binary ? ".bin"
+                                                         : ".trace");
         const BenchmarkProfile &prof = benchmarkByName(e.name);
         TraceGen gen(prof, hashString(e.name), 0, 1ull << 28);
-        dumpTrace(gen, dir + "/" + e.file, e.format, e.instructions);
+        dumpTrace(gen, dir + "/" + e.file, format, 20000);
         e.mpki = classifyApki(1000.0 * prof.memPerInstr);
         entries.push_back(std::move(e));
     }
     writeManifest(dir, entries);
-    return entries;
+}
+
+/** Sweep @p scheme on every geometry with a runner on @p cache_dir. */
+std::unique_ptr<SweepRunner>
+sweep(const BenchKnobs &knobs, const std::vector<WorkloadMix> &mixes,
+      const std::vector<GeomSpec> &geoms, const SchemeSpec &scheme,
+      const std::string &cache_dir, const char *label)
+{
+    auto runner = std::make_unique<SweepRunner>(knobs, mixes);
+    runner->setResultCache(std::make_unique<ResultCache>(cache_dir));
+    std::vector<SweepPoint> plan;
+    for (const GeomSpec &g : geoms)
+        plan.push_back(SweepPoint{g, scheme});
+    std::vector<PointResult> results = runner->runPoints(plan);
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+        std::printf("%s: %s @ %s mean weighted speedup %.6f\n", label,
+                    scheme.label().c_str(), plan[i].geom.key().c_str(),
+                    results[i].meanWs);
+    }
+    std::printf("%s: %llu alone reference runs\n", label,
+                static_cast<unsigned long long>(runner->aloneRunCount()));
+    return runner;
 }
 
 } // namespace
@@ -86,15 +110,12 @@ main()
     const char *env = std::getenv("HIRA_CORPUS");
     std::string dir = env != nullptr && *env != '\0' ? env : "";
     bool ownDir = dir.empty();
-    std::vector<std::string> cleanup;
     if (ownDir) {
-        dir = makeTempDir();
+        dir = makeTempDir("hira_corpus_sweep");
         std::printf("synthesizing a tiny corpus in %s\n", dir.c_str());
-        for (const CorpusEntry &e : synthesizeCorpus(dir))
-            cleanup.push_back(e.path.empty() ? dir + "/" + e.file
-                                             : e.path);
-        cleanup.push_back(dir + "/manifest.tsv");
+        synthesizeCorpus(dir);
     }
+    std::string cacheDir = makeTempDir("hira_corpus_cache");
 
     auto corpus = std::make_shared<const Corpus>(Corpus::load(dir));
     Corpus::setActive(corpus);
@@ -102,59 +123,58 @@ main()
 
     std::vector<WorkloadMix> mixes =
         makeCorpusMixes(knobs.mixes, knobs.cores, *corpus);
-    GeomSpec geom;
-    SchemeSpec scheme;
-    scheme.kind = SchemeKind::Baseline;
-
-    // Pass 1: IPC-alone references resolve from the manifest when it
-    // carries priors, by simulation otherwise.
-    SweepRunner measured(knobs, mixes);
-    double ws_measured = measured.meanWs(geom, scheme);
-    std::printf("pass 1: mean weighted speedup %.6f (%llu alone "
-                "reference runs)\n",
-                ws_measured,
-                static_cast<unsigned long long>(
-                    measured.aloneRunCount()));
-
-    // Pass 2: promote pass 1's alone IPCs to manifest priors; the
-    // sweep must then skip every alone run and reproduce pass 1
-    // bitwise.
-    std::set<std::string> names;
+    std::set<std::string> specs;
     for (const WorkloadMix &mix : mixes)
-        for (const std::string &spec : mix)
-            names.insert(spec.substr(std::string("corpus:").size()));
-    std::vector<CorpusEntry> entries = corpus->entries();
-    for (CorpusEntry &e : entries) {
-        if (names.count(e.name) != 0)
-            e.aloneIpc = measured.aloneIpc(e.spec(), geom);
-    }
-    Corpus::setActive(
-        std::make_shared<const Corpus>(Corpus(dir, entries)));
+        specs.insert(mix.begin(), mix.end());
+    std::vector<GeomSpec> geoms(2);
+    geoms[1].capacityGb = 32.0;
+    SchemeSpec baseline;
+    baseline.kind = SchemeKind::Baseline;
+    SchemeSpec hira;
+    hira.kind = SchemeKind::HiraMc;
 
-    SweepRunner primed(knobs, mixes);
-    double ws_primed = primed.meanWs(geom, scheme);
-    std::printf("pass 2: mean weighted speedup %.6f (%llu alone "
-                "reference runs)\n",
-                ws_primed,
-                static_cast<unsigned long long>(primed.aloneRunCount()));
+    // Pass 1 measures each spec's alone IPC once per geometry.
+    auto first = sweep(knobs, mixes, geoms, baseline, cacheDir, "pass 1");
+    // Pass 2's points miss the cache (another scheme), yet every alone
+    // IPC it needs is already there.
+    auto second = sweep(knobs, mixes, geoms, hira, cacheDir, "pass 2");
+
+    bool ok = true;
+    for (const GeomSpec &g : geoms) {
+        for (const std::string &spec : specs) {
+            double a = first->aloneIpc(spec, g);
+            double b = second->aloneIpc(spec, g);
+            std::printf("  alone IPC %-24s @ %s: %.6f\n", spec.c_str(),
+                        g.key().c_str(), a);
+            if (a != b) {
+                std::printf("FAIL: pass 2 alone IPC %.17g differs from "
+                            "pass 1's %.17g\n",
+                            b, a);
+                ok = false;
+            }
+        }
+    }
+    if (first->aloneRunCount() != specs.size() * geoms.size()) {
+        std::printf("FAIL: pass 1 ran %llu alone runs, expected one per "
+                    "(spec, geometry) = %zu\n",
+                    static_cast<unsigned long long>(first->aloneRunCount()),
+                    specs.size() * geoms.size());
+        ok = false;
+    }
+    if (second->pointsFromCache() != 0 || second->aloneRunCount() != 0) {
+        std::printf("FAIL: pass 2 should simulate its points and take "
+                    "every alone IPC from the cache\n");
+        ok = false;
+    }
 
     Corpus::setActive(nullptr);
-    if (ownDir) {
-        for (const std::string &path : cleanup)
-            ::unlink(path.c_str());
-        ::rmdir(dir.c_str());
-    }
+    std::filesystem::remove_all(cacheDir);
+    if (ownDir)
+        std::filesystem::remove_all(dir);
 
-    if (ws_primed != ws_measured) {
-        std::printf("FAIL: prior-backed sweep diverged from the "
-                    "measured one\n");
+    if (!ok)
         return 1;
-    }
-    if (primed.aloneRunCount() != 0) {
-        std::printf("FAIL: priors did not suppress the alone runs\n");
-        return 1;
-    }
-    std::printf("alone-IPC priors reproduce the measured sweep "
+    std::printf("the result cache served every alone IPC of pass 2 "
                 "bitwise, with zero reference runs\n");
     return 0;
 }

@@ -192,14 +192,6 @@ ChannelTimingModel::issuePre(int rank, BankId bank, Cycle now)
 }
 
 Cycle
-ChannelTimingModel::columnDataStart(int rank, bool is_read, Cycle now) const
-{
-    Cycle start = now + (is_read ? tc.cl : tc.cwl);
-    (void)rank;
-    return start;
-}
-
-Cycle
 ChannelTimingModel::issueRd(int rank, BankId bank, Cycle now)
 {
     BankState &b = bankRef(rank, bank);
@@ -214,7 +206,7 @@ ChannelTimingModel::issueRd(int rank, BankId bank, Cycle now)
                  now + tc.ccdL);
     // Read-to-write turnaround: WR data may start after the read burst
     // plus one bus turnaround slot.
-    Cycle rd_end = columnDataStart(rank, true, now) + tc.bl;
+    Cycle rd_end = now + tc.cl + tc.bl;
     Cycle wr_ok = rd_end + 1 > tc.cwl ? rd_end + 1 - tc.cwl : 0;
     r.wrReadyS = std::max(r.wrReadyS, wr_ok);
     dataBusFree = rd_end;
@@ -232,7 +224,7 @@ ChannelTimingModel::issueWr(int rank, BankId bank, Cycle now)
     int group = geom.bankGroupOf(bank);
     hira_assert(b.openRow != kNoRow);
     hira_assert(now >= earliestWr(rank, bank));
-    Cycle wr_end = columnDataStart(rank, false, now) + tc.bl;
+    Cycle wr_end = now + tc.cwl + tc.bl;
     b.preReady = std::max(b.preReady, wr_end + tc.wr);
     r.wrReadyS = std::max(r.wrReadyS, now + tc.ccdS);
     r.wrReadyL[static_cast<std::size_t>(group)] =

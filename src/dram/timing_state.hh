@@ -61,7 +61,7 @@ struct RankState
     std::array<Cycle, 4> fawRing{kNeverCycle, kNeverCycle, kNeverCycle,
                                  kNeverCycle}; //!< last four ACT cycles
     int fawIdx = 0;                       //!< ring cursor (oldest entry)
-    Cycle rdReadyS = 0, rdReadyL_unused = 0;
+    Cycle rdReadyS = 0;
     std::vector<Cycle> rdReadyL;          //!< tCCD_L per bank group
     Cycle wrReadyS = 0;
     std::vector<Cycle> wrReadyL;
@@ -214,7 +214,6 @@ class ChannelTimingModel
 
     Cycle fawConstraint(const RankState &r, int slots_needed) const;
     void recordAct(int rank, BankId bank, Cycle now);
-    Cycle columnDataStart(int rank, bool is_read, Cycle now) const;
     void rebuildResolved() const;
 
     Geometry geom;

@@ -8,7 +8,6 @@
 #include "common/trace_events.hh"
 #include "sim/result_cache.hh"
 #include "sim/scheme_registry.hh"
-#include "workload/corpus.hh"
 
 namespace hira {
 
@@ -207,26 +206,6 @@ SweepRunner::setResultCache(std::unique_ptr<ResultCache> cache)
     resultCache_ = std::move(cache);
 }
 
-bool
-SweepRunner::primePriorLocked(const std::string &key,
-                              const std::string &bench)
-{
-    // A manifest alone-IPC prior replaces the reference run: it lands
-    // in the cache as a ready slot, so every geometry of the sweep
-    // reuses it (priors are the trace's reference IPC, not a
-    // per-geometry measurement) and aloneRunCount() stays at zero for
-    // prior-carrying workloads. No waiter can exist for the key (only
-    // not-ready slots are waited on), so no notify is needed.
-    double prior = 0.0;
-    if (!corpusAloneIpcPrior(bench, prior))
-        return false;
-    AloneSlot slot;
-    slot.ipc = prior;
-    slot.ready = true;
-    aloneCache.emplace(key, slot);
-    return true;
-}
-
 double
 SweepRunner::aloneIpc(const std::string &bench, const GeomSpec &geom)
 {
@@ -242,8 +221,6 @@ SweepRunner::aloneIpc(const std::string &bench, const GeomSpec &geom)
             cacheCv.wait(lock);
             continue;
         }
-        if (primePriorLocked(key, bench))
-            continue; // next iteration reads the ready slot
         // Leader: publish a not-ready slot, run outside the lock.
         aloneCache.emplace(key, AloneSlot{});
         lock.unlock();
@@ -331,11 +308,9 @@ SweepRunner::runPoints(const std::vector<SweepPoint> &plan)
 
     // Deduplicated IPC-alone warmup items: one per (bench, geometry)
     // key — of the cache-miss points only — that is neither cached nor
-    // already queued for this plan. Manifest alone-IPC priors are
-    // installed straight into the cache here, so prior-carrying
-    // workloads never enqueue a warmup run. aloneIpc() itself is
-    // single-flight, so a key raced in by a concurrent caller is
-    // simply waited on, never re-run.
+    // already queued for this plan. aloneIpc() itself is single-flight,
+    // so a key raced in by a concurrent caller is simply waited on,
+    // never re-run.
     struct AloneItem
     {
         std::string bench;
@@ -350,12 +325,10 @@ SweepRunner::runPoints(const std::vector<SweepPoint> &plan)
             for (const WorkloadMix &mix : mixes_) {
                 for (const std::string &b : mix) {
                     std::string key = aloneIpcCacheKey(b, p.geom);
-                    if (aloneCache.count(key) != 0 ||
-                        !queued.insert(key).second ||
-                        primePriorLocked(key, b)) {
-                        continue;
+                    if (aloneCache.count(key) == 0 &&
+                        queued.insert(key).second) {
+                        aloneItems.push_back(AloneItem{b, &p.geom});
                     }
-                    aloneItems.push_back(AloneItem{b, &p.geom});
                 }
             }
         }

@@ -187,8 +187,7 @@ sweepRunSeed(const std::string &geomKey, const std::string &schemeKey,
 /**
  * Cache/seed key of the IPC-alone run of workload @p bench on @p geom.
  * SweepRunner::aloneIpc keys its cache and seeds the reference run
- * with hashString() of this string; tools/hira_tracegen replicates it
- * so a manifest's alone-IPC prior equals what a sweep would measure.
+ * with hashString() of this string.
  */
 inline std::string
 aloneIpcCacheKey(const std::string &bench, const GeomSpec &geom)
@@ -261,14 +260,12 @@ class SweepRunner
 
     /**
      * Cached single-core IPC of @p bench alone on @p geom (the
-     * weighted-speedup denominator). A "corpus:" workload whose
-     * manifest entry carries an alone-IPC prior resolves to the prior
-     * without simulating (the prior is the trace's geometry-independent
-     * reference IPC; see src/workload/corpus.hh). Otherwise computes
-     * and caches on miss; concurrent callers of the same key block on
-     * the one in-flight run (single-flight). Fatal if the run yields a
-     * non-positive or non-finite IPC, naming the benchmark and
-     * geometry.
+     * weighted-speedup denominator), the same way for every workload
+     * spec: served from the result cache when it holds the run,
+     * otherwise computed and cached on miss; concurrent callers of the
+     * same key block on the one in-flight run (single-flight). Fatal
+     * if the run yields a non-positive or non-finite IPC, naming the
+     * benchmark and geometry.
      */
     double aloneIpc(const std::string &bench, const GeomSpec &geom);
 
@@ -293,14 +290,6 @@ class SweepRunner
     std::uint64_t pointsFromCache() const { return pointsFromCache_.load(); }
 
   private:
-    /**
-     * Install workload @p bench's manifest alone-IPC prior (if any)
-     * into the cache as a ready slot under @p key; true on install.
-     * Caller must hold cacheMutex. The single cache-seeding path for
-     * both aloneIpc() and the runPoints() prescan.
-     */
-    bool primePriorLocked(const std::string &key, const std::string &bench);
-
     BenchKnobs knobs;
     std::vector<WorkloadMix> mixes_;
     WorkerPool pool;

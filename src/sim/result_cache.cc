@@ -478,29 +478,57 @@ ResultCache::metricsSnapshot() const
 // Canonical cache keys
 // ---------------------------------------------------------------------
 
+namespace {
+
+/**
+ * "size=<bytes>;mtime=<s>.<ns>" of the trace file behind @p spec: one
+ * stat(2), fatal (naming the spec) when it fails. Rewriting a trace in
+ * place changes its mtime, so the cache never serves the old points.
+ */
+std::string
+traceFileIdentity(const std::string &path, const std::string &spec)
+{
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0) {
+        fatal("resolving the cache key of workload spec '%s': cannot "
+              "stat trace file '%s': %s",
+              spec.c_str(), path.c_str(), std::strerror(errno));
+    }
+    return strprintf("size=%llu;mtime=%lld.%09ld",
+                     static_cast<unsigned long long>(st.st_size),
+                     static_cast<long long>(st.st_mtim.tv_sec),
+                     static_cast<long>(st.st_mtim.tv_nsec));
+}
+
+} // namespace
+
 std::string
 resolvedMixSpecKey(const std::string &spec)
 {
-    const char kPrefix[] = "corpus:";
-    if (spec.compare(0, sizeof(kPrefix) - 1, kPrefix) != 0)
-        return spec;
-    std::string rest = spec.substr(sizeof(kPrefix) - 1);
+    std::size_t colon = spec.find(':');
+    if (colon == std::string::npos)
+        return spec; // a synthetic pool name
+    std::string scheme = spec.substr(0, colon);
+    std::string rest = spec.substr(colon + 1);
+    // The option split the workload registry uses (stripLoopOption).
     std::string opts;
-    std::size_t q = rest.find('?');
+    std::size_t q = rest.rfind('?');
     if (q != std::string::npos) {
         opts = rest.substr(q);
-        rest = rest.substr(0, q);
+        rest.erase(q);
     }
+    if (scheme == "file") {
+        return strprintf("%s{%s}", spec.c_str(),
+                         traceFileIdentity(rest, spec).c_str());
+    }
+    if (scheme != "corpus")
+        return spec;
     std::shared_ptr<const Corpus> corpus =
         Corpus::activeOrFatal("resolving a sweep cache key");
     const CorpusEntry &e = corpus->at(rest);
-    return strprintf(
-        "corpus:%s%s{file=%s;fmt=%s;instr=%llu;class=%c;prior=%s}",
-        rest.c_str(), opts.c_str(), e.file.c_str(),
-        e.format == TraceFormat::Binary ? "binary" : "text",
-        static_cast<unsigned long long>(e.instructions),
-        mpkiClassLetter(e.mpki),
-        e.hasAloneIpc() ? strprintf("%.17g", e.aloneIpc).c_str() : "-");
+    return strprintf("corpus:%s%s{file=%s;class=%c;%s}", rest.c_str(),
+                     opts.c_str(), e.file.c_str(), mpkiClassLetter(e.mpki),
+                     traceFileIdentity(e.path, spec).c_str());
 }
 
 namespace {

@@ -5,8 +5,8 @@
  * The determinism work of PRs 3/5 made every simulation a pure
  * function of its inputs: per-run seeds derive injectively from
  * (geometry key, scheme seed-key, mix index), the two engines are
- * bitwise-equivalent, and corpus priors round-trip exactly. That is
- * what makes memoizing PointResults sound — and this cache is that
+ * bitwise-equivalent, and trace files are keyed by their identity on
+ * disk. That is what makes memoizing PointResults sound — and this cache is that
  * memo, shared across processes through a directory of single-file
  * entries committed by atomic rename.
  *
@@ -14,7 +14,7 @@
  * behavior-affecting input (see SweepPoint::cacheKey in
  * sim/experiment.hh and aloneResultCacheKey below): run seeds (via the
  * geometry/scheme keys they derive from), the fully-resolved mix specs
- * including corpus manifest priors and "?once" options, warmup and
+ * including trace-file size and mtime and "?once" options, warmup and
  * measured cycles, SimEngine, metrics level, the memory standard,
  * and a code-revision stamp (the configure-time git rev, so a rebuilt
  * simulator never serves stale numbers). The entry file stores
@@ -120,13 +120,14 @@ class ResultCache
 
 /**
  * Canonical key of one mix-spec entry as it contributes to a cache
- * key: plain specs verbatim; "corpus:" specs (with or without
- * options) resolved against the active corpus so the entry's identity
- * — file, format, instruction count, intensity class, and alone-IPC
- * prior — is folded in. Two corpora giving one name to different
- * traces (or different priors) therefore never share cache entries.
- * Fatal when a corpus spec has no active corpus or unknown name, like
- * the workload registry itself.
+ * key: synthetic pool names verbatim; "file:" and "corpus:" specs
+ * (with or without options) with the size and nanosecond mtime of the
+ * trace file they resolve to folded in, plus the manifest's file and
+ * intensity class for a corpus spec. A trace rewritten in place, or
+ * two corpora giving one name to different traces, therefore never
+ * share cache entries. Fatal, naming the spec, when the trace file
+ * cannot be stat'ed, or when a corpus spec has no active corpus or
+ * unknown name, like the workload registry itself.
  */
 std::string resolvedMixSpecKey(const std::string &spec);
 

@@ -1,10 +1,7 @@
 #include "workload/corpus.hh"
 
 #include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -54,23 +51,6 @@ joinPath(const std::string &dir, const std::string &file)
     return dir + "/" + file;
 }
 
-TraceFormat
-formatFromString(const std::string &s, const std::string &where)
-{
-    if (s == "text")
-        return TraceFormat::Text;
-    if (s == "binary")
-        return TraceFormat::Binary;
-    fatal("%s: unknown trace format '%s' (expected 'text' or 'binary')",
-          where.c_str(), s.c_str());
-}
-
-const char *
-formatToString(TraceFormat f)
-{
-    return f == TraceFormat::Binary ? "binary" : "text";
-}
-
 MpkiClass
 classFromLetter(const std::string &s, const std::string &where)
 {
@@ -106,42 +86,25 @@ parseTsvManifest(const std::string &path)
         if (!(fields >> name) || name[0] == '#')
             continue; // blank or comment
         std::string where = strprintf("%s:%zu", path.c_str(), lineno);
-        CorpusEntry e;
-        e.name = name;
-        std::string format, instructions, cls, alone;
-        if (!(fields >> e.file >> format >> instructions >> cls >> alone)) {
-            fatal("%s: expected 6 columns "
-                  "(name file format instructions class alone-ipc)",
+        std::vector<std::string> cols{name};
+        for (std::string col; fields >> col;)
+            cols.push_back(col);
+        if (cols.size() == 6) {
+            fatal("%s: six-column manifest of the retired format (name "
+                  "file format instructions class alone-ipc); its "
+                  "format, instructions and alone-ipc columns are gone. "
+                  "Regenerate the corpus with hira_tracegen, or keep "
+                  "columns 1, 2 and 5 (name file class)",
                   where.c_str());
         }
-        std::string extra;
-        if (fields >> extra) {
-            fatal("%s: trailing garbage '%s'", where.c_str(),
-                  extra.c_str());
+        if (cols.size() != 3) {
+            fatal("%s: expected 3 columns (name file class), got %zu",
+                  where.c_str(), cols.size());
         }
-        e.format = formatFromString(format, where);
-        char *end = nullptr;
-        errno = 0;
-        e.instructions = std::strtoull(instructions.c_str(), &end, 10);
-        // The isdigit guard also rejects negatives, which strtoull
-        // would otherwise silently wrap to huge values.
-        if (!std::isdigit(static_cast<unsigned char>(instructions[0])) ||
-            end == instructions.c_str() || *end != '\0' ||
-            errno == ERANGE) {
-            fatal("%s: bad instruction count '%s'", where.c_str(),
-                  instructions.c_str());
-        }
-        e.mpki = classFromLetter(cls, where);
-        if (alone != "-") {
-            errno = 0;
-            e.aloneIpc = std::strtod(alone.c_str(), &end);
-            if (end == alone.c_str() || *end != '\0' || errno == ERANGE ||
-                !std::isfinite(e.aloneIpc) || e.aloneIpc <= 0.0) {
-                fatal("%s: bad alone-IPC '%s' (expected a positive "
-                      "number or '-')",
-                      where.c_str(), alone.c_str());
-            }
-        }
+        CorpusEntry e;
+        e.name = cols[0];
+        e.file = cols[1];
+        e.mpki = classFromLetter(cols[2], where);
         entries.push_back(std::move(e));
     }
     return entries;
@@ -295,8 +258,7 @@ Corpus::setActive(std::shared_ptr<const Corpus> corpus)
 
 void
 writeManifest(const std::string &dir,
-              const std::vector<CorpusEntry> &entries,
-              const std::string &comment)
+              const std::vector<CorpusEntry> &entries)
 {
     std::string tsv = dir + "/manifest.tsv";
     // Entries usually come through a validated Corpus, but tools and
@@ -307,26 +269,14 @@ writeManifest(const std::string &dir,
         std::string context = "writing manifest '" + tsv + "'";
         checkManifestToken("trace name", e.name, context);
         checkManifestToken("file path", e.file, context);
-        // A non-finite prior would print as a bare 'inf'/'nan' token
-        // that the reader rejects.
-        if (e.hasAloneIpc() && !std::isfinite(e.aloneIpc)) {
-            fatal("%s: entry '%s' has non-finite alone-IPC %g",
-                  context.c_str(), e.name.c_str(), e.aloneIpc);
-        }
     }
     std::ofstream out(tsv);
     if (!out)
         fatal("cannot write corpus manifest '%s'", tsv.c_str());
-    out << "# hira corpus manifest v1\n"
-        << "# name file format instructions class alone-ipc\n";
-    if (!comment.empty())
-        out << "# " << comment << '\n';
+    out << "# hira corpus manifest v2\n"
+        << "# name file class\n";
     for (const CorpusEntry &e : entries) {
-        out << e.name << '\t' << e.file << '\t' << formatToString(e.format)
-            << '\t' << e.instructions << '\t' << mpkiClassLetter(e.mpki)
-            << '\t'
-            << (e.hasAloneIpc() ? strprintf("%.17g", e.aloneIpc)
-                                : std::string("-"))
+        out << e.name << '\t' << e.file << '\t' << mpkiClassLetter(e.mpki)
             << '\n';
     }
     out.flush();
@@ -370,29 +320,6 @@ makeCorpusMixes(int count, int cores, const Corpus &corpus,
         mixes.push_back(std::move(mix));
     }
     return mixes;
-}
-
-bool
-corpusAloneIpcPrior(const std::string &spec, double &out)
-{
-    const char kPrefix[] = "corpus:";
-    if (spec.compare(0, sizeof(kPrefix) - 1, kPrefix) != 0)
-        return false;
-    std::shared_ptr<const Corpus> corpus = Corpus::active();
-    if (corpus == nullptr)
-        return false;
-    std::string name = spec.substr(sizeof(kPrefix) - 1);
-    // No prior for option-carrying specs: "?once" runs the trace dry
-    // instead of looping, so the looping-replay prior is NOT the IPC
-    // the measured fallback would produce for this spec — substituting
-    // it would silently change the weighted-speedup denominator.
-    if (name.find('?') != std::string::npos)
-        return false;
-    const CorpusEntry *e = corpus->find(name);
-    if (e == nullptr || !e->hasAloneIpc())
-        return false;
-    out = e->aloneIpc;
-    return true;
 }
 
 } // namespace hira

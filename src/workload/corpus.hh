@@ -1,28 +1,27 @@
 /**
  * @file
- * Trace-corpus manifests: a directory of trace files plus per-trace
- * metadata (format, instruction count, memory-intensity class, and an
- * optional alone-IPC prior), addressed by "corpus:<name>" workload
- * specs.
+ * Trace-corpus manifests: a directory of trace files plus each trace's
+ * memory-intensity class, addressed by "corpus:<name>" workload specs.
  *
  * A corpus directory holds the trace files and a `manifest.tsv`.
- * Comment lines start with '#'; each record line has six
+ * Comment lines start with '#'; each record line has three
  * whitespace-separated columns
  *
- *     <name> <file> <format> <instructions> <class> <alone-ipc>
+ *     <name> <file> <class>
  *
- * where <format> is `text` or `binary`, <class> is `H`, `M`, or `L`
- * (memory-intensity bin, see classifyApki), and <alone-ipc> is the
- * trace's single-core reference IPC or `-` when not measured.
+ * where <class> is `H`, `M`, or `L` (memory-intensity bin, see
+ * classifyApki). The trace format is sniffed from the file itself.
+ * A six-column manifest of the retired format (with format,
+ * instruction-count and alone-IPC columns) is rejected.
  *
  * `<file>` paths are resolved relative to the manifest's directory;
  * absolute paths pass through. `tools/hira_tracegen` writes the
  * manifest; see BUILDING.md for the workflow.
  *
- * The *active* corpus (Corpus::active) backs `corpus:` spec resolution
- * and the SweepRunner alone-IPC priors. It loads lazily from the
- * HIRA_CORPUS environment variable, or is installed explicitly
- * (tools/tests).
+ * The *active* corpus (Corpus::active) backs `corpus:` spec resolution.
+ * It loads lazily from the HIRA_CORPUS environment variable, or is
+ * installed explicitly (tools/tests). A corpus trace's alone IPC is
+ * measured per geometry like any other workload's (SweepRunner::aloneIpc).
  */
 
 #ifndef HIRA_WORKLOAD_CORPUS_HH
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "sim/workloads.hh"
-#include "workload/file_trace.hh"
 
 namespace hira {
 
@@ -63,13 +61,8 @@ struct CorpusEntry
     std::string name;         //!< workload name ("corpus:<name>" spec)
     std::string file;         //!< path as written in the manifest
     std::string path;         //!< resolved path (relative to the dir)
-    TraceFormat format = TraceFormat::Text;
-    std::uint64_t instructions = 0; //!< recorded instruction count
     MpkiClass mpki = MpkiClass::Low;
-    /** Single-core reference (alone) IPC; <= 0 means "not measured". */
-    double aloneIpc = 0.0;
 
-    bool hasAloneIpc() const { return aloneIpc > 0.0; }
     std::string spec() const { return "corpus:" + name; }
 };
 
@@ -100,7 +93,7 @@ class Corpus
     // ----- the process-wide active corpus -------------------------------
 
     /**
-     * The corpus "corpus:" specs and alone-IPC priors resolve against.
+     * The corpus "corpus:" specs resolve against.
      * On first use, loads from $HIRA_CORPUS when set; nullptr when no
      * corpus is configured. Thread-safe.
      */
@@ -122,16 +115,9 @@ class Corpus
     std::map<std::string, std::size_t> byName;
 };
 
-/**
- * Write @p entries as `manifest.tsv` into @p dir. Alone-IPC priors are
- * printed with %.17g so they round-trip exactly (prior-carrying sweeps
- * reproduce measured-alone sweeps bitwise). A non-empty @p comment is
- * recorded as a comment line (hira_tracegen uses it to note the knobs
- * the priors were measured at — informational, not parsed back).
- */
+/** Write @p entries as `manifest.tsv` into @p dir. */
 void writeManifest(const std::string &dir,
-                   const std::vector<CorpusEntry> &entries,
-                   const std::string &comment = std::string());
+                   const std::vector<CorpusEntry> &entries);
 
 /**
  * Build @p count intensity-binned mixes of @p cores "corpus:" specs,
@@ -142,16 +128,6 @@ void writeManifest(const std::string &dir,
 std::vector<WorkloadMix> makeCorpusMixes(int count, int cores,
                                          const Corpus &corpus,
                                          std::uint64_t seed = 0xc0b05);
-
-/**
- * Alone-IPC prior of workload spec @p spec, if it is a plain
- * "corpus:<name>" spec whose active-corpus entry carries one. Returns
- * false (and leaves @p out untouched) for non-corpus specs,
- * option-carrying specs ("?once" changes the replay the prior was
- * measured with), absent priors, or when no corpus is active. Used by
- * SweepRunner to skip IPC-alone warmup runs.
- */
-bool corpusAloneIpcPrior(const std::string &spec, double &out);
 
 } // namespace hira
 

@@ -14,6 +14,10 @@
  *   corpus:<name>[?once]    trace <name> of the active corpus manifest
  *                           (HIRA_CORPUS; src/workload/corpus.hh)
  *
+ * Every spec form gets its alone IPC the same way: measured per
+ * geometry by SweepRunner::aloneIpc, with file-backed specs keyed in
+ * the result cache by the trace file's path, size and mtime.
+ *
  * New schemes (e.g., network-streamed traces) register a factory under
  * their prefix.
  */

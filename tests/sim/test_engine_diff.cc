@@ -239,14 +239,12 @@ class EngineDiffFiles : public ::testing::Test
         for (const auto &t : traces) {
             CorpusEntry e;
             e.name = t.first;
-            e.format = t.second;
             e.file = e.name + (t.second == TraceFormat::Binary
                                    ? ".bin"
                                    : ".trace");
-            e.instructions = 6000;
             const BenchmarkProfile &prof = benchmarkByName(e.name);
             TraceGen gen(prof, hashString(e.name), 0, 1 << 26);
-            dumpTrace(gen, dir + "/" + e.file, e.format, e.instructions);
+            dumpTrace(gen, dir + "/" + e.file, t.second, 6000);
             files.push_back(dir + "/" + e.file);
             e.mpki = classifyApki(1000.0 * prof.memPerInstr);
             entries.push_back(std::move(e));

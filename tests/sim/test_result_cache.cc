@@ -12,7 +12,9 @@
 #include <filesystem>
 #include <fstream>
 
+#include <fcntl.h>
 #include <stdlib.h>
+#include <sys/stat.h>
 
 #include "result_expect.hh"
 #include "sim/result_cache.hh"
@@ -105,6 +107,16 @@ class ResultCacheTest : public ::testing::Test
 
     std::string dir;
 };
+
+/** Set @p path's mtime (and atime) to @p sec.@p nsec. */
+void
+setMtime(const std::string &path, time_t sec, long nsec)
+{
+    struct timespec times[2];
+    times[0].tv_sec = times[1].tv_sec = sec;
+    times[0].tv_nsec = times[1].tv_nsec = nsec;
+    ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0) << path;
+}
 
 void
 expectEqualResults(const PointResult &a, const PointResult &b)
@@ -218,51 +230,76 @@ TEST_F(ResultCacheTest, EveryInputChangesThePointKey)
     EXPECT_EQ(p.cacheKey(threads, mixes()), base);
 }
 
-TEST_F(ResultCacheTest, CorpusSpecsResolveAgainstTheActiveManifest)
+TEST_F(ResultCacheTest, FileBackedSpecsAreKeyedBySizeAndMtime)
 {
-    // Non-corpus specs pass through verbatim.
+    // Synthetic pool names pass through verbatim.
     EXPECT_EQ(resolvedMixSpecKey("mcf-like"), "mcf-like");
-    EXPECT_EQ(resolvedMixSpecKey("file:/tmp/x.trace"),
-              "file:/tmp/x.trace");
 
-    // A corpus entry folds file/format/instructions/class/prior into
-    // the key, so renaming-in-place or re-measuring a prior can never
-    // serve a stale cached point.
-    { std::ofstream(dir + "/a.trace") << "# empty\n"; }
+    // A trace file with a pinned mtime, so the key strings are golden.
+    std::string trace = dir + "/a.trace";
+    { std::ofstream(trace) << "# empty\n"; }
+    setMtime(trace, 1234567890, 123456789);
+    const std::string identity = "size=8;mtime=1234567890.123456789";
+
+    // A "file:" spec folds in its file's identity; the "?once" option
+    // changes replay semantics and stays in the key.
+    EXPECT_EQ(resolvedMixSpecKey("file:" + trace),
+              "file:" + trace + "{" + identity + "}");
+    EXPECT_EQ(resolvedMixSpecKey("file:" + trace + "?once"),
+              "file:" + trace + "?once{" + identity + "}");
+
+    // A corpus entry folds in its manifest file and class, plus the
+    // identity of the file it resolves to.
     CorpusEntry e;
     e.name = "mix-a";
     e.file = "a.trace";
-    e.format = TraceFormat::Text;
-    e.instructions = 5000;
     e.mpki = MpkiClass::High;
-    e.aloneIpc = 0.75;
-    auto corpus = std::make_shared<Corpus>(
-        dir, std::vector<CorpusEntry>{e});
-    Corpus::setActive(corpus);
-
-    std::string resolved = resolvedMixSpecKey("corpus:mix-a");
-    EXPECT_EQ(resolved,
-              "corpus:mix-a{file=a.trace;fmt=text;instr=5000;class=H;"
-              "prior=0.75}");
-    // "?once" changes replay semantics: the option must survive into
-    // the key alongside the resolved entry.
-    EXPECT_EQ(resolvedMixSpecKey("corpus:mix-a?once"),
-              "corpus:mix-a?once{file=a.trace;fmt=text;instr=5000;"
-              "class=H;prior=0.75}");
-
-    // A different prior for the same name = a different key.
-    CorpusEntry e2 = e;
-    e2.aloneIpc = 0.0; // "not measured"
     Corpus::setActive(std::make_shared<Corpus>(
-        dir, std::vector<CorpusEntry>{e2}));
+        dir, std::vector<CorpusEntry>{e}));
     EXPECT_EQ(resolvedMixSpecKey("corpus:mix-a"),
-              "corpus:mix-a{file=a.trace;fmt=text;instr=5000;class=H;"
-              "prior=-}");
+              "corpus:mix-a{file=a.trace;class=H;" + identity + "}");
+    EXPECT_EQ(resolvedMixSpecKey("corpus:mix-a?once"),
+              "corpus:mix-a?once{file=a.trace;class=H;" + identity + "}");
+
+    // Touching the file is a different key.
+    setMtime(trace, 1234567890, 123456790);
+    EXPECT_EQ(resolvedMixSpecKey("corpus:mix-a"),
+              "corpus:mix-a{file=a.trace;class=H;size=8;"
+              "mtime=1234567890.123456790}");
+
+    // A trace that cannot be stat'ed is fatal, naming the spec.
+    EXPECT_EXIT((void)resolvedMixSpecKey("file:" + dir + "/gone.trace"),
+                ::testing::ExitedWithCode(1),
+                "workload spec 'file:.*/gone.trace': cannot stat");
+    ::unlink(trace.c_str());
+    EXPECT_EXIT((void)resolvedMixSpecKey("corpus:mix-a"),
+                ::testing::ExitedWithCode(1),
+                "workload spec 'corpus:mix-a': cannot stat");
 
     Corpus::setActive(nullptr);
     EXPECT_EXIT((void)resolvedMixSpecKey("corpus:mix-a"),
                 ::testing::ExitedWithCode(1),
                 "needs an active trace corpus");
+}
+
+TEST_F(ResultCacheTest, RewrittenTraceFileMissesTheCache)
+{
+    std::string trace = dir + "/t.trace";
+    { std::ofstream(trace) << "# v1\n"; }
+    const std::vector<WorkloadMix> mix = {{"mcf-like", "file:" + trace}};
+    SweepPoint p;
+    ResultCache cache(dir + "/cache");
+    cache.storePoint(p.cacheKey(knobs(), mix), samplePoint());
+
+    // Untouched: the recomputed key hits.
+    PointResult out;
+    EXPECT_TRUE(cache.lookupPoint(p.cacheKey(knobs(), mix), out));
+
+    // Rewritten at the same path with a different length: a miss, even
+    // within the mtime granularity of the filesystem.
+    { std::ofstream(trace) << "# version 2\n"; }
+    EXPECT_FALSE(cache.lookupPoint(p.cacheKey(knobs(), mix), out));
+    EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST_F(ResultCacheTest, PointRoundTripIsExact)

@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the trace-corpus manifest layer
  * (src/workload/corpus.hh): manifest parsing with diagnostics,
- * validation (missing files, duplicates), "corpus:" spec resolution,
- * intensity-binned mix building, and alone-IPC prior lookup.
+ * validation (missing files, duplicates, the retired six-column
+ * format), "corpus:" spec resolution, and intensity-binned mix
+ * building.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "sim/trace.hh"
 #include "sim/workloads.hh"
 #include "workload/corpus.hh"
+#include "workload/file_trace.hh"
 #include "workload/registry.hh"
 
 using namespace hira;
@@ -95,14 +97,9 @@ TEST_F(CorpusTest, TsvManifestRoundTrips)
     std::vector<CorpusEntry> entries(2);
     entries[0].name = "alpha";
     entries[0].file = "a.trace";
-    entries[0].format = TraceFormat::Text;
-    entries[0].instructions = 2000;
     entries[0].mpki = MpkiClass::High;
-    entries[0].aloneIpc = 0.123456789012345678; // must survive exactly
     entries[1].name = "beta";
     entries[1].file = "b.bin";
-    entries[1].format = TraceFormat::Binary;
-    entries[1].instructions = 2000;
     entries[1].mpki = MpkiClass::Low;
     writeManifest(dir, entries);
     path("manifest.tsv");
@@ -112,15 +109,20 @@ TEST_F(CorpusTest, TsvManifestRoundTrips)
     const CorpusEntry &a = c.at("alpha");
     EXPECT_EQ(a.file, "a.trace");
     EXPECT_EQ(a.path, dir + "/a.trace");
-    EXPECT_EQ(a.format, TraceFormat::Text);
-    EXPECT_EQ(a.instructions, 2000u);
     EXPECT_EQ(a.mpki, MpkiClass::High);
-    EXPECT_TRUE(a.hasAloneIpc());
-    EXPECT_EQ(a.aloneIpc, entries[0].aloneIpc); // bitwise round trip
     const CorpusEntry &b = c.at("beta");
-    EXPECT_EQ(b.format, TraceFormat::Binary);
-    EXPECT_FALSE(b.hasAloneIpc());
+    EXPECT_EQ(b.file, "b.bin");
+    EXPECT_EQ(b.mpki, MpkiClass::Low);
     EXPECT_EQ(b.spec(), "corpus:beta");
+
+    // The writer emits exactly the three-column record format.
+    std::ifstream in(dir + "/manifest.tsv");
+    std::string line, records;
+    while (std::getline(in, line)) {
+        if (line[0] != '#')
+            records += line + "\n";
+    }
+    EXPECT_EQ(records, "alpha\ta.trace\tH\nbeta\tb.bin\tL\n");
 }
 
 TEST_F(CorpusTest, HandWrittenManifestsParse)
@@ -129,11 +131,12 @@ TEST_F(CorpusTest, HandWrittenManifestsParse)
     writeFile("manifest.tsv",
               "# comment line\n"
               "\n"
-              "mcf t.trace text 1000 H 0.5\n"
-              "gcc t.trace text 1000 m -\n");
+              "mcf t.trace H\n"
+              "gcc\tt.trace\tm\r\n");
     Corpus c = Corpus::load(dir);
     ASSERT_EQ(c.size(), 2u);
-    EXPECT_EQ(c.at("mcf").aloneIpc, 0.5);
+    EXPECT_EQ(c.at("mcf").mpki, MpkiClass::High);
+    EXPECT_EQ(c.at("gcc").file, "t.trace");
     EXPECT_EQ(c.at("gcc").mpki, MpkiClass::Medium);
 }
 
@@ -153,34 +156,34 @@ TEST_F(CorpusTest, MissingManifestIsFatal)
 TEST_F(CorpusTest, MalformedTsvDiagnosesFileAndLine)
 {
     writeTrace("t.trace", TraceFormat::Text);
-    writeFile("manifest.tsv", "ok t.trace text 1000 H -\nbad t.trace\n");
+    writeFile("manifest.tsv", "ok t.trace H\nbad t.trace\n");
     EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
-                "manifest.tsv:2: expected 6 columns");
+                "manifest.tsv:2: expected 3 columns \\(name file class\\), "
+                "got 2");
 }
 
 TEST_F(CorpusTest, BadTsvFieldsAreFatal)
 {
     writeTrace("t.trace", TraceFormat::Text);
-    writeFile("manifest.tsv", "x t.trace elvish 1000 H -\n");
+    writeFile("manifest.tsv", "x t.trace X\n");
     EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
-                "unknown trace format 'elvish'");
-    writeFile("manifest.tsv", "x t.trace text 1000 X -\n");
+                "manifest.tsv:1: unknown intensity class 'X'");
+    // The format column is gone: a record that still carries it is
+    // misaligned, never silently read.
+    writeFile("manifest.tsv", "x t.trace text H\n");
     EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
-                "unknown intensity class 'X'");
-    writeFile("manifest.tsv", "x t.trace text 1000 H -3.0\n");
+                "expected 3 columns \\(name file class\\), got 4");
+    writeFile("manifest.tsv", "x t.trace H extra\n");
     EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
-                "bad alone-IPC");
-    writeFile("manifest.tsv", "x t.trace text twelve H -\n");
-    EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
-                "bad instruction count");
+                "expected 3 columns \\(name file class\\), got 4");
     writeFile("manifest.tsv", "x t.trace text 1000 H - extra\n");
     EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
-                "trailing garbage");
+                "expected 3 columns \\(name file class\\), got 7");
 }
 
 TEST_F(CorpusTest, MissingTraceFileIsFatal)
 {
-    writeFile("manifest.tsv", "ghost nope.trace text 1000 H -\n");
+    writeFile("manifest.tsv", "ghost nope.trace H\n");
     EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
                 "trace file .*nope.trace.*does not exist");
 }
@@ -202,7 +205,7 @@ TEST_F(CorpusTest, NonRoundTrippableFieldsAreFatal)
                 ::testing::ExitedWithCode(1), "cannot round-trip");
     // A hand-written manifest can hold such a name; loading must
     // reject it.
-    writeFile("manifest.tsv", "a#b t.trace text 1000 H -\n");
+    writeFile("manifest.tsv", "a#b t.trace H\n");
     EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
                 "cannot round-trip");
 }
@@ -211,7 +214,7 @@ TEST_F(CorpusTest, DuplicateNamesAreFatal)
 {
     writeTrace("t.trace", TraceFormat::Text);
     writeFile("manifest.tsv",
-              "dup t.trace text 1000 H -\ndup t.trace text 1000 L -\n");
+              "dup t.trace H\ndup t.trace L\n");
     EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
                 "duplicate trace name 'dup'");
 }
@@ -220,7 +223,7 @@ TEST_F(CorpusTest, UnknownEntryListsTheCorpus)
 {
     writeTrace("t.trace", TraceFormat::Text);
     writeFile("manifest.tsv",
-              "one t.trace text 1000 H -\ntwo t.trace text 1000 L -\n");
+              "one t.trace H\ntwo t.trace L\n");
     Corpus c = Corpus::load(dir);
     EXPECT_EQ(c.find("three"), nullptr);
     EXPECT_EXIT(c.at("three"), ::testing::ExitedWithCode(1),
@@ -230,7 +233,7 @@ TEST_F(CorpusTest, UnknownEntryListsTheCorpus)
 TEST_F(CorpusTest, CorpusSpecResolvesThroughTheRegistry)
 {
     writeTrace("gcc.trace", TraceFormat::Text, "gcc-like", 7);
-    writeFile("manifest.tsv", "gcc gcc.trace text 2000 M -\n");
+    writeFile("manifest.tsv", "gcc gcc.trace M\n");
     Corpus::setActive(std::make_shared<const Corpus>(Corpus::load(dir)));
 
     auto src = WorkloadRegistry::global().makeSource("corpus:gcc", 0, 0,
@@ -261,7 +264,7 @@ TEST_F(CorpusTest, CorpusSpecWithoutActiveCorpusIsFatal)
 TEST_F(CorpusTest, UnknownCorpusEntryInSpecIsFatal)
 {
     writeTrace("t.trace", TraceFormat::Text);
-    writeFile("manifest.tsv", "one t.trace text 1000 H -\n");
+    writeFile("manifest.tsv", "one t.trace H\n");
     Corpus::setActive(std::make_shared<const Corpus>(Corpus::load(dir)));
     EXPECT_EXIT(WorkloadRegistry::global().makeSource("corpus:nope", 0, 0,
                                                       kSlice),
@@ -271,35 +274,33 @@ TEST_F(CorpusTest, UnknownCorpusEntryInSpecIsFatal)
 TEST_F(CorpusTest, ActiveCorpusLoadsLazilyFromEnvironment)
 {
     writeTrace("t.trace", TraceFormat::Text);
-    writeFile("manifest.tsv", "envy t.trace text 1000 H 0.25\n");
+    writeFile("manifest.tsv", "envy t.trace H\n");
     ::setenv("HIRA_CORPUS", dir.c_str(), 1);
     auto active = Corpus::active();
     ASSERT_NE(active, nullptr);
-    EXPECT_EQ(active->at("envy").aloneIpc, 0.25);
+    EXPECT_EQ(active->at("envy").mpki, MpkiClass::High);
     ::unsetenv("HIRA_CORPUS");
 }
 
-TEST_F(CorpusTest, AloneIpcPriorLookup)
+TEST_F(CorpusTest, RetiredSixColumnManifestIsRejected)
 {
+    // A manifest of the retired format (format, instruction count and
+    // alone-IPC columns) fails closed, naming the line, the retired
+    // columns and both ways to fix the file.
     writeTrace("t.trace", TraceFormat::Text);
     writeFile("manifest.tsv",
-              "primed t.trace text 1000 H 0.75\n"
-              "bare t.trace text 1000 L -\n");
-    Corpus::setActive(std::make_shared<const Corpus>(Corpus::load(dir)));
-
-    double out = -1.0;
-    EXPECT_TRUE(corpusAloneIpcPrior("corpus:primed", out));
-    EXPECT_EQ(out, 0.75);
-    // "?once" runs dry instead of looping, so the looping-replay
-    // prior does not apply — that spec must fall back to measurement.
-    EXPECT_FALSE(corpusAloneIpcPrior("corpus:primed?once", out));
-    EXPECT_FALSE(corpusAloneIpcPrior("corpus:bare", out));
-    EXPECT_FALSE(corpusAloneIpcPrior("corpus:unknown", out));
-    EXPECT_FALSE(corpusAloneIpcPrior("mcf-like", out));
-    EXPECT_FALSE(corpusAloneIpcPrior("file:/x", out));
-
-    Corpus::setActive(nullptr);
-    EXPECT_FALSE(corpusAloneIpcPrior("corpus:primed", out));
+              "# hira corpus manifest v1\n"
+              "# name file format instructions class alone-ipc\n"
+              "primed t.trace text 1000 H 0.75\n");
+    EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
+                "manifest.tsv:3: six-column manifest of the retired "
+                "format .*format, instructions and alone-ipc columns "
+                "are gone.*Regenerate the corpus with hira_tracegen, or "
+                "keep columns 1, 2 and 5 \\(name file class\\)");
+    // An unmeasured ('-') prior is the same retired format.
+    writeFile("manifest.tsv", "bare t.trace binary 1000 L -\n");
+    EXPECT_EXIT(Corpus::load(dir), ::testing::ExitedWithCode(1),
+                "manifest.tsv:1: six-column manifest of the retired");
 }
 
 TEST_F(CorpusTest, ClassifyApkiThresholds)
@@ -320,11 +321,11 @@ TEST_F(CorpusTest, CorpusMixesAreBinnedAndDeterministic)
     std::string manifest;
     // 3 High, 2 Medium, 2 Low traces, all sharing one trace file.
     for (const char *n : {"h1", "h2", "h3"})
-        manifest += std::string(n) + " t.trace text 1000 H -\n";
+        manifest += std::string(n) + " t.trace H\n";
     for (const char *n : {"m1", "m2"})
-        manifest += std::string(n) + " t.trace text 1000 M -\n";
+        manifest += std::string(n) + " t.trace M\n";
     for (const char *n : {"l1", "l2"})
-        manifest += std::string(n) + " t.trace text 1000 L -\n";
+        manifest += std::string(n) + " t.trace L\n";
     writeFile("manifest.tsv", manifest);
     Corpus c = Corpus::load(dir);
 
@@ -354,7 +355,7 @@ TEST_F(CorpusTest, CorpusMixesAreBinnedAndDeterministic)
 TEST_F(CorpusTest, SingleClassCorpusStillBuildsMixes)
 {
     writeTrace("t.trace", TraceFormat::Text);
-    writeFile("manifest.tsv", "only t.trace text 1000 H -\n");
+    writeFile("manifest.tsv", "only t.trace H\n");
     Corpus c = Corpus::load(dir);
     std::vector<WorkloadMix> mixes = makeCorpusMixes(3, 2, c);
     ASSERT_EQ(mixes.size(), 3u);

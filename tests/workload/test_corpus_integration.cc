@@ -2,13 +2,13 @@
  * @file
  * Integration tests for corpus-backed sweeps: "corpus:" mixes run
  * bitwise-deterministically under SweepRunner::runPoints regardless of
- * thread count, and manifest alone-IPC priors reproduce the
- * measured-alone sweep bitwise while suppressing every IPC-alone
- * reference run.
+ * thread count, and their alone IPC is measured once per (trace,
+ * geometry) and shared across runners through the result cache.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -19,6 +19,7 @@
 
 #include "result_expect.hh"
 #include "sim/experiment.hh"
+#include "sim/result_cache.hh"
 #include "sim/trace.hh"
 #include "sim/workloads.hh"
 #include "workload/corpus.hh"
@@ -52,29 +53,23 @@ class CorpusIntegrationTest : public ::testing::Test
         for (const auto &t : traces) {
             CorpusEntry e;
             e.name = t.first;
-            e.format = t.second;
             e.file = e.name + (t.second == TraceFormat::Binary
                                    ? ".bin"
                                    : ".trace");
-            e.instructions = 4000;
             const BenchmarkProfile &prof = benchmarkByName(e.name);
             TraceGen gen(prof, hashString(e.name), 0, 1 << 26);
-            dumpTrace(gen, dir + "/" + e.file, e.format, e.instructions);
-            files.push_back(dir + "/" + e.file);
+            dumpTrace(gen, dir + "/" + e.file, t.second, 4000);
             e.mpki = classifyApki(1000.0 * prof.memPerInstr);
             entries.push_back(std::move(e));
         }
         writeManifest(dir, entries);
-        files.push_back(dir + "/manifest.tsv");
     }
 
     void
     TearDown() override
     {
         Corpus::setActive(nullptr);
-        for (const std::string &f : files)
-            ::unlink(f.c_str());
-        ::rmdir(dir.c_str());
+        std::filesystem::remove_all(dir);
     }
 
     void
@@ -116,7 +111,6 @@ class CorpusIntegrationTest : public ::testing::Test
     }
 
     std::string dir;
-    std::vector<std::string> files;
     std::vector<CorpusEntry> entries;
 };
 
@@ -139,61 +133,44 @@ TEST_F(CorpusIntegrationTest, RunPointsBitwiseIdenticalOneVsFourThreads)
     EXPECT_GT(a[0].meanWs, 0.0);
 }
 
-TEST_F(CorpusIntegrationTest, PriorsReproduceMeasuredSweepWithoutAloneRuns)
+TEST_F(CorpusIntegrationTest, AloneIpcIsMeasuredPerGeometryAndCached)
 {
-    // Pass 1: manifest without priors — the runner measures every
-    // (trace, geometry) reference by simulation.
     activate();
     auto corpus = Corpus::active();
     std::vector<WorkloadMix> mixes = makeCorpusMixes(4, 4, *corpus);
     std::vector<SweepPoint> plan = smallPlan();
-
-    SweepRunner measured(tinyKnobs(2), mixes);
-    std::vector<PointResult> res_measured = measured.runPoints(plan);
-    std::set<std::string> used;
+    std::set<std::string> specs, geoms;
     for (const WorkloadMix &mix : mixes)
-        for (const std::string &spec : mix)
-            used.insert(spec);
-    // One alone run per (distinct trace, distinct geometry).
-    EXPECT_EQ(measured.aloneRunCount(), 2 * used.size());
+        specs.insert(mix.begin(), mix.end());
+    for (const SweepPoint &p : plan)
+        geoms.insert(p.geom.key());
+    ASSERT_EQ(geoms.size(), 2u);
+    std::string cacheDir = dir + "/cache";
 
-    // Pass 2: the measured alone IPCs become manifest priors. The
-    // prior is the reference (default-geometry) measurement and is
-    // applied to every geometry of the sweep.
-    GeomSpec ref;
-    for (CorpusEntry &e : entries) {
-        if (used.count(e.spec()) != 0)
-            e.aloneIpc = measured.aloneIpc(e.spec(), ref);
+    // Pass 1: a corpus spec gets its alone IPC like any other spec,
+    // one simulation per (distinct trace, distinct geometry).
+    SweepRunner first(tinyKnobs(2), mixes);
+    first.setResultCache(std::make_unique<ResultCache>(cacheDir));
+    std::vector<PointResult> a = first.runPoints(plan);
+    EXPECT_EQ(first.aloneRunCount(), specs.size() * geoms.size());
+
+    // Pass 2: a fresh runner on the same directory, with the point
+    // entries gone, re-simulates every point but takes every alone IPC
+    // from pass 1's entries, and so reproduces pass 1 bitwise.
+    for (const auto &f : std::filesystem::directory_iterator(cacheDir)) {
+        if (f.path().extension() == ".point")
+            std::filesystem::remove(f.path());
     }
-    writeManifest(dir, entries);
-    activate();
-
-    SweepRunner primed(tinyKnobs(2), mixes);
-    std::vector<PointResult> res_primed = primed.runPoints(plan);
-    EXPECT_EQ(primed.aloneRunCount(), 0u);
-    ASSERT_EQ(res_primed.size(), res_measured.size());
-    // The 1-channel points use the reference geometry, so the prior
-    // equals the measurement bitwise and so do the results.
-    for (std::size_t i = 0; i < res_primed.size(); ++i) {
-        if (plan[i].geom.key() == ref.key()) {
-            EXPECT_EQ(res_primed[i].meanWs, res_measured[i].meanWs)
-                << "point " << i;
-        } else {
-            // Non-reference geometries substitute the reference prior
-            // for a per-geometry measurement: close, not identical.
-            EXPECT_NEAR(res_primed[i].meanWs, res_measured[i].meanWs,
-                        0.35 * res_measured[i].meanWs)
-                << "point " << i;
-        }
-        EXPECT_GT(res_primed[i].meanWs, 0.0);
+    SweepRunner second(tinyKnobs(2), mixes);
+    second.setResultCache(std::make_unique<ResultCache>(cacheDir));
+    std::vector<PointResult> b = second.runPoints(plan);
+    EXPECT_EQ(second.pointsSimulated(), plan.size());
+    EXPECT_EQ(second.aloneRunCount(), 0u);
+    ASSERT_EQ(b.size(), a.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(b[i].meanWs, a[i].meanWs) << "point " << i;
+        EXPECT_GT(b[i].meanWs, 0.0);
     }
-
-    // meanWs on the reference geometry also rides on the priors.
-    SchemeSpec base;
-    base.kind = SchemeKind::Baseline;
-    SweepRunner fresh(tinyKnobs(2), mixes);
-    EXPECT_EQ(fresh.meanWs(ref, base), res_primed[0].meanWs);
-    EXPECT_EQ(fresh.aloneRunCount(), 0u);
 }
 
 TEST_F(CorpusIntegrationTest, MixedCorpusAndSyntheticMixesWork)

@@ -14,15 +14,12 @@
  *    instruction count).
  *
  * Every trace is binned by memory intensity (H/M/L, accesses per
- * kilo-instruction) and, unless --no-alone-ipc is given, measured
- * alone on the reference single-core system with exactly the seed and
- * config SweepRunner::aloneIpc would use — the manifest's alone-IPC
- * priors then reproduce a measured-alone sweep bitwise while skipping
- * every IPC-alone warmup run.
+ * kilo-instruction). Sweeps measure each trace's alone IPC per
+ * geometry, like any other workload's; HIRA_RESULT_CACHE keeps those
+ * runs across processes.
  */
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,7 +31,6 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "sim/experiment.hh"
 #include "sim/trace.hh"
 #include "sim/workloads.hh"
 #include "workload/corpus.hh"
@@ -55,9 +51,6 @@ struct Options
     std::uint64_t instructions = 200000;
     std::string format = "alternate"; //!< text | binary | alternate
     std::uint64_t seed = 0x7ace;
-    std::int64_t aloneCycles = 150000;
-    std::int64_t aloneWarmup = 30000;
-    bool aloneIpc = true;
 };
 
 void
@@ -78,12 +71,7 @@ usage(const char *argv0)
         "  --instructions <n>     instructions per trace (default "
         "200000)\n"
         "  --format <f>           text | binary | alternate (default)\n"
-        "  --seed <s>             synthesis seed (default 0x7ace)\n"
-        "  --alone-cycles <n>     measured bus cycles of the alone-IPC\n"
-        "                         reference run (default 150000)\n"
-        "  --alone-warmup <n>     its warmup bus cycles (default 30000)\n"
-        "  --no-alone-ipc         skip the reference runs (manifest\n"
-        "                         carries '-'; sweeps then measure)\n",
+        "  --seed <s>             synthesis seed (default 0x7ace)\n",
         argv0);
 }
 
@@ -159,14 +147,6 @@ parseArgs(int argc, char **argv)
             }
         } else if (arg == "--seed") {
             opt.seed = parseU64(value(i, "--seed"), "--seed");
-        } else if (arg == "--alone-cycles") {
-            opt.aloneCycles = static_cast<std::int64_t>(
-                parseU64(value(i, "--alone-cycles"), "--alone-cycles"));
-        } else if (arg == "--alone-warmup") {
-            opt.aloneWarmup = static_cast<std::int64_t>(
-                parseU64(value(i, "--alone-warmup"), "--alone-warmup"));
-        } else if (arg == "--no-alone-ipc") {
-            opt.aloneIpc = false;
         } else {
             fatal("unknown option '%s' (see --help)", arg.c_str());
         }
@@ -213,32 +193,6 @@ formatFor(const Options &opt, std::size_t index)
     return index % 2 == 0 ? TraceFormat::Text : TraceFormat::Binary;
 }
 
-/**
- * Measure the entry's reference alone IPC exactly as
- * SweepRunner::aloneIpc would: single core, NoRefresh, the default
- * GeomSpec, seeded by the alone cache key of the "corpus:" spec.
- */
-double
-measureAloneIpc(const CorpusEntry &entry, const Options &opt)
-{
-    GeomSpec geom;
-    SchemeSpec none;
-    none.kind = SchemeKind::NoRefresh;
-    std::string spec = entry.spec();
-    WorkloadMix solo = {spec};
-    SystemConfig cfg = makeSystemConfig(
-        geom, none, solo, hashString(aloneIpcCacheKey(spec, geom)));
-    RunResult r = runOne(cfg, static_cast<Cycle>(opt.aloneWarmup),
-                         static_cast<Cycle>(opt.aloneCycles));
-    double ipc = r.sys.ipc.at(0);
-    if (!(ipc > 0.0) || !std::isfinite(ipc)) {
-        fatal("alone-IPC reference run of '%s' yielded IPC = %g; the "
-              "trace made no progress",
-              entry.name.c_str(), ipc);
-    }
-    return ipc;
-}
-
 } // namespace
 
 int
@@ -253,73 +207,43 @@ main(int argc, char **argv)
 
     // Record every trace and bin it by intensity.
     std::vector<CorpusEntry> entries;
-    for (const std::string &name : opt.benchmarks) {
+    auto record = [&](const std::string &name, TraceSource &src) {
+        TraceFormat format = formatFor(opt, entries.size());
         CorpusEntry e;
         e.name = name;
-        e.format = formatFor(opt, entries.size());
-        e.file = name + (e.format == TraceFormat::Binary ? ".bin"
-                                                         : ".trace");
-        e.instructions = opt.instructions;
+        e.file = name + (format == TraceFormat::Binary ? ".bin" : ".trace");
+        std::uint64_t mem = recordTrace(src, opt.out + "/" + e.file, format,
+                                        opt.instructions);
+        e.mpki = classifyApki(1000.0 * static_cast<double>(mem) /
+                              static_cast<double>(opt.instructions));
+        entries.push_back(std::move(e));
+    };
+    for (const std::string &name : opt.benchmarks) {
         TraceGen gen(benchmarkByName(name),
                      hashCombine(opt.seed, hashString(name)), 0,
                      kRecordSlice);
-        std::uint64_t mem = recordTrace(gen, opt.out + "/" + e.file,
-                                        e.format, opt.instructions);
-        e.mpki = classifyApki(1000.0 * static_cast<double>(mem) /
-                              static_cast<double>(opt.instructions));
-        entries.push_back(std::move(e));
+        record(name, gen);
     }
     for (const auto &imp : opt.imports) {
-        CorpusEntry e;
-        e.name = imp.first;
-        e.format = formatFor(opt, entries.size());
-        e.file = e.name + (e.format == TraceFormat::Binary ? ".bin"
-                                                           : ".trace");
-        e.instructions = opt.instructions;
         // Loop the input so short traces still fill the requested
         // instruction count (degenerate inputs die with a diagnostic).
         FileTraceSource src(imp.second, 0, kRecordSlice);
-        std::uint64_t mem = recordTrace(src, opt.out + "/" + e.file,
-                                        e.format, opt.instructions);
-        e.mpki = classifyApki(1000.0 * static_cast<double>(mem) /
-                              static_cast<double>(opt.instructions));
-        entries.push_back(std::move(e));
+        record(imp.first, src);
     }
 
-    // Validate the set (duplicate names, resolvable files) and make it
-    // the active corpus, so the alone-IPC reference runs resolve
-    // "corpus:<name>" specs exactly like a later sweep will.
-    Corpus::setActive(
-        std::make_shared<const Corpus>(Corpus(opt.out, entries)));
+    // Validate the set (duplicate names, resolvable files) before
+    // writing its manifest.
+    Corpus corpus(opt.out, std::move(entries));
+    writeManifest(opt.out, corpus.entries());
 
-    if (opt.aloneIpc) {
-        for (CorpusEntry &e : entries)
-            e.aloneIpc = measureAloneIpc(e, opt);
-    }
-
-    std::string comment;
-    if (opt.aloneIpc) {
-        comment = strprintf(
-            "alone-ipc measured at --alone-cycles=%lld "
-            "--alone-warmup=%lld on the reference geometry; run sweeps "
-            "with matching HIRA_CYCLES/HIRA_WARMUP for bitwise "
-            "prior-vs-measured equivalence",
-            static_cast<long long>(opt.aloneCycles),
-            static_cast<long long>(opt.aloneWarmup));
-    }
-    writeManifest(opt.out, entries, comment);
-
-    std::printf("wrote %zu traces + manifest.tsv to %s\n", entries.size(),
+    std::printf("wrote %zu traces of %llu instructions + manifest.tsv to "
+                "%s\n",
+                corpus.size(),
+                static_cast<unsigned long long>(opt.instructions),
                 opt.out.c_str());
-    for (const CorpusEntry &e : entries) {
-        std::printf("  %-20s %-6s %8llu instrs  class %c  alone-IPC %s\n",
-                    e.name.c_str(),
-                    e.format == TraceFormat::Binary ? "binary" : "text",
-                    static_cast<unsigned long long>(e.instructions),
-                    mpkiClassLetter(e.mpki),
-                    e.hasAloneIpc()
-                        ? strprintf("%.4f", e.aloneIpc).c_str()
-                        : "-");
+    for (const CorpusEntry &e : corpus.entries()) {
+        std::printf("  %-20s %-26s class %c\n", e.name.c_str(),
+                    e.file.c_str(), mpkiClassLetter(e.mpki));
     }
     std::printf("use it with: HIRA_CORPUS=%s ./bench/<driver>\n",
                 opt.out.c_str());

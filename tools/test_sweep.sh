@@ -27,7 +27,6 @@ export HIRA_THREADS=2
 export HIRA_METRICS=
 export HIRA_TRACE_EVENTS=
 export HIRA_CORPUS=
-export HIRA_CORPUS_ONCE=
 export HIRA_CACHE_REV=
 export HIRA_STANDARD=
 export HIRA_JSON=
