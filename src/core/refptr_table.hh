@@ -62,8 +62,7 @@ class RefPtrTable
             if (c < best_count) {
                 best_count = c;
                 best.subarray = s;
-                best.row = s * spt.rowsPerSubarray() +
-                           (ptr[index(bank, s)] % rowsPerSub);
+                best.row = s * spt.rowsPerSubarray() + ptr[index(bank, s)];
             }
         }
         return best;
@@ -74,7 +73,10 @@ class RefPtrTable
     advance(BankId bank, SubarrayId subarray)
     {
         std::size_t i = index(bank, subarray);
-        ptr[i] = (ptr[i] + 1) % rowsPerSub;
+        // Wraps by compare-and-reset, so every pointer stays below
+        // rowsPerSub and peek reads it as is.
+        if (++ptr[i] == rowsPerSub)
+            ptr[i] = 0;
         ++count[i];
     }
 

@@ -35,36 +35,41 @@ ChannelTimingModel::ChannelTimingModel(const Geometry &g,
                                        const TimingParams &tp)
     : geom(g), tc(tp)
 {
-    banks.resize(static_cast<std::size_t>(geom.ranksPerChannel) *
-                 static_cast<std::size_t>(geom.banksPerRank()));
-    ranks.resize(static_cast<std::size_t>(geom.ranksPerChannel));
-    for (auto &r : ranks) {
-        r.actReadyL.assign(static_cast<std::size_t>(geom.bankGroups), 0);
-        r.rdReadyL.assign(static_cast<std::size_t>(geom.bankGroups), 0);
-        r.wrReadyL.assign(static_cast<std::size_t>(geom.bankGroups), 0);
+    const std::size_t nranks =
+        static_cast<std::size_t>(geom.ranksPerChannel);
+    const std::size_t ngroups =
+        nranks * static_cast<std::size_t>(geom.bankGroups);
+    banks.resize(nranks * static_cast<std::size_t>(geom.banksPerRank()));
+    ranks.resize(nranks);
+    terms.resize(nranks);
+    actReadyL.assign(ngroups, 0);
+    rdReadyL.assign(ngroups, 0);
+    wrReadyL.assign(ngroups, 0);
+    bankRank.reserve(banks.size());
+    bankGroup.reserve(banks.size());
+    for (int rank = 0; rank < geom.ranksPerChannel; ++rank) {
+        for (BankId b = 0; b < static_cast<BankId>(geom.banksPerRank());
+             ++b) {
+            bankRank.push_back(rank);
+            bankGroup.push_back(
+                static_cast<std::size_t>(rank * geom.bankGroups +
+                                         geom.bankGroupOf(b)));
+        }
     }
-    resolvedAct.resize(banks.size());
-    resolvedPre.resize(banks.size());
-    resolvedRd.resize(banks.size());
-    resolvedWr.resize(banks.size());
-    resolvedHira.resize(banks.size());
-    resolvedBankCmd.resize(banks.size());
+    for (int rank = 0; rank < geom.ranksPerChannel; ++rank)
+        refreshTerms(rank);
 }
 
 BankState &
 ChannelTimingModel::bankRef(int rank, BankId bank)
 {
-    return banks[static_cast<std::size_t>(rank) *
-                     static_cast<std::size_t>(geom.banksPerRank()) +
-                 bank];
+    return banks[static_cast<std::size_t>(bankIndex(rank, bank))];
 }
 
 const BankState &
 ChannelTimingModel::bankRef(int rank, BankId bank) const
 {
-    return banks[static_cast<std::size_t>(rank) *
-                     static_cast<std::size_t>(geom.banksPerRank()) +
-                 bank];
+    return banks[static_cast<std::size_t>(bankIndex(rank, bank))];
 }
 
 Cycle
@@ -78,7 +83,7 @@ ChannelTimingModel::fawConstraint(const RankState &r, int slots_needed) const
     Cycle oldest = r.fawRing[static_cast<std::size_t>(r.fawIdx)];
     Cycle bound = oldest == kNeverCycle ? 0 : oldest + tc.faw;
     if (slots_needed == 2) {
-        Cycle second = r.fawRing[static_cast<std::size_t>((r.fawIdx + 1) % 4)];
+        Cycle second = r.fawRing[static_cast<std::size_t>((r.fawIdx + 1) & 3)];
         if (second != kNeverCycle) {
             Cycle span = tc.hiraSpan();
             Cycle b2 = second + tc.faw;
@@ -89,68 +94,27 @@ ChannelTimingModel::fawConstraint(const RankState &r, int slots_needed) const
 }
 
 void
-ChannelTimingModel::recordAct(int rank, BankId bank, Cycle now)
+ChannelTimingModel::refreshTerms(int rank)
 {
-    RankState &r = ranks[static_cast<std::size_t>(rank)];
-    int group = geom.bankGroupOf(bank);
-    r.actReadyS = std::max(r.actReadyS, now + tc.rrdS);
-    r.actReadyL[static_cast<std::size_t>(group)] =
-        std::max(r.actReadyL[static_cast<std::size_t>(group)], now + tc.rrdL);
-    r.fawRing[static_cast<std::size_t>(r.fawIdx)] = now;
-    r.fawIdx = (r.fawIdx + 1) % 4;
+    const RankState &r = ranks[static_cast<std::size_t>(rank)];
+    RankTerms &t = terms[static_cast<std::size_t>(rank)];
+    t.act = std::max({r.actReadyS, r.refBlockUntil, fawConstraint(r, 1)});
+    t.faw2 = fawConstraint(r, 2);
+    t.rd = std::max(r.rdReadyS, r.refBlockUntil);
+    t.wr = std::max(r.wrReadyS, r.refBlockUntil);
+    t.refBlock = r.refBlockUntil;
 }
 
 void
-ChannelTimingModel::rebuildResolved() const
+ChannelTimingModel::recordAct(int rank, BankId bank, Cycle now)
 {
-    // One flat pass refreshing every bank's resolved horizons. Values
-    // are identical to the retired per-query max-chains; hoisting the
-    // rank-common terms out of the bank loop is what makes the pass
-    // cheap enough to run after every issued command.
-    const int bpr = geom.banksPerRank();
-    for (int rank = 0; rank < geom.ranksPerChannel; ++rank) {
-        const RankState &r = ranks[static_cast<std::size_t>(rank)];
-        Cycle act_rank = std::max(r.actReadyS, r.refBlockUntil);
-        act_rank = std::max(act_rank, fawConstraint(r, 1));
-        Cycle faw2 = fawConstraint(r, 2);
-        Cycle bus_free = dataBusFree;
-        if (dataBusLastRank >= 0 && dataBusLastRank != rank)
-            bus_free += tc.rtrs;
-        Cycle rd_rank = std::max(r.rdReadyS, r.refBlockUntil);
-        Cycle wr_rank = std::max(r.wrReadyS, r.refBlockUntil);
-        std::size_t base = static_cast<std::size_t>(rank) *
-                           static_cast<std::size_t>(bpr);
-        for (int bank = 0; bank < bpr; ++bank) {
-            std::size_t i = base + static_cast<std::size_t>(bank);
-            const BankState &b = banks[i];
-            std::size_t group = static_cast<std::size_t>(
-                geom.bankGroupOf(static_cast<BankId>(bank)));
-
-            Cycle act = std::max(b.actReady, act_rank);
-            act = std::max(act, r.actReadyL[group]);
-            resolvedAct[i] = act;
-            resolvedHira[i] = std::max(act, faw2);
-
-            Cycle pre = std::max(b.preReady, r.refBlockUntil);
-            resolvedPre[i] = pre;
-            resolvedBankCmd[i] = b.openRow == kNoRow ? act : pre;
-
-            Cycle rd = std::max(b.rdReady, rd_rank);
-            rd = std::max(rd, r.rdReadyL[group]);
-            // Data bus: burst starts at rd + CL; honor rank switch
-            // turnaround.
-            if (bus_free > rd + tc.cl)
-                rd = bus_free - tc.cl;
-            resolvedRd[i] = rd;
-
-            Cycle wr = std::max(b.wrReady, wr_rank);
-            wr = std::max(wr, r.wrReadyL[group]);
-            if (bus_free > wr + tc.cwl)
-                wr = bus_free - tc.cwl;
-            resolvedWr[i] = wr;
-        }
-    }
-    resolvedDirty = false;
+    RankState &r = ranks[static_cast<std::size_t>(rank)];
+    std::size_t group = groupIndex(rank, bank);
+    r.actReadyS = std::max(r.actReadyS, now + tc.rrdS);
+    actReadyL[group] = std::max(actReadyL[group], now + tc.rrdL);
+    r.fawRing[static_cast<std::size_t>(r.fawIdx)] = now;
+    r.fawIdx = r.fawIdx == 3 ? 0 : r.fawIdx + 1;
+    refreshTerms(rank);
 }
 
 Cycle
@@ -178,7 +142,6 @@ ChannelTimingModel::issueAct(int rank, BankId bank, RowId row, Cycle now)
     b.preReady = std::max(b.preReady, now + tc.ras);
     b.actReady = std::max(b.actReady, now + tc.rc);
     recordAct(rank, bank, now);
-    resolvedDirty = true;
 }
 
 void
@@ -188,7 +151,6 @@ ChannelTimingModel::issuePre(int rank, BankId bank, Cycle now)
     hira_assert(now >= earliestPre(rank, bank));
     b.openRow = kNoRow;
     b.actReady = std::max(b.actReady, now + tc.rp);
-    resolvedDirty = true;
 }
 
 Cycle
@@ -196,23 +158,21 @@ ChannelTimingModel::issueRd(int rank, BankId bank, Cycle now)
 {
     BankState &b = bankRef(rank, bank);
     RankState &r = ranks[static_cast<std::size_t>(rank)];
-    int group = geom.bankGroupOf(bank);
+    std::size_t group = groupIndex(rank, bank);
     hira_assert(b.openRow != kNoRow);
     hira_assert(now >= earliestRd(rank, bank));
     b.preReady = std::max(b.preReady, now + tc.rtp);
     r.rdReadyS = std::max(r.rdReadyS, now + tc.ccdS);
-    r.rdReadyL[static_cast<std::size_t>(group)] =
-        std::max(r.rdReadyL[static_cast<std::size_t>(group)],
-                 now + tc.ccdL);
+    rdReadyL[group] = std::max(rdReadyL[group], now + tc.ccdL);
     // Read-to-write turnaround: WR data may start after the read burst
     // plus one bus turnaround slot.
     Cycle rd_end = now + tc.cl + tc.bl;
     Cycle wr_ok = rd_end + 1 > tc.cwl ? rd_end + 1 - tc.cwl : 0;
     r.wrReadyS = std::max(r.wrReadyS, wr_ok);
+    refreshTerms(rank);
     dataBusFree = rd_end;
     dataBusLastRank = rank;
     dataBusBusy += tc.bl;
-    resolvedDirty = true;
     return rd_end;
 }
 
@@ -221,26 +181,22 @@ ChannelTimingModel::issueWr(int rank, BankId bank, Cycle now)
 {
     BankState &b = bankRef(rank, bank);
     RankState &r = ranks[static_cast<std::size_t>(rank)];
-    int group = geom.bankGroupOf(bank);
+    std::size_t group = groupIndex(rank, bank);
     hira_assert(b.openRow != kNoRow);
     hira_assert(now >= earliestWr(rank, bank));
     Cycle wr_end = now + tc.cwl + tc.bl;
     b.preReady = std::max(b.preReady, wr_end + tc.wr);
     r.wrReadyS = std::max(r.wrReadyS, now + tc.ccdS);
-    r.wrReadyL[static_cast<std::size_t>(group)] =
-        std::max(r.wrReadyL[static_cast<std::size_t>(group)],
-                 now + tc.ccdL);
-    // Write-to-read turnaround (tWTR counted from end of write burst).
+    wrReadyL[group] = std::max(wrReadyL[group], now + tc.ccdL);
+    // Write-to-read turnaround (tWTR counted from end of write burst):
+    // tWTR_S holds every group of the rank through rdReadyS, which
+    // every RD query reads, and tWTR_L adds to this group alone.
     r.rdReadyS = std::max(r.rdReadyS, wr_end + tc.wtrS);
-    for (auto &rl : r.rdReadyL)
-        rl = std::max(rl, wr_end + tc.wtrS);
-    r.rdReadyL[static_cast<std::size_t>(group)] =
-        std::max(r.rdReadyL[static_cast<std::size_t>(group)],
-                 wr_end + tc.wtrL);
+    rdReadyL[group] = std::max(rdReadyL[group], wr_end + tc.wtrL);
+    refreshTerms(rank);
     dataBusFree = wr_end;
     dataBusLastRank = rank;
     dataBusBusy += tc.bl;
-    resolvedDirty = true;
     return wr_end;
 }
 
@@ -250,11 +206,11 @@ ChannelTimingModel::issueRef(int rank, Cycle now)
     RankState &r = ranks[static_cast<std::size_t>(rank)];
     hira_assert(now >= earliestRef(rank));
     r.refBlockUntil = now + tc.rfc;
+    refreshTerms(rank);
     for (BankId b = 0; b < static_cast<BankId>(geom.banksPerRank()); ++b) {
         BankState &bs = bankRef(rank, b);
         bs.actReady = std::max(bs.actReady, now + tc.rfc);
     }
-    resolvedDirty = true;
 }
 
 Cycle
@@ -280,7 +236,6 @@ ChannelTimingModel::issueHira(int rank, BankId bank, RowId refresh_row,
     b.preReady = std::max(b.preReady, second + tc.ras);
     b.actReady = std::max(b.actReady, second + tc.rc);
     recordAct(rank, bank, second);
-    resolvedDirty = true;
     return second;
 }
 

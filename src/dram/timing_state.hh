@@ -18,6 +18,7 @@
 #ifndef HIRA_DRAM_TIMING_STATE_HH
 #define HIRA_DRAM_TIMING_STATE_HH
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -53,19 +54,34 @@ struct BankState
     Cycle wrReady = 0;  //!< earliest WR (tRCD)
 };
 
-/** Per-rank timing state. */
+/**
+ * Per-rank timing state. The bank-group terms (tRRD_L, tCCD_L) live in
+ * ChannelTimingModel's flat per-(rank, group) arrays.
+ */
 struct RankState
 {
     Cycle actReadyS = 0;                  //!< tRRD_S from last ACT
-    std::vector<Cycle> actReadyL;         //!< tRRD_L per bank group
     std::array<Cycle, 4> fawRing{kNeverCycle, kNeverCycle, kNeverCycle,
                                  kNeverCycle}; //!< last four ACT cycles
     int fawIdx = 0;                       //!< ring cursor (oldest entry)
     Cycle rdReadyS = 0;
-    std::vector<Cycle> rdReadyL;          //!< tCCD_L per bank group
     Cycle wrReadyS = 0;
-    std::vector<Cycle> wrReadyL;
     Cycle refBlockUntil = 0;              //!< end of tRFC window
+};
+
+/**
+ * The rank-common part of every earliest-command query, derived from
+ * one RankState. Each mutation refreshes the terms of the rank it
+ * touched (O(1)), so a query is a few max operations over the bank's
+ * own state, these terms and its group's tRRD_L / tCCD_L entry.
+ */
+struct RankTerms
+{
+    Cycle act = 0;      //!< max(tRRD_S, refBlockUntil, tFAW one slot)
+    Cycle faw2 = 0;     //!< tFAW bound of a two-ACT HiRA sequence
+    Cycle rd = 0;       //!< max(rdReadyS, refBlockUntil)
+    Cycle wr = 0;       //!< max(wrReadyS, refBlockUntil)
+    Cycle refBlock = 0; //!< refBlockUntil
 };
 
 /**
@@ -82,12 +98,13 @@ class ChannelTimingModel
 
     // --- queries -----------------------------------------------------
     //
-    // The earliest-command queries read struct-of-arrays horizons
-    // (resolvedAct/Pre/Rd/Wr below, flat-indexed by bankIndex) that are
-    // rebuilt in one pass over all banks the first time a query runs
-    // after a mutation. The controller's wake scan and scheduling scans
-    // query every bank with queued work per tick, so one batch rebuild
-    // per issued command replaces many per-query max-chains.
+    // Each earliest-command query is computed when it is asked: the
+    // bank's own BankState, its rank's RankTerms and its bank group's
+    // tRRD_L / tCCD_L entry, found through tables the constructor
+    // builds (no division), plus the shared data-bus term for column
+    // commands. Nothing is cached across mutations, so an issued
+    // command costs O(1) bookkeeping on the rank it touched and a
+    // column command on one rank touches no other rank's state.
 
     // Inline: the scheduler's queue walks read the open row once per
     // visited request, so this is the most-called query in the model.
@@ -102,7 +119,7 @@ class ChannelTimingModel
         return openRow(rank, bank) == kNoRow;
     }
 
-    /** Flat horizon-array index of (rank, bank). */
+    /** Flat bank index of (rank, bank). */
     int bankIndex(int rank, BankId bank) const
     {
         return rank * geom.banksPerRank() + static_cast<int>(bank);
@@ -135,27 +152,27 @@ class ChannelTimingModel
     RowId openRowAt(std::size_t idx) const { return banks[idx].openRow; }
     Cycle earliestActAt(std::size_t idx) const
     {
-        if (resolvedDirty)
-            rebuildResolved();
-        return resolvedAct[idx];
+        return std::max({banks[idx].actReady, termsOf(idx).act,
+                         actReadyL[bankGroup[idx]]});
     }
     Cycle earliestPreAt(std::size_t idx) const
     {
-        if (resolvedDirty)
-            rebuildResolved();
-        return resolvedPre[idx];
+        return std::max(banks[idx].preReady, termsOf(idx).refBlock);
     }
     Cycle earliestRdAt(std::size_t idx) const
     {
-        if (resolvedDirty)
-            rebuildResolved();
-        return resolvedRd[idx];
+        Cycle rd = std::max({banks[idx].rdReady, termsOf(idx).rd,
+                             rdReadyL[bankGroup[idx]]});
+        // Data bus: burst starts at rd + CL.
+        Cycle bus_free = busFreeFor(idx);
+        return bus_free > rd + tc.cl ? bus_free - tc.cl : rd;
     }
     Cycle earliestWrAt(std::size_t idx) const
     {
-        if (resolvedDirty)
-            rebuildResolved();
-        return resolvedWr[idx];
+        Cycle wr = std::max({banks[idx].wrReady, termsOf(idx).wr,
+                             wrReadyL[bankGroup[idx]]});
+        Cycle bus_free = busFreeFor(idx);
+        return bus_free > wr + tc.cwl ? bus_free - tc.cwl : wr;
     }
     /** Earliest all-bank REF for the rank (all banks must be closed). */
     Cycle earliestRef(int rank) const;
@@ -166,9 +183,8 @@ class ChannelTimingModel
      */
     Cycle earliestHira(int rank, BankId bank) const
     {
-        if (resolvedDirty)
-            rebuildResolved();
-        return resolvedHira[static_cast<std::size_t>(bankIndex(rank, bank))];
+        std::size_t idx = static_cast<std::size_t>(bankIndex(rank, bank));
+        return std::max(earliestActAt(idx), termsOf(idx).faw2);
     }
 
     /**
@@ -182,10 +198,9 @@ class ChannelTimingModel
      */
     Cycle earliestBankCommand(int rank, BankId bank) const
     {
-        if (resolvedDirty)
-            rebuildResolved();
-        return resolvedBankCmd[static_cast<std::size_t>(
-            bankIndex(rank, bank))];
+        std::size_t idx = static_cast<std::size_t>(bankIndex(rank, bank));
+        return banks[idx].openRow == kNoRow ? earliestActAt(idx)
+                                            : earliestPreAt(idx);
     }
 
     // --- mutations ---------------------------------------------------
@@ -212,23 +227,45 @@ class ChannelTimingModel
     BankState &bankRef(int rank, BankId bank);
     const BankState &bankRef(int rank, BankId bank) const;
 
+    const RankTerms &termsOf(std::size_t idx) const
+    {
+        return terms[static_cast<std::size_t>(bankRank[idx])];
+    }
+    /**
+     * First cycle the shared data bus is free for a burst from the
+     * bank's rank: tRTRS is added on a rank switch.
+     */
+    Cycle busFreeFor(std::size_t idx) const
+    {
+        return dataBusLastRank >= 0 && dataBusLastRank != bankRank[idx]
+                   ? dataBusFree + tc.rtrs
+                   : dataBusFree;
+    }
+    /** Flat (rank, bank group) index of (rank, bank). */
+    std::size_t groupIndex(int rank, BankId bank) const
+    {
+        return bankGroup[static_cast<std::size_t>(bankIndex(rank, bank))];
+    }
+
     Cycle fawConstraint(const RankState &r, int slots_needed) const;
     void recordAct(int rank, BankId bank, Cycle now);
-    void rebuildResolved() const;
+    /** Re-derive terms[rank] after a mutation of ranks[rank]. */
+    void refreshTerms(int rank);
 
     Geometry geom;
     TimingCycles tc;
     std::vector<BankState> banks;
     std::vector<RankState> ranks;
+    std::vector<RankTerms> terms; //!< per rank, derived from ranks
 
-    // Resolved earliest-command horizons, flat parallel arrays indexed
-    // by bankIndex(). Derived state only: rebuilt from banks/ranks/bus
-    // on the first query after any mutation (resolvedDirty), so the
-    // rebuild runs at most once per issued command.
-    mutable std::vector<Cycle> resolvedAct, resolvedPre;
-    mutable std::vector<Cycle> resolvedRd, resolvedWr;
-    mutable std::vector<Cycle> resolvedHira, resolvedBankCmd;
-    mutable bool resolvedDirty = true;
+    // Per-(rank, bank group) tRRD_L / tCCD_L horizons, flat-indexed by
+    // rank * bankGroups + group.
+    std::vector<Cycle> actReadyL, rdReadyL, wrReadyL;
+
+    // Constructor-built lookup tables, flat-indexed by bankIndex(): the
+    // bank's rank and its flat (rank, bank group) index.
+    std::vector<int> bankRank;
+    std::vector<std::size_t> bankGroup;
 
     // Shared data bus.
     Cycle dataBusFree = 0;

@@ -29,8 +29,9 @@ MemoryController::MemoryController(int channel_id,
     nWrite.assign(nbanks, 0);
     nReadHit.assign(nbanks, 0);
     nWriteHit.assign(nbanks, 0);
-    for (BankBits *bits : {&refreshOpen, &readQueued, &writeQueued,
-                           &readHit, &writeHit, &pickedScratch}) {
+    for (BankBits *bits : {&refreshOpen, &preventivePending, &readQueued,
+                           &writeQueued, &readHit, &writeHit,
+                           &pickedScratch}) {
         bits->resize(nbanks);
     }
     recorder.setEnabled(cfg.recordTrace);
@@ -427,8 +428,11 @@ MemoryController::onRowActivation(int rank, BankId bank, RowId row,
     if (victim == kNoRow)
         return;
     ++paraSampler.generated;
-    if (cfg.paraImmediate)
-        preventiveVictims[bankIndex(rank, bank)].push_back(victim);
+    if (cfg.paraImmediate) {
+        std::size_t idx = bankIndex(rank, bank);
+        preventiveVictims[idx].push_back(victim);
+        preventivePending.assign(idx, true);
+    }
     // In PreventiveRC mode the scheme saw the activation via onActivate
     // and does its own (slack-adjusted) sampling.
 }
@@ -472,36 +476,37 @@ MemoryController::preventiveTick(Cycle now)
 {
     if (!cfg.paraImmediate || !paraSampler.enabled() || !busFree(now))
         return;
-    int nbanks = cfg.geom.ranksPerChannel * cfg.geom.banksPerRank();
-    for (int i = 0; i < nbanks; ++i) {
-        int idx = (preventiveCursor + i) % nbanks;
-        int rank = idx / cfg.geom.banksPerRank();
-        BankId bank = static_cast<BankId>(idx % cfg.geom.banksPerRank());
-        std::size_t flat = static_cast<std::size_t>(idx);
-        std::deque<RowId> &victims = preventiveVictims[flat];
-        if (victims.empty() || refreshOpen.test(flat))
-            continue;
-        if (model.openRow(rank, bank) == kNoRow) {
+    // Round-robin from the cursor over the banks with pending victims:
+    // the bits at or above it, then the ones below.
+    preventivePending.anyOfFrom(preventiveCursor, [&](std::size_t idx) {
+        if (refreshOpen.test(idx))
+            return false;
+        int rank = bankRank[idx];
+        BankId bank = bankOf(idx);
+        std::deque<RowId> &victims = preventiveVictims[idx];
+        if (model.openRowAt(idx) == kNoRow) {
             // Pop the victim only once the refresh ACT actually issued:
             // tryRefreshAct re-checks the rank hold, bank state, and
             // ACT timing itself, and any of those can decline (e.g. a
             // hold placed between our earliestAct probe and the issue).
             // Popping first would silently drop the victim — a missed
             // preventive refresh, invisible until a bit flips.
-            if (tryRefreshAct(rank, bank, victims.front(), now)) {
-                victims.pop_front();
-                preventiveCursor = idx + 1;
-                return;
-            }
-        } else if (!bankHasOpenRowHit(flat) &&
-                   model.earliestPre(rank, bank) <= now) {
+            if (!tryRefreshAct(rank, bank, victims.front(), now))
+                return false;
+            victims.pop_front();
+            if (victims.empty())
+                preventivePending.assign(idx, false);
+        } else if (!bankHasOpenRowHit(idx) &&
+                   model.earliestPreAt(idx) <= now) {
             // Close the bank so the preventive refresh can proceed; row
             // hits in flight drain first.
             tryPre(rank, bank, now);
-            preventiveCursor = idx + 1;
-            return;
+        } else {
+            return false;
         }
-    }
+        preventiveCursor = idx + 1;
+        return true;
+    });
 }
 
 bool
@@ -610,13 +615,10 @@ MemoryController::autoPreTick(Cycle now)
     if (!busFree(now))
         return;
     // Ascending flat index is the (rank, bank) order of a full sweep.
-    const std::size_t bpr = static_cast<std::size_t>(cfg.geom.banksPerRank());
     refreshOpen.anyOf([&](std::size_t idx) {
         if (model.openRowAt(idx) == kNoRow || model.earliestPreAt(idx) > now)
             return false;
-        int rank = bankRank[idx];
-        std::size_t first = static_cast<std::size_t>(rank) * bpr;
-        tryPre(rank, static_cast<BankId>(idx - first), now);
+        tryPre(bankRank[idx], bankOf(idx), now);
         return true;
     });
 }
@@ -661,57 +663,50 @@ MemoryController::computeNextEvent(Cycle now) const
         return wake <= floor;
     };
 
-    // One sweep over the per-bank request index (nRead / nWrite /
-    // n*Hit), no queue walk at all. Only the active queue can schedule
-    // before the next mode flip, and flips always land on ticks the
-    // wake list covers (the hysteresis check above plus enqueue's wake
-    // lowering), so the inactive class contributes no horizon. The
-    // conflict-PRE and preventive-close entries replay issueRowCommand
-    // / preventiveTick's row-hit gate (bankHasOpenRowHit): a PRE dense
+    // One pass over the banks that can have an event: those with a
+    // request of the active class queued, a pending preventive victim
+    // or an open refresh row (the union of their bit words), reading
+    // the per-bank request index (nRead / nWrite / n*Hit), no queue
+    // walk at all. Only the active queue can schedule before the next
+    // mode flip, and flips always land on ticks the wake list covers
+    // (the hysteresis check above plus enqueue's wake lowering), so
+    // the inactive class contributes no horizon. The conflict-PRE and
+    // preventive-close entries replay issueRowCommand /
+    // preventiveTick's row-hit gate (bankHasOpenRowHit): a PRE dense
     // defers while the open row has queued hits is not considered,
     // because the hit counts only change at covered ticks (hit issues,
     // hit arrivals through enqueue, row transitions through commands),
     // after which this recompute runs again.
-    const int bpr = cfg.geom.banksPerRank();
-    for (int rank = 0; rank < cfg.geom.ranksPerChannel; ++rank) {
-        // Held ranks: the holding scheme's horizon polls densely while
-        // it drains the rank toward a REF, so ACT entries drop out.
-        const bool held = rankHold[static_cast<std::size_t>(rank)];
-        for (BankId b = 0; b < static_cast<BankId>(bpr); ++b) {
-            std::size_t idx = bankIndex(rank, b);
+    const BankBits &queued = writeMode ? writeQueued : readQueued;
+    bool at_floor = BankBits::anyOfUnion(
+        queued, preventivePending, refreshOpen, [&](std::size_t idx) {
             if (refreshOpen.test(idx)) {
                 // Demand and preventive work is withheld; the bank's
                 // only event is the auto-PRE of the refresh row.
-                if (model.openRowAt(idx) != kNoRow &&
-                    consider(model.earliestPreAt(idx))) {
-                    return floor;
-                }
-                continue;
+                return model.openRowAt(idx) != kNoRow &&
+                       consider(model.earliestPreAt(idx));
             }
             std::uint16_t nq = writeMode ? nWrite[idx] : nRead[idx];
             std::uint16_t nh = writeMode ? nWriteHit[idx] : nReadHit[idx];
-            bool preventivePending = !preventiveVictims[idx].empty();
-            if (nq == 0 && !preventivePending)
-                continue;
+            bool preventive = preventivePending.test(idx);
             if (model.openRowAt(idx) == kNoRow) {
                 // Everything queued wants an ACT (demand row or
-                // preventive victim).
-                if (!held && consider(model.earliestActAt(idx)))
-                    return floor;
-                continue;
+                // preventive victim). Held ranks: the holding scheme's
+                // horizon polls densely while it drains the rank toward
+                // a REF, so ACT entries drop out.
+                return !rankHold[static_cast<std::size_t>(bankRank[idx])] &&
+                       consider(model.earliestActAt(idx));
             }
             if (nh != 0 &&
                 consider(writeMode ? model.earliestWrAt(idx)
                                    : model.earliestRdAt(idx))) {
-                return floor;
+                return true;
             }
-            if ((nq > nh || preventivePending) &&
-                !bankHasOpenRowHit(idx) &&
-                consider(model.earliestPreAt(idx))) {
-                return floor;
-            }
-        }
-    }
+            return (nq > nh || preventive) && !bankHasOpenRowHit(idx) &&
+                   consider(model.earliestPreAt(idx));
+        });
+    if (at_floor)
+        return floor;
 
     // Completions must reach the LLC at exactly their arrival cycle.
     for (const Completion &c : completions_) {

@@ -141,10 +141,45 @@ class BankBits
     anyOf(F &&f) const
     {
         for (std::size_t w = 0; w < words.size(); ++w) {
-            for (std::uint64_t m = words[w]; m != 0; m &= m - 1) {
-                if (f(w * 64 + static_cast<std::size_t>(__builtin_ctzll(m))))
-                    return true;
-            }
+            if (anyOfWord(w, words[w], f))
+                return true;
+        }
+        return false;
+    }
+
+    /**
+     * anyOf over the bits set in any of @p a, @p b and @p c (all the
+     * same size), each visited once, in ascending order.
+     */
+    template <typename F>
+    static bool
+    anyOfUnion(const BankBits &a, const BankBits &b, const BankBits &c,
+               F &&f)
+    {
+        for (std::size_t w = 0; w < a.words.size(); ++w) {
+            if (anyOfWord(w, a.words[w] | b.words[w] | c.words[w], f))
+                return true;
+        }
+        return false;
+    }
+
+    /**
+     * anyOf in rotating order: the set bits at or above @p start
+     * ascending, then those below it (@p start may equal the size).
+     */
+    template <typename F>
+    bool
+    anyOfFrom(std::size_t start, F &&f) const
+    {
+        const std::size_t sw = start >> 6;
+        const std::uint64_t below = (std::uint64_t(1) << (start & 63)) - 1;
+        for (std::size_t w = sw; w < words.size(); ++w) {
+            if (anyOfWord(w, w == sw ? words[w] & ~below : words[w], f))
+                return true;
+        }
+        for (std::size_t w = 0; w <= sw && w < words.size(); ++w) {
+            if (anyOfWord(w, w == sw ? words[w] & below : words[w], f))
+                return true;
         }
         return false;
     }
@@ -172,6 +207,18 @@ class BankBits
     }
 
   private:
+    /** anyOf over the set bits @p m of word @p w. */
+    template <typename F>
+    static bool
+    anyOfWord(std::size_t w, std::uint64_t m, F &f)
+    {
+        for (; m != 0; m &= m - 1) {
+            if (f(w * 64 + static_cast<std::size_t>(__builtin_ctzll(m))))
+                return true;
+        }
+        return false;
+    }
+
     std::vector<std::uint64_t> words;
 };
 
@@ -307,9 +354,16 @@ class MemoryController
 
   private:
     std::size_t bankIndex(int rank, BankId bank) const;
+    /** Bank within its rank of a flat bank index (no division). */
+    BankId bankOf(std::size_t idx) const
+    {
+        return static_cast<BankId>(
+            idx - static_cast<std::size_t>(bankRank[idx]) *
+                      static_cast<std::size_t>(cfg.geom.banksPerRank()));
+    }
     bool bankBlockedAt(std::size_t idx) const
     {
-        return refreshOpen.test(idx) || !preventiveVictims[idx].empty();
+        return refreshOpen.test(idx) || preventivePending.test(idx);
     }
     /** Mirror the bank's four index counts into their bit words. */
     void syncBankBits(std::size_t idx);
@@ -370,8 +424,11 @@ class MemoryController
 
     std::vector<bool> rankHold;
     std::vector<int> bankRank; //!< flat bank index -> rank
-    // Immediate-PARA victims per bank (bankIndex order).
+    // Immediate-PARA victims per bank (bankIndex order), and the banks
+    // whose deque is non-empty: set by onRowActivation's push, cleared
+    // by preventiveTick's pop of the last victim.
     std::vector<std::deque<RowId>> preventiveVictims;
+    BankBits preventivePending;
     // Banks holding an open refresh row (refresh ACT or HiRA refresh
     // pair) whose auto-PRE is pending; withheld from demand and
     // preventive work until autoPreTick closes them.
@@ -379,7 +436,7 @@ class MemoryController
     bool writeMode = false;
     bool issuedThisCycle = false;
     Cycle lastTick = 0;
-    int preventiveCursor = 0;
+    std::size_t preventiveCursor = 0; //!< next preventiveTick scan start
 
     // Cached nextEvent() bound: invalidated by tick(), lowered by
     // enqueue(). mutable so the lazy recompute stays behind a const

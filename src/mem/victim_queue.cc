@@ -40,29 +40,38 @@ VictimQueue::drain(MemoryController &ctrl, Cycle now, RefreshStats &stats)
 {
     if (pending_ == 0)
         return;
-    int banks_per_rank = ctrl.geometry().banksPerRank();
-    int nbanks = static_cast<int>(queues.size());
-    for (int i = 0; i < nbanks; ++i) {
-        int idx = (cursor + i) % nbanks;
-        int rank = idx / banks_per_rank;
-        BankId bank = static_cast<BankId>(idx % banks_per_rank);
-        std::deque<RowId> &q = queues[static_cast<std::size_t>(idx)];
-        if (q.empty() || ctrl.bankBlocked(rank, bank))
-            continue;
-        if (ctrl.timing().openRow(rank, bank) != kNoRow) {
-            if (ctrl.tryPre(rank, bank, now)) {
+    // Round-robin from the cursor, in flat (rank, bank) order; the
+    // index wraps and rank / bank step by compare-and-reset.
+    const int banks_per_rank = ctrl.geometry().banksPerRank();
+    const std::size_t nbanks = queues.size();
+    std::size_t idx = cursor == nbanks ? 0 : cursor;
+    int rank = static_cast<int>(idx / static_cast<std::size_t>(banks_per_rank));
+    int bank = static_cast<int>(idx) - rank * banks_per_rank;
+    for (std::size_t i = 0; i < nbanks; ++i) {
+        std::deque<RowId> &q = queues[idx];
+        BankId b = static_cast<BankId>(bank);
+        if (!q.empty() && !ctrl.bankBlocked(rank, b)) {
+            if (ctrl.timing().openRow(rank, b) != kNoRow) {
+                if (ctrl.tryPre(rank, b, now)) {
+                    cursor = idx + 1;
+                    return;
+                }
+            } else if (ctrl.tryRefreshAct(rank, b, q.front(), now)) {
+                q.pop_front();
+                --pending_;
+                ++stats.rowRefreshes;
+                ++stats.standalone;
                 cursor = idx + 1;
                 return;
             }
-            continue;
         }
-        if (ctrl.tryRefreshAct(rank, bank, q.front(), now)) {
-            q.pop_front();
-            --pending_;
-            ++stats.rowRefreshes;
-            ++stats.standalone;
-            cursor = idx + 1;
-            return;
+        if (++idx == nbanks) {
+            idx = 0;
+            rank = 0;
+            bank = 0;
+        } else if (++bank == banks_per_rank) {
+            bank = 0;
+            ++rank;
         }
     }
 }

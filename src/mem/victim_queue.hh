@@ -52,7 +52,7 @@ class VictimQueue
     std::size_t cap = 0;
     std::vector<std::deque<RowId>> queues; //!< per (rank, bank)
     std::uint64_t pending_ = 0;
-    int cursor = 0; //!< bank index the next drain scan starts at
+    std::size_t cursor = 0; //!< bank index the next drain scan starts at
 };
 
 } // namespace hira

@@ -2,13 +2,22 @@
  * @file
  * Property tests: any command stream scheduled at ChannelTimingModel's
  * own earliest-issue times must audit clean under TimingChecker, across
- * generations (DDR4/DDR5), capacities, and rank counts, with randomized
- * interleavings of ACT/RD/WR/PRE/REF/HiRA.
+ * generations (DDR4/DDR5), capacities, rank counts and bank-group
+ * layouts, with randomized interleavings of ACT/RD/WR/PRE/REF/HiRA.
+ *
+ * The same streams also pin the model's answers: after every step, each
+ * bank's earliest ACT/PRE/RD/WR/HiRA/bank-command cycles are folded into
+ * one digest per config. The constants were recorded when the queries
+ * read a per-command batch rebuild of every bank's horizons; a rewrite
+ * of the query path must reproduce them unedited.
  */
 
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <algorithm>
+#include <map>
+#include <ostream>
+#include <string>
 
 #include "common/rng.hh"
 #include "dram/timing_checker.hh"
@@ -60,7 +69,8 @@ struct Driver
     {
         int rank = static_cast<int>(rng.below(
             static_cast<std::uint64_t>(geom.ranksPerChannel)));
-        BankId bank = static_cast<BankId>(rng.below(16));
+        BankId bank = static_cast<BankId>(rng.below(
+            static_cast<std::uint64_t>(geom.banksPerRank())));
         RowId row = static_cast<RowId>(rng.below(512));
         const TimingCycles &tc = model.cycles();
 
@@ -112,7 +122,8 @@ struct Driver
           default: {
             // All-bank REF once every bank in the rank is closed.
             bool all_closed = true;
-            for (BankId b = 0; b < 16; ++b)
+            for (BankId b = 0;
+                 b < static_cast<BankId>(geom.banksPerRank()); ++b)
                 all_closed = all_closed && model.bankClosed(rank, b);
             if (all_closed) {
                 Cycle t = slot(model.earliestRef(rank));
@@ -123,24 +134,103 @@ struct Driver
           }
         }
     }
+
+    /** Fold every bank's six earliest-command horizons into @p h. */
+    std::uint64_t
+    horizonDigest(std::uint64_t h) const
+    {
+        for (int rank = 0; rank < geom.ranksPerChannel; ++rank) {
+            for (BankId b = 0;
+                 b < static_cast<BankId>(geom.banksPerRank()); ++b) {
+                for (Cycle c : {model.earliestAct(rank, b),
+                                model.earliestPre(rank, b),
+                                model.earliestRd(rank, b),
+                                model.earliestWr(rank, b),
+                                model.earliestHira(rank, b),
+                                model.earliestBankCommand(rank, b)}) {
+                    h = hashCombine(h, c);
+                }
+            }
+        }
+        return h;
+    }
 };
+
+/**
+ * One property config: capacity, ranks and standard, plus an optional
+ * bank-group layout (0 keeps Geometry::forCapacityGb's 4 x 4).
+ */
+struct PropertyConfig
+{
+    std::string name;
+    double capacityGb;
+    int ranks;
+    bool ddr5;
+    int bankGroups = 0;
+    int banksPerGroup = 0;
+
+    Geometry
+    geometry() const
+    {
+        Geometry g = Geometry::forCapacityGb(capacityGb);
+        g.ranksPerChannel = ranks;
+        if (bankGroups > 0) {
+            g.bankGroups = bankGroups;
+            g.banksPerGroup = banksPerGroup;
+        }
+        return g;
+    }
+
+    TimingParams
+    timing() const
+    {
+        return ddr5 ? ddr5_4800(capacityGb) : ddr4_2400(capacityGb);
+    }
+
+    std::uint64_t
+    seed() const
+    {
+        return hashCombine(static_cast<std::uint64_t>(ranks),
+                           static_cast<std::uint64_t>(capacityGb));
+    }
+};
+
+void
+PrintTo(const PropertyConfig &pc, std::ostream *os)
+{
+    *os << pc.name;
+}
+
+const std::map<std::string, std::uint64_t> &
+goldenHorizonDigests()
+{
+    static const std::map<std::string, std::uint64_t> digests = {
+        {"ddr4_8gb_r1", 0xd109bd384106cf35ull},
+        {"ddr4_8gb_r2", 0xaf7b95aa8df9153full},
+        {"ddr4_8gb_r4", 0x3488af1ce7864244ull},
+        {"ddr4_2gb_r1", 0x28a052e284855d0eull},
+        {"ddr4_32gb_r2", 0x2b86f9c9f985e15cull},
+        {"ddr4_128gb_r1", 0x91ef1c093d54671ull},
+        {"ddr5_16gb_r1", 0xa64aae5563ff2e7bull},
+        {"ddr5_16gb_r4", 0xb397c08214cad2cdull},
+        {"ddr4_8gb_r3_bg8x2", 0xb62b118d33011e15ull},
+    };
+    return digests;
+}
+
+constexpr int kSteps = 600;
 
 } // namespace
 
-class TimingPropertyTest
-    : public ::testing::TestWithParam<std::tuple<double, int, bool>>
+class TimingPropertyTest : public ::testing::TestWithParam<PropertyConfig>
 {
 };
 
 TEST_P(TimingPropertyTest, ModelScheduledStreamAuditsClean)
 {
-    auto [capacity, ranks, ddr5] = GetParam();
-    Geometry g = Geometry::forCapacityGb(capacity);
-    g.ranksPerChannel = ranks;
-    TimingParams tp = ddr5 ? ddr5_4800(capacity) : ddr4_2400(capacity);
-    Driver d(g, tp, hashCombine(static_cast<std::uint64_t>(ranks),
-                                static_cast<std::uint64_t>(capacity)));
-    for (int i = 0; i < 600; ++i)
+    const PropertyConfig &pc = GetParam();
+    Driver d(pc.geometry(), pc.timing(), pc.seed());
+    for (int i = 0; i < kSteps; ++i)
         d.step();
     // HiRA records future commands: sort before auditing.
     std::stable_sort(d.trace.begin(), d.trace.end(),
@@ -154,13 +244,34 @@ TEST_P(TimingPropertyTest, ModelScheduledStreamAuditsClean)
         << (violations.empty() ? "" : violations[0].message);
 }
 
+TEST_P(TimingPropertyTest, HorizonDigestMatchesRecorded)
+{
+    const PropertyConfig &pc = GetParam();
+    Driver d(pc.geometry(), pc.timing(), pc.seed());
+    std::uint64_t h = d.horizonDigest(0);
+    for (int i = 0; i < kSteps; ++i) {
+        d.step();
+        h = d.horizonDigest(h);
+    }
+    auto it = goldenHorizonDigests().find(pc.name);
+    ASSERT_NE(it, goldenHorizonDigests().end())
+        << "no golden digest for " << pc.name << "; recorded: {\""
+        << pc.name << "\", 0x" << std::hex << h << "ull},";
+    EXPECT_EQ(h, it->second) << pc.name << " digest 0x" << std::hex << h;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Configs, TimingPropertyTest,
-    ::testing::Values(std::make_tuple(8.0, 1, false),
-                      std::make_tuple(8.0, 2, false),
-                      std::make_tuple(8.0, 4, false),
-                      std::make_tuple(2.0, 1, false),
-                      std::make_tuple(32.0, 2, false),
-                      std::make_tuple(128.0, 1, false),
-                      std::make_tuple(16.0, 1, true),
-                      std::make_tuple(16.0, 4, true)));
+    ::testing::Values(PropertyConfig{"ddr4_8gb_r1", 8.0, 1, false},
+                      PropertyConfig{"ddr4_8gb_r2", 8.0, 2, false},
+                      PropertyConfig{"ddr4_8gb_r4", 8.0, 4, false},
+                      PropertyConfig{"ddr4_2gb_r1", 2.0, 1, false},
+                      PropertyConfig{"ddr4_32gb_r2", 32.0, 2, false},
+                      PropertyConfig{"ddr4_128gb_r1", 128.0, 1, false},
+                      PropertyConfig{"ddr5_16gb_r1", 16.0, 1, true},
+                      PropertyConfig{"ddr5_16gb_r4", 16.0, 4, true},
+                      PropertyConfig{"ddr4_8gb_r3_bg8x2", 8.0, 3, false,
+                                     8, 2}),
+    [](const ::testing::TestParamInfo<PropertyConfig> &param_info) {
+        return param_info.param.name;
+    });

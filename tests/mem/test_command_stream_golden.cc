@@ -12,6 +12,13 @@
  * fails here. The constants were recorded before the FR-FCFS scheduler
  * was bank-indexed and must not move unless a model re-baseline moves
  * them deliberately.
+ *
+ * A second digest per case folds the controller's wake bound,
+ * nextEvent(), after every tick of the same drive. It pins the value of
+ * the bound itself, not just its safety: the event engine's counters
+ * (controller ticks, wake recomputes, heap re-keys) follow from it, so a
+ * cheaper wake scan must find exactly the same cycle. Those constants
+ * were recorded before the wake scan visited only set bank bits.
  */
 
 #include <gtest/gtest.h>
@@ -76,6 +83,28 @@ goldenDigests()
     return digests;
 }
 
+const std::map<std::string, std::uint64_t> &
+goldenWakeDigests()
+{
+    static const std::map<std::string, std::uint64_t> digests = {
+        {"NoRefresh_ddr4_2400_r1", 0xd22c0b410d6e7e7full},
+        {"Baseline_ddr4_2400_r1", 0xb086641d97f69613ull},
+        {"Baseline_PARA_ddr4_2400_r1", 0x918880dfd7f4731cull},
+        {"HiRA_2_PARA_HiRA__ddr4_2400_r1", 0x67fd295bd1c049bdull},
+        {"RFM_ddr4_2400_r1", 0xe0cf11b3cfecd8b6ull},
+        {"PRAC_ddr4_2400_r1", 0x4c32e12902851b5ull},
+        {"Graphene_TRR_ddr4_2400_r1", 0xfab1aa85df781cdeull},
+        {"NoRefresh_ddr5_4800_r2", 0x27b861752fa6e388ull},
+        {"Baseline_ddr5_4800_r2", 0xafcfa7f2928a7f45ull},
+        {"Baseline_PARA_ddr5_4800_r2", 0x396641c61da581e1ull},
+        {"HiRA_2_PARA_HiRA__ddr5_4800_r2", 0x56ae709b086b4060ull},
+        {"RFM_ddr5_4800_r2", 0xffdb03b2afb87abeull},
+        {"PRAC_ddr5_4800_r2", 0xfc5563c8917d2974ull},
+        {"Graphene_TRR_ddr5_4800_r2", 0x7e21bf73ffb45c78ull},
+    };
+    return digests;
+}
+
 class CommandStreamGolden : public ::testing::TestWithParam<DriveCase>
 {
 };
@@ -119,6 +148,25 @@ TEST_P(CommandStreamGolden, DigestMatchesRecordedStream)
         << dc.name << "\", 0x" << std::hex << digest << "ull},";
     EXPECT_EQ(digest, it->second)
         << dc.name << " digest 0x" << std::hex << digest;
+}
+
+TEST_P(CommandStreamGolden, WakeBoundDigestMatchesRecorded)
+{
+    const DriveCase &dc = GetParam();
+    std::unique_ptr<MemoryController> ctrl = makeDrivenController(dc, 11);
+    TrafficDriver traffic(ctrl->geometry(), kTrafficSeed,
+                          kDriveCycles - kDriveCycles / 4);
+    std::uint64_t digest = 0;
+    for (Cycle now = 0; now < kDriveCycles; ++now) {
+        traffic.step(*ctrl, now);
+        digest = hashCombine(digest, ctrl->nextEvent());
+    }
+    auto it = goldenWakeDigests().find(dc.name);
+    ASSERT_NE(it, goldenWakeDigests().end())
+        << "no golden wake digest for " << dc.name << "; recorded: {\""
+        << dc.name << "\", 0x" << std::hex << digest << "ull},";
+    EXPECT_EQ(digest, it->second)
+        << dc.name << " wake digest 0x" << std::hex << digest;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the memory controller: request lifecycle, FR-FCFS behavior,
- * write drain, forwarding, baseline refresh, immediate PARA, and the
- * command-trace audit against the independent TimingChecker.
+ * write drain, forwarding, baseline refresh, immediate PARA, the
+ * command-trace audit against the independent TimingChecker, and the
+ * BankBits scans the scheduler and the wake scan iterate with.
  */
 
 #include <gtest/gtest.h>
@@ -394,4 +395,55 @@ TEST(Controller, MultiRankTraceAuditsClean)
     auto violations = checker.check(ctrl.trace());
     EXPECT_TRUE(violations.empty())
         << (violations.empty() ? "" : violations[0].message);
+}
+
+TEST(BankBits, RotatingAndUnionScansMatchAFullSweep)
+{
+    // 150 banks span three words, so both scans cross word boundaries.
+    constexpr std::size_t kBanks = 150;
+    Rng rng(5);
+    BankBits a, b, c;
+    for (BankBits *bits : {&a, &b, &c})
+        bits->resize(kBanks);
+    for (std::size_t i = 0; i < kBanks; ++i) {
+        a.assign(i, rng.chance(0.1));
+        b.assign(i, rng.chance(0.1));
+        c.assign(i, rng.chance(0.1));
+    }
+    auto collect = [](auto &&scan) {
+        std::vector<std::size_t> seen;
+        scan([&seen](std::size_t idx) {
+            seen.push_back(idx);
+            return false;
+        });
+        return seen;
+    };
+
+    std::vector<std::size_t> union_ref;
+    for (std::size_t i = 0; i < kBanks; ++i) {
+        if (a.test(i) || b.test(i) || c.test(i))
+            union_ref.push_back(i);
+    }
+    EXPECT_EQ(collect([&](auto f) { BankBits::anyOfUnion(a, b, c, f); }),
+              union_ref);
+
+    // anyOfFrom(start) visits the set bits in (start + i) % size order,
+    // the order of a round-robin sweep that starts at start.
+    for (std::size_t start : {std::size_t(0), std::size_t(1),
+                              std::size_t(63), std::size_t(64),
+                              std::size_t(100), std::size_t(149), kBanks}) {
+        std::vector<std::size_t> ref;
+        for (std::size_t i = 0; i < kBanks; ++i) {
+            std::size_t idx = (start + i) % kBanks;
+            if (a.test(idx))
+                ref.push_back(idx);
+        }
+        EXPECT_EQ(collect([&](auto f) { a.anyOfFrom(start, f); }), ref)
+            << "start " << start;
+    }
+
+    // Returning true stops the scan at that bit.
+    std::size_t visits = 0;
+    EXPECT_TRUE(a.anyOfFrom(100, [&](std::size_t) { return ++visits == 2; }));
+    EXPECT_EQ(visits, 2u);
 }
