@@ -199,6 +199,17 @@ TEST(EngineDiff, GeometriesAndMixes)
     expectEnginesAgree(makeConfig(hira, memHeavyMix(), wide),
                        "hira-2 2ch2rk");
 
+    // Eight channels, the widest geometry the figure drivers sweep:
+    // LLC writebacks drained from one channel land in any of the others.
+    GeomSpec eight;
+    eight.channels = 8;
+    WorkloadMix heavy8 = memHeavyMix();
+    for (const char *w : {"milc-like", "soplex-like", "omnetpp-like",
+                          "leslie3d-like"})
+        heavy8.push_back(w);
+    expectEnginesAgree(makeConfig(base, heavy8, eight), "baseline 8ch");
+    expectEnginesAgree(makeConfig(hira, heavy8, eight), "hira-2 8ch");
+
     // Low-intensity mix: mostly LLC-resident cores, the regime the
     // skip-ahead kernel targets for controller sleeping.
     expectEnginesAgree(makeConfig(base, lowIntensityMix()),
