@@ -186,8 +186,6 @@ MemoryController::enqueue(const Request &req)
                                              : req.arrival;
         if (nextWakeValid && seen < nextWake)
             nextWake = seen;
-        if (wakeListener)
-            wakeListener(seen);
         count(mWakeLowers);
     };
     if (req.type == MemType::Read) {
@@ -624,13 +622,11 @@ MemoryController::autoPreTick(Cycle now)
 }
 
 Cycle
-MemoryController::nextEvent() const
+MemoryController::recomputeWake() const
 {
-    if (!nextWakeValid) {
-        nextWake = computeNextEvent(lastTick);
-        nextWakeValid = true;
-        count(mWakeRecomputes);
-    }
+    nextWake = computeNextEvent(lastTick);
+    nextWakeValid = true;
+    count(mWakeRecomputes);
     return nextWake;
 }
 

@@ -21,7 +21,6 @@
 #define HIRA_MEM_CONTROLLER_HH
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "common/metrics.hh"
 #include "dram/timing_checker.hh"
 #include "dram/timing_state.hh"
+#include "mem/bank_bits.hh"
 #include "mem/para.hh"
 #include "mem/refresh.hh"
 #include "mem/request.hh"
@@ -107,121 +107,6 @@ struct ControllerStats
     }
 };
 
-/**
- * One bit per flat bank index (MemoryController::bankIndex order, so
- * ascending index is (rank, bank) order), 64 banks per word. The
- * scheduler keeps its per-bank state here so that a scan visits only
- * the banks whose bit is set.
- */
-class BankBits
-{
-  public:
-    void resize(std::size_t nbanks) { words.assign((nbanks + 63) / 64, 0); }
-
-    bool
-    test(std::size_t idx) const
-    {
-        return ((words[idx >> 6] >> (idx & 63)) & 1u) != 0;
-    }
-
-    void
-    assign(std::size_t idx, bool on)
-    {
-        const std::uint64_t bit = std::uint64_t(1) << (idx & 63);
-        std::uint64_t &w = words[idx >> 6];
-        w = on ? (w | bit) : (w & ~bit);
-    }
-
-    /**
-     * Call @p f(idx) on the set bits in ascending order until it returns
-     * true; returns whether it did.
-     */
-    template <typename F>
-    bool
-    anyOf(F &&f) const
-    {
-        for (std::size_t w = 0; w < words.size(); ++w) {
-            if (anyOfWord(w, words[w], f))
-                return true;
-        }
-        return false;
-    }
-
-    /**
-     * anyOf over the bits set in any of @p a, @p b and @p c (all the
-     * same size), each visited once, in ascending order.
-     */
-    template <typename F>
-    static bool
-    anyOfUnion(const BankBits &a, const BankBits &b, const BankBits &c,
-               F &&f)
-    {
-        for (std::size_t w = 0; w < a.words.size(); ++w) {
-            if (anyOfWord(w, a.words[w] | b.words[w] | c.words[w], f))
-                return true;
-        }
-        return false;
-    }
-
-    /**
-     * anyOf in rotating order: the set bits at or above @p start
-     * ascending, then those below it (@p start may equal the size).
-     */
-    template <typename F>
-    bool
-    anyOfFrom(std::size_t start, F &&f) const
-    {
-        const std::size_t sw = start >> 6;
-        const std::uint64_t below = (std::uint64_t(1) << (start & 63)) - 1;
-        for (std::size_t w = sw; w < words.size(); ++w) {
-            if (anyOfWord(w, w == sw ? words[w] & ~below : words[w], f))
-                return true;
-        }
-        for (std::size_t w = 0; w <= sw && w < words.size(); ++w) {
-            if (anyOfWord(w, w == sw ? words[w] & below : words[w], f))
-                return true;
-        }
-        return false;
-    }
-
-    /**
-     * Become the set bits of @p src that @p keep(idx) accepts (same
-     * size as this); returns whether any did.
-     */
-    template <typename F>
-    bool
-    assignFiltered(const BankBits &src, F &&keep)
-    {
-        std::uint64_t any = 0;
-        for (std::size_t w = 0; w < words.size(); ++w) {
-            std::uint64_t kept = 0;
-            for (std::uint64_t m = src.words[w]; m != 0; m &= m - 1) {
-                int b = __builtin_ctzll(m);
-                if (keep(w * 64 + static_cast<std::size_t>(b)))
-                    kept |= std::uint64_t(1) << b;
-            }
-            words[w] = kept;
-            any |= kept;
-        }
-        return any != 0;
-    }
-
-  private:
-    /** anyOf over the set bits @p m of word @p w. */
-    template <typename F>
-    static bool
-    anyOfWord(std::size_t w, std::uint64_t m, F &f)
-    {
-        for (; m != 0; m &= m - 1) {
-            if (f(w * 64 + static_cast<std::size_t>(__builtin_ctzll(m))))
-                return true;
-        }
-        return false;
-    }
-
-    std::vector<std::uint64_t> words;
-};
-
 /** One channel's memory controller. */
 class MemoryController
 {
@@ -243,30 +128,22 @@ class MemoryController
      * completion falls due. Between the last tick and this cycle,
      * tick() is provably a no-op, so the event engine
      * (src/sim/system.cc) skips it without diverging from per-cycle
-     * polling. The bound is recomputed lazily after each tick from the
-     * per-bank timing-state horizons, queue occupancy, pending
-     * completions, and the refresh scheme's own nextEventCycle();
-     * enqueue() lowers it so newly arriving work is polled at the same
-     * cycle the dense loop would have seen it. HiRA bus-slot
+     * polling. The bound is cached: tick() invalidates it, the next
+     * call recomputes it from the per-bank timing-state horizons,
+     * queue occupancy, pending completions, and the refresh scheme's
+     * own nextEventCycle(), and enqueue() lowers a valid cache so newly
+     * arriving work is polled at the same cycle the dense loop would
+     * have seen it. The event engine keeps no copy: its skip decision
+     * and its per-channel tick test both read this cache. HiRA bus-slot
      * reservations need no horizon of their own: a reservation only
      * exists after an issue, and an issue always forces a poll of the
      * following cycle, after which any still-gated horizon degrades to
      * dense polling. Never later than the true next event; possibly
      * earlier (a wasted poll, never a divergence).
      */
-    Cycle nextEvent() const;
-
-    /**
-     * Observer of wake-bound lowering: called with the `seen` cycle
-     * whenever enqueue() accepts a request, so an external deadline
-     * index (System's heap, src/sim/deadline_heap.hh) can lower this
-     * controller's key without re-querying nextEvent(). Raising keys
-     * stays the owner's job (after each tick), so the listener only
-     * ever makes the index more conservative.
-     */
-    void setWakeListener(std::function<void(Cycle)> fn)
+    Cycle nextEvent() const
     {
-        wakeListener = std::move(fn);
+        return nextWakeValid ? nextWake : recomputeWake();
     }
 
     /**
@@ -334,6 +211,23 @@ class MemoryController
     /** True if the bank is withheld from demand scheduling. */
     bool bankBlocked(int rank, BankId bank) const;
 
+    // Flat bank index (rank-major, BankBits order) helpers, so callers
+    // that walk banks by index never divide.
+    /** Rank of a flat bank index. */
+    int rankOf(std::size_t idx) const { return bankRank[idx]; }
+    /** Bank within its rank of a flat bank index. */
+    BankId bankOf(std::size_t idx) const
+    {
+        return static_cast<BankId>(
+            idx - static_cast<std::size_t>(bankRank[idx]) *
+                      static_cast<std::size_t>(cfg.geom.banksPerRank()));
+    }
+    /** bankBlocked() by flat bank index. */
+    bool bankBlockedAt(std::size_t idx) const
+    {
+        return refreshOpen.test(idx) || preventivePending.test(idx);
+    }
+
     /**
      * Hold all new activations to the rank (REF preparation: the rank
      * must drain to all-banks-precharged before a REF can issue).
@@ -354,17 +248,6 @@ class MemoryController
 
   private:
     std::size_t bankIndex(int rank, BankId bank) const;
-    /** Bank within its rank of a flat bank index (no division). */
-    BankId bankOf(std::size_t idx) const
-    {
-        return static_cast<BankId>(
-            idx - static_cast<std::size_t>(bankRank[idx]) *
-                      static_cast<std::size_t>(cfg.geom.banksPerRank()));
-    }
-    bool bankBlockedAt(std::size_t idx) const
-    {
-        return refreshOpen.test(idx) || preventivePending.test(idx);
-    }
     /** Mirror the bank's four index counts into their bit words. */
     void syncBankBits(std::size_t idx);
 
@@ -383,6 +266,8 @@ class MemoryController
     void autoPreTick(Cycle now);
     bool issueColumnIfReady(bool is_read, Cycle now);
     Cycle computeNextEvent(Cycle now) const;
+    /** Refill nextEvent()'s cache from computeNextEvent(lastTick). */
+    Cycle recomputeWake() const;
     /** Every activation funnels through here (PARA sampling hook). */
     void onRowActivation(int rank, BankId bank, RowId row, Cycle now);
     void preventiveTick(Cycle now);
@@ -443,7 +328,6 @@ class MemoryController
     // query (the cycle engine never queries it and pays nothing).
     mutable Cycle nextWake = 0;
     mutable bool nextWakeValid = false;
-    std::function<void(Cycle)> wakeListener;
     // Per-bank queued-request index, flat bankIndex() order: how many
     // reads / writes target each bank, and how many of those hit the
     // bank's currently open row. Maintained incrementally — enqueue and

@@ -9,6 +9,7 @@ VictimQueue::reset(std::size_t banks, int queue_cap)
 {
     cap = static_cast<std::size_t>(queue_cap);
     queues.assign(banks, {});
+    pendingBanks.resize(banks);
     pending_ = 0;
     cursor = 0;
 }
@@ -30,6 +31,7 @@ VictimQueue::pushNeighbors(std::size_t idx, RowId row, RowId rows_per_bank,
             continue;
         }
         queues[idx].push_back(victim);
+        pendingBanks.assign(idx, true);
         ++pending_;
     }
     return generated;
@@ -38,42 +40,30 @@ VictimQueue::pushNeighbors(std::size_t idx, RowId row, RowId rows_per_bank,
 void
 VictimQueue::drain(MemoryController &ctrl, Cycle now, RefreshStats &stats)
 {
-    if (pending_ == 0)
-        return;
-    // Round-robin from the cursor, in flat (rank, bank) order; the
-    // index wraps and rank / bank step by compare-and-reset.
-    const int banks_per_rank = ctrl.geometry().banksPerRank();
-    const std::size_t nbanks = queues.size();
-    std::size_t idx = cursor == nbanks ? 0 : cursor;
-    int rank = static_cast<int>(idx / static_cast<std::size_t>(banks_per_rank));
-    int bank = static_cast<int>(idx) - rank * banks_per_rank;
-    for (std::size_t i = 0; i < nbanks; ++i) {
+    // Round-robin from the cursor over the banks holding victims, in
+    // flat (rank, bank) order: the bits at or above it, then below.
+    pendingBanks.anyOfFrom(cursor, [&](std::size_t idx) {
+        if (ctrl.bankBlockedAt(idx))
+            return false;
+        int rank = ctrl.rankOf(idx);
+        BankId bank = ctrl.bankOf(idx);
         std::deque<RowId> &q = queues[idx];
-        BankId b = static_cast<BankId>(bank);
-        if (!q.empty() && !ctrl.bankBlocked(rank, b)) {
-            if (ctrl.timing().openRow(rank, b) != kNoRow) {
-                if (ctrl.tryPre(rank, b, now)) {
-                    cursor = idx + 1;
-                    return;
-                }
-            } else if (ctrl.tryRefreshAct(rank, b, q.front(), now)) {
-                q.pop_front();
-                --pending_;
-                ++stats.rowRefreshes;
-                ++stats.standalone;
-                cursor = idx + 1;
-                return;
-            }
+        if (ctrl.timing().openRowAt(idx) != kNoRow) {
+            if (!ctrl.tryPre(rank, bank, now))
+                return false;
+        } else {
+            if (!ctrl.tryRefreshAct(rank, bank, q.front(), now))
+                return false;
+            q.pop_front();
+            if (q.empty())
+                pendingBanks.assign(idx, false);
+            --pending_;
+            ++stats.rowRefreshes;
+            ++stats.standalone;
         }
-        if (++idx == nbanks) {
-            idx = 0;
-            rank = 0;
-            bank = 0;
-        } else if (++bank == banks_per_rank) {
-            bank = 0;
-            ++rank;
-        }
-    }
+        cursor = idx + 1;
+        return true;
+    });
 }
 
 } // namespace hira

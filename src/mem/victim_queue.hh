@@ -19,6 +19,7 @@
 #include <deque>
 #include <vector>
 
+#include "mem/bank_bits.hh"
 #include "mem/refresh.hh"
 
 namespace hira {
@@ -51,6 +52,7 @@ class VictimQueue
   private:
     std::size_t cap = 0;
     std::vector<std::deque<RowId>> queues; //!< per (rank, bank)
+    BankBits pendingBanks; //!< banks whose queue is non-empty
     std::uint64_t pending_ = 0;
     std::size_t cursor = 0; //!< bank index the next drain scan starts at
 };

@@ -73,25 +73,6 @@ class Llc
     const Request &outboundHead() const { return outbound.front(); }
 
     /**
-     * Event-engine horizon. The outbound queue only ever becomes (and
-     * stays) non-empty after a failed send to a full controller queue,
-     * and that rejection cannot lift until the rejecting controller
-     * ticks — a cycle the controller's own nextEvent() already pins, at
-     * which the loop re-pumps the queue (System::executeCycle pumps
-     * whenever outboundPending()). So the LLC never has to pin a wake
-     * of its own: tick() between controller events is observable only
-     * through the per-cycle rejection the dense loop accrues on the
-     * head's target controller, which the event engine adds back in
-     * closed form when it skips (MemoryController::accrueRejected).
-     */
-    Cycle
-    nextEventCycle(Cycle now) const
-    {
-        (void)now;
-        return kNeverCycle;
-    }
-
-    /**
      * Monotone counter of LLC transitions after which a previously
      * Blocked access() could stop being Blocked: an MSHR freed, a line
      * installed, or an outbound slot drained. A core whose dispatch was

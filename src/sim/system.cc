@@ -54,8 +54,6 @@ System::System(const SystemConfig &config)
     MetricScope kernel = root.sub("kernel");
     mSkipLen = kernel.histogram("skip_len", 0.0, 4096.0, 64);
     mLlcStallSkips = kernel.counter("llc_stall_skips");
-    mHeapRekeys = kernel.counter("heap_rekeys");
-    mHeapLowers = kernel.counter("heap_lowers");
     if (TraceEventLog::global().enabled())
         tracer_ = &TraceEventLog::global();
 
@@ -109,25 +107,6 @@ System::System(const SystemConfig &config)
             cfg.windowEntries, cfg.traceDumpDir.empty()));
         cores.back()->attachMetrics(root.sub(strprintf("core%zu", i)));
     }
-
-    // Deadline index: controller slots by channel id, LLC slot last.
-    // Keys seed from the components' initial bounds (a fresh Baseline
-    // controller already owes its first REF a horizon). The enqueue
-    // listeners are event-engine plumbing; the dense loop never reads
-    // the heap, so it skips the per-enqueue std::function call.
-    llcSlot = controllers.size();
-    wakeHeap = DeadlineHeap(controllers.size() + 1);
-    for (std::size_t ch = 0; ch < controllers.size(); ++ch)
-        wakeHeap.update(ch, controllers[ch]->nextEvent());
-    wakeHeap.update(llcSlot, llc->nextEventCycle(0));
-    if (cfg.engine == SimEngine::EventLoop) {
-        for (std::size_t ch = 0; ch < controllers.size(); ++ch) {
-            controllers[ch]->setWakeListener([this, ch](Cycle seen) {
-                wakeHeap.lower(ch, seen);
-                count(mHeapLowers);
-            });
-        }
-    }
 }
 
 bool
@@ -173,33 +152,22 @@ System::drainCompletions(MemoryController &ctrl)
 void
 System::executeCycle(bool all_controllers)
 {
-    // Controllers tick in channel order (matching the dense loop), not
-    // heap-pop order: cross-channel writebacks drained from channel i
-    // may enqueue into channel j and lower j's key mid-sweep, and a
-    // popped ordering would have to re-examine already-popped slots.
-    // The heap's job is the O(1) global minimum for the skip decision
-    // in firstActionableCycle(); per-cycle membership stays a key
-    // comparison per slot.
+    // Controllers tick in channel order, matching the dense loop. A
+    // cross-channel writeback drained from channel i may enqueue into
+    // channel j > i and lower j's bound before j's turn, so each
+    // bound is read when its channel comes up.
     for (std::size_t ch = 0; ch < controllers.size(); ++ch) {
         // Skipping a controller whose wake-up lies ahead is exact: its
         // tick would be a no-op and none of its completions are due
         // (nextEvent() lower-bounds both).
-        if (all_controllers) {
+        if (all_controllers || controllers[ch]->nextEvent() <= memCycle) {
             controllers[ch]->tick(memCycle);
             ++loopStats_.ctrlTicks;
             drainCompletions(*controllers[ch]);
-        } else if (wakeHeap.key(ch) <= memCycle) {
-            controllers[ch]->tick(memCycle);
-            ++loopStats_.ctrlTicks;
-            drainCompletions(*controllers[ch]);
-            tickedScratch.push_back(static_cast<std::uint32_t>(ch));
         }
     }
-    if (llc->outboundPending()) {
+    if (llc->outboundPending())
         llc->tick(memCycle);
-        if (!all_controllers)
-            wakeHeap.update(llcSlot, llc->nextEventCycle(memCycle));
-    }
 
     // 3.2 GHz cores over a 1.2 GHz bus: 8 CPU ticks per 3 bus ticks.
     cpuAccum += 8;
@@ -209,19 +177,18 @@ System::executeCycle(bool all_controllers)
             core->tick(memCycle);
     }
 
-    // Re-key the ticked controllers only now, after the LLC pump and
-    // the core ticks delivered this cycle's enqueues: tick()
+    // Recompute the ticked controllers' bounds only now, after the LLC
+    // pump and the core ticks delivered this cycle's enqueues: tick()
     // invalidated each one's cached bound, so this nextEvent() is the
-    // lazy recompute over the full post-cycle state — a tight horizon
-    // that may *raise* the key past the conservative arrival+1 their
-    // wake listeners set mid-cycle. Querying right after tick() instead
-    // would freeze that conservative bound in (the recompute would run
-    // before the arrivals, and lowerWake can only clamp), degrading
-    // every busy controller to next-cycle polling.
-    count(mHeapRekeys, tickedScratch.size());
-    for (std::uint32_t ch : tickedScratch)
-        wakeHeap.update(ch, controllers[ch]->nextEvent());
-    tickedScratch.clear();
+    // lazy recompute over the full post-cycle state. Querying right
+    // after tick() instead would freeze in the conservative arrival+1
+    // that enqueue() lowers the bound to (lowerWake can only clamp),
+    // degrading every busy controller to next-cycle polling. The
+    // untouched controllers answer from their valid caches.
+    if (!all_controllers) {
+        for (const auto &ctrl : controllers)
+            ctrl->nextEvent();
+    }
 }
 
 void
@@ -258,12 +225,18 @@ System::firstActionableCycle() const
             return memCycle + 1;
         wake = memCycle + m + 1;
     }
-    // Memory side: one O(1) heap-min read covers every controller and
-    // the LLC — executeCycle keeps the keys current after each tick,
-    // and enqueue listeners lower them in between.
-    Cycle w = wakeHeap.min();
-    if (w < wake)
-        wake = w;
+    // Memory side: each controller's cached bound, recomputed by
+    // executeCycle after each tick and lowered by enqueue() in between.
+    // The LLC needs no wake of its own: its outbound queue only becomes
+    // (and stays) non-empty after a failed send to a full controller
+    // queue, and that rejection cannot lift until the rejecting
+    // controller ticks, a cycle that controller's nextEvent() already
+    // pins; executeCycle re-pumps the queue then. The LLC's tick in
+    // between is observable only through the per-cycle rejection the
+    // dense loop accrues on the head's target controller, which
+    // runEvent adds back in closed form when it skips.
+    for (const auto &ctrl : controllers)
+        wake = std::min(wake, ctrl->nextEvent());
     return std::max(wake, memCycle + 1);
 }
 
@@ -356,8 +329,15 @@ System::metricsSnapshot()
     mirror("kernel.skipped_cycles", loopStats_.skippedCycles);
     mirror("kernel.ctrl_ticks", loopStats_.ctrlTicks);
 
+    // The event engine's wake-bound upkeep under the names bench/perf
+    // reads: one re-key per controller tick (heap_rekeys) and one
+    // lowering per accepted enqueue (heap_lowers). The dense loop reads
+    // no wake bounds, so under it both are 0.
+    const bool event = cfg.engine == SimEngine::EventLoop;
+    std::uint64_t lowers = 0;
     for (std::size_t ch = 0; ch < controllers.size(); ++ch) {
         std::string p = strprintf("ctrl%zu.", ch);
+        lowers += metrics_->counter(p + "wake_enqueue_lowers")->value;
         const ControllerStats &cs = controllers[ch]->stats();
         ControllerStats::forEachField([&](const char *name, auto m) {
             mirror(p + name, cs.*m);
@@ -367,6 +347,8 @@ System::metricsSnapshot()
             mirror(p + "scheme." + name, rs.*m);
         });
     }
+    mirror("kernel.heap_rekeys", event ? loopStats_.ctrlTicks : 0);
+    mirror("kernel.heap_lowers", event ? lowers : 0);
 
     mirror("llc.hits", llc->hits);
     mirror("llc.misses", llc->misses);

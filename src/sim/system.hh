@@ -6,9 +6,9 @@
  *
  * Two simulation-loop engines share the wiring (SimEngine, HIRA_ENGINE
  * knob): the legacy dense loop ticks every component every bus cycle;
- * the event-driven kernel advances straight to the minimum
- * nextEventCycle() horizon across controllers, the LLC, and the cores'
- * stall state, fast-forwarding the skipped CPU ticks in bulk. The two
+ * the event-driven kernel advances straight to the earliest of the
+ * controllers' cached nextEvent() bounds and the cores' stall state,
+ * fast-forwarding the skipped CPU ticks in bulk. The two
  * are bitwise-equivalent at the SystemResult level (see BUILDING.md
  * "The event-driven simulation kernel" for the component contract).
  */
@@ -27,7 +27,6 @@
 #include "mem/prac.hh"
 #include "mem/rfm.hh"
 #include "sim/core.hh"
-#include "sim/deadline_heap.hh"
 #include "sim/workloads.hh"
 #include "workload/file_trace.hh"
 
@@ -43,7 +42,7 @@ class TraceEventLog;
 enum class SimEngine
 {
     CycleLoop, //!< legacy dense loop: tick every component every bus cycle
-    EventLoop, //!< skip-ahead kernel driven by nextEventCycle() horizons
+    EventLoop, //!< skip-ahead kernel driven by nextEvent() bounds
 };
 
 /**
@@ -175,14 +174,6 @@ class System
     MetricsSnapshot metricsSnapshot();
     MetricsLevel metricsLevel() const { return cfg.metricsLevel; }
 
-    // Deadline-index inspection (tests/sim/test_deadline_heap_property
-    // pins the quiescent invariant key(ch) == controller(ch).nextEvent()
-    // after arbitrary run() sequences). Slot layout: one per channel,
-    // then the LLC.
-    std::size_t wakeSlots() const { return wakeHeap.size(); }
-    Cycle wakeKey(std::size_t slot) const { return wakeHeap.key(slot); }
-    Cycle wakeMin() const { return wakeHeap.min(); }
-
   private:
     std::unique_ptr<RefreshScheme> makeScheme() const;
     bool route(const Request &req);
@@ -199,17 +190,6 @@ class System
     std::vector<std::unique_ptr<TraceSource>> sources;
     std::vector<std::unique_ptr<CoreModel>> cores;
 
-    // Deadline index for the event kernel: slot ch per controller, one
-    // trailing slot for the LLC. Keys are raised by executeCycle()
-    // right after each component ticks and lowered by the controllers'
-    // wake listeners on accepted enqueues (see deadline_heap.hh for the
-    // full contract). The cycle engine leaves it untouched.
-    DeadlineHeap wakeHeap{0};
-    std::size_t llcSlot = 0;
-    // Channels ticked this executed cycle, re-keyed at cycle end once
-    // all of the cycle's enqueues have landed (see executeCycle).
-    std::vector<std::uint32_t> tickedScratch;
-
     Cycle memCycle = 0;
     std::uint64_t cpuAccum = 0; //!< 8/3 clock-ratio accumulator
     SimLoopStats loopStats_;
@@ -222,8 +202,6 @@ class System
     std::unique_ptr<MetricRegistry> metrics_;
     HistogramMetric *mSkipLen = nullptr; //!< bus cycles per bulk skip
     Counter *mLlcStallSkips = nullptr;   //!< skips w/ rejection accrual
-    Counter *mHeapRekeys = nullptr;      //!< post-tick heap re-keys
-    Counter *mHeapLowers = nullptr;      //!< listener-driven lowerings
     // Trace-event sampling: cached pointer to the enabled global log
     // (null when tracing is off) and a countdown on executed cycles.
     TraceEventLog *tracer_ = nullptr;

@@ -7,9 +7,13 @@
 This is the recipe of bench/perf/README.md ("Comparing two commits") as
 a script. --workload takes one BENCHMARK.json workload, a comma-separated
 list of them, or all. For each seed and each listed workload it runs
-`bench/perf/run.py --trace 0 --save` in both checkouts, one after the
-other, and flips which side goes first on every seed, so that a drift in
-the host's speed falls on both sides alike. Each run's output goes to
+`bench/perf/run.py --save` in both checkouts, one after the other, and
+flips which side goes first on every seed, so that a drift in the
+host's speed falls on both sides alike. The first seed runs with
+--trace 1 and every later one with --trace 0. A traced run also saves
+its untraced result, so every seed counts toward the verdicts, and the
+traced results of the first seed give compare.py the exact per-layer
+counts it checks for equality between the sides. Each run's output goes to
 OUT/<side>_<workload>_s<seed>.log and its saved results to OUT/parent/
 and OUT/change/. Then it runs the change's
 bench/perf/compare.py on the two result directories and exits with its
@@ -62,12 +66,12 @@ def parse_workloads(text, root):
     return names
 
 
-def run_side(side, root, workload, seed, out):
+def run_side(side, root, workload, seed, traced, out):
     save = os.path.join(out, side)
     log_path = os.path.join(out, "%s_%s_s%d.log" % (side, workload, seed))
     cmd = [sys.executable, os.path.join("bench", "perf", "run.py"),
-           "--workload", workload, "--seed", str(seed), "--trace", "0",
-           "--save", save]
+           "--workload", workload, "--seed", str(seed),
+           "--trace", "1" if traced else "0", "--save", save]
     with open(log_path, "w") as log:
         rc = subprocess.run(cmd, cwd=root, stdout=log,
                             stderr=subprocess.STDOUT).returncode
@@ -100,7 +104,7 @@ def main():
     for i, seed in enumerate(args.seeds):
         for workload in workloads:
             for side, root in (sides if i % 2 == 0 else sides[::-1]):
-                run_side(side, root, workload, seed, out)
+                run_side(side, root, workload, seed, i == 0, out)
 
     compare = os.path.join(args.change, "bench", "perf", "compare.py")
     return subprocess.run([sys.executable, compare,
