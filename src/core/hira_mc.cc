@@ -54,7 +54,7 @@ HiraMc::attach(MemoryController *controller)
     genIntervalCycles =
         static_cast<double>(windowCycles) /
         static_cast<double>(geom.refreshGroupsPerBank);
-    int total_banks = geom.ranksPerChannel * geom.banksPerRank();
+    int total_banks = geom.banksPerChannel();
     nextGen.assign(static_cast<std::size_t>(total_banks), 0.0);
     for (int i = 0; i < total_banks; ++i) {
         nextGen[static_cast<std::size_t>(i)] =
@@ -266,11 +266,7 @@ HiraMc::caseTwo(Cycle now)
                 refptrs[rank].advance(bank, ahead.subarray);
                 ++stats_.rowRefreshes;
                 stats_.refreshPaired += 2;
-                std::size_t idx =
-                    static_cast<std::size_t>(
-                        rank * ctrl->geometry().banksPerRank()) +
-                    bank;
-                nextGen[idx] += genIntervalCycles;
+                nextGen[ctrl->bankIndex(rank, bank)] += genIntervalCycles;
                 nextGenMinValid = false;
                 rankCursor = rank + 1;
                 return true;

@@ -89,28 +89,6 @@ class BankBits
         return false;
     }
 
-    /**
-     * Become the set bits of @p src that @p keep(idx) accepts (same
-     * size as this); returns whether any did.
-     */
-    template <typename F>
-    bool
-    assignFiltered(const BankBits &src, F &&keep)
-    {
-        std::uint64_t any = 0;
-        for (std::size_t w = 0; w < words.size(); ++w) {
-            std::uint64_t kept = 0;
-            for (std::uint64_t m = src.words[w]; m != 0; m &= m - 1) {
-                int b = __builtin_ctzll(m);
-                if (keep(w * 64 + static_cast<std::size_t>(b)))
-                    kept |= std::uint64_t(1) << b;
-            }
-            words[w] = kept;
-            any |= kept;
-        }
-        return any != 0;
-    }
-
   private:
     /** anyOf over the set bits @p m of word @p w. */
     template <typename F>

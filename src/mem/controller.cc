@@ -25,13 +25,10 @@ MemoryController::MemoryController(int channel_id,
         bankRank[i] = static_cast<int>(
             i / static_cast<std::size_t>(cfg.geom.banksPerRank()));
     preventiveVictims.resize(nbanks);
-    nRead.assign(nbanks, 0);
-    nWrite.assign(nbanks, 0);
-    nReadHit.assign(nbanks, 0);
-    nWriteHit.assign(nbanks, 0);
+    readQ.resize(nbanks);
+    writeQ.resize(nbanks);
     for (BankBits *bits : {&refreshOpen, &preventivePending, &readQueued,
-                           &writeQueued, &readHit, &writeHit,
-                           &pickedScratch}) {
+                           &writeQueued, &readHit, &writeHit}) {
         bits->resize(nbanks);
     }
     recorder.setEnabled(cfg.recordTrace);
@@ -64,58 +61,58 @@ MemoryController::MemoryController(int channel_id,
     refreshScheme->attachMetrics(ms.sub("scheme"));
 }
 
-std::size_t
-MemoryController::bankIndex(int rank, BankId bank) const
-{
-    return static_cast<std::size_t>(rank) *
-               static_cast<std::size_t>(cfg.geom.banksPerRank()) +
-           bank;
-}
-
 void
 MemoryController::syncBankBits(std::size_t idx)
 {
-    readQueued.assign(idx, nRead[idx] != 0);
-    writeQueued.assign(idx, nWrite[idx] != 0);
-    readHit.assign(idx, nReadHit[idx] != 0);
-    writeHit.assign(idx, nWriteHit[idx] != 0);
+    const RowId open = model.openRowAt(idx);
+    auto hits = [open](const BankQueue &q) {
+        return std::any_of(q.begin(), q.end(), [open](const Queued &e) {
+            return e.req.da.row == open;
+        });
+    };
+    readQueued.assign(idx, !readQ[idx].empty());
+    writeQueued.assign(idx, !writeQ[idx].empty());
+    readHit.assign(idx, hits(readQ[idx]));
+    writeHit.assign(idx, hits(writeQ[idx]));
 }
 
 std::string
 MemoryController::countIndexAudit() const
 {
-    const std::size_t nbanks = nRead.size();
-    std::vector<std::uint16_t> rd(nbanks, 0), wr(nbanks, 0);
-    std::vector<std::uint16_t> rdHit(nbanks, 0), wrHit(nbanks, 0);
-    auto tally = [&](const std::deque<Request> &q,
-                     std::vector<std::uint16_t> &n,
-                     std::vector<std::uint16_t> &hit) {
-        for (const Request &r : q) {
-            std::size_t idx = bankIndex(r.da.rank, r.da.bank);
-            ++n[idx];
-            if (model.openRowAt(idx) == r.da.row)
-                ++hit[idx];
+    std::size_t reads = 0, writes = 0;
+    for (std::size_t i = 0; i < readQ.size(); ++i) {
+        bool hit[2] = {false, false}; // [0] writes, [1] reads
+        for (int is_read = 0; is_read < 2; ++is_read) {
+            const BankQueue &q = is_read ? readQ[i] : writeQ[i];
+            const MemType type = is_read ? MemType::Read : MemType::Write;
+            for (std::size_t k = 0; k < q.size(); ++k) {
+                const Request &r = q[k].req;
+                if (bankIndex(r.da.rank, r.da.bank) != i || r.type != type)
+                    return strprintf("bank %zu: queues a request of bank "
+                                     "%zu or of the other class", i,
+                                     bankIndex(r.da.rank, r.da.bank));
+                if (k > 0 && q[k - 1].seq >= q[k].seq)
+                    return strprintf("bank %zu: queue out of arrival "
+                                     "order", i);
+                hit[is_read] |= model.openRowAt(i) == r.da.row;
+            }
         }
-    };
-    tally(readQ, rd, rdHit);
-    tally(writeQ, wr, wrHit);
-    for (std::size_t i = 0; i < nbanks; ++i) {
-        if (nRead[i] != rd[i] || nWrite[i] != wr[i] ||
-            nReadHit[i] != rdHit[i] || nWriteHit[i] != wrHit[i]) {
-            return strprintf("bank %zu: index r/w/rhit/whit %u/%u/%u/%u, "
-                             "queues %u/%u/%u/%u",
-                             i, nRead[i], nWrite[i], nReadHit[i],
-                             nWriteHit[i], rd[i], wr[i], rdHit[i],
-                             wrHit[i]);
-        }
-        if (readQueued.test(i) != (rd[i] != 0) ||
-            writeQueued.test(i) != (wr[i] != 0) ||
-            readHit.test(i) != (rdHit[i] != 0) ||
-            writeHit.test(i) != (wrHit[i] != 0)) {
-            return strprintf("bank %zu: bit words disagree with the counts",
-                             i);
+        reads += readQ[i].size();
+        writes += writeQ[i].size();
+        if (readQueued.test(i) != !readQ[i].empty() ||
+            writeQueued.test(i) != !writeQ[i].empty() ||
+            readHit.test(i) != hit[1] || writeHit.test(i) != hit[0]) {
+            return strprintf("bank %zu: bits r/w/rhit/whit %d/%d/%d/%d, "
+                             "queues %zu/%zu/%d/%d",
+                             i, readQueued.test(i), writeQueued.test(i),
+                             readHit.test(i), writeHit.test(i),
+                             readQ[i].size(), writeQ[i].size(), hit[1],
+                             hit[0]);
         }
     }
+    if (reads != nReads || writes != nWrites)
+        return strprintf("totals r/w %zu/%zu, queues %zu/%zu", nReads,
+                         nWrites, reads, writes);
     return "";
 }
 
@@ -155,20 +152,6 @@ MemoryController::pendingPreventive(int rank, BankId bank) const
 }
 
 bool
-MemoryController::readQueueFull() const
-{
-    return readQ.size() >=
-           static_cast<std::size_t>(cfg.readQueueCap);
-}
-
-bool
-MemoryController::writeQueueFull() const
-{
-    return writeQ.size() >=
-           static_cast<std::size_t>(cfg.writeQueueCap);
-}
-
-bool
 MemoryController::enqueue(const Request &req)
 {
     hira_assert(req.da.channel == channel);
@@ -188,13 +171,17 @@ MemoryController::enqueue(const Request &req)
             nextWake = seen;
         count(mWakeLowers);
     };
-    if (req.type == MemType::Read) {
+    const std::size_t idx = bankIndex(req.da.rank, req.da.bank);
+    const bool is_read = req.type == MemType::Read;
+    if (is_read) {
         // Forward from a queued write to the same line. The forward
         // serves the read (fixed latency, data from the write queue),
         // so it counts toward readsServed / readLatencySum like any
-        // other completed read; `forwards` stays as the sub-count.
-        for (const Request &w : writeQ) {
-            if (w.addr == req.addr) {
+        // other completed read; `forwards` stays as the sub-count. A
+        // line decodes to one bank, so only that bank's writes can
+        // match.
+        for (const Queued &w : writeQ[idx]) {
+            if (w.req.addr == req.addr) {
                 completions_.push_back(
                     {req.tag, req.coreId, req.arrival + 4});
                 ++stats_.forwards;
@@ -204,54 +191,19 @@ MemoryController::enqueue(const Request &req)
                 return true;
             }
         }
-        if (readQueueFull()) {
-            ++stats_.rejectedRequests;
-            return false;
-        }
-        readQ.push_back(req);
-        std::size_t idx = bankIndex(req.da.rank, req.da.bank);
-        count(mBankReads[idx]);
-        ++nRead[idx];
-        if (model.openRowAt(idx) == req.da.row)
-            ++nReadHit[idx];
-        syncBankBits(idx);
-        lowerWake();
-        return true;
     }
-    if (writeQueueFull()) {
+    if (is_read ? readQueueFull() : writeQueueFull()) {
         ++stats_.rejectedRequests;
         return false;
     }
-    writeQ.push_back(req);
-    std::size_t idx = bankIndex(req.da.rank, req.da.bank);
-    count(mBankWrites[idx]);
-    ++nWrite[idx];
+    (is_read ? readQ : writeQ)[idx].push_back({nextSeq++, req});
+    ++(is_read ? nReads : nWrites);
+    count((is_read ? mBankReads : mBankWrites)[idx]);
+    (is_read ? readQueued : writeQueued).assign(idx, true);
     if (model.openRowAt(idx) == req.da.row)
-        ++nWriteHit[idx];
-    syncBankBits(idx);
+        (is_read ? readHit : writeHit).assign(idx, true);
     lowerWake();
     return true;
-}
-
-void
-MemoryController::recountHits(int rank, BankId bank)
-{
-    std::size_t idx = bankIndex(rank, bank);
-    RowId open = model.openRowAt(idx);
-    // A class with no request queued to the bank has no hit on it.
-    auto hits = [&](const std::deque<Request> &q, std::uint16_t queued) {
-        std::uint16_t n = 0;
-        if (open == kNoRow || queued == 0)
-            return n;
-        for (const Request &r : q) {
-            if (r.da.rank == rank && r.da.bank == bank && r.da.row == open)
-                ++n;
-        }
-        return n;
-    };
-    nReadHit[idx] = hits(readQ, nRead[idx]);
-    nWriteHit[idx] = hits(writeQ, nWrite[idx]);
-    syncBankBits(idx);
 }
 
 void
@@ -272,10 +224,9 @@ MemoryController::record(CommandType type, Cycle cycle, int rank,
 }
 
 void
-MemoryController::markIssued(Cycle now)
+MemoryController::markIssued()
 {
     hira_assert(!issuedThisCycle);
-    (void)now;
     issuedThisCycle = true;
 }
 
@@ -317,7 +268,7 @@ MemoryController::tryRef(int rank, Cycle now)
         return false;
     model.issueRef(rank, now);
     record(CommandType::REF, now, rank, 0, 0);
-    markIssued(now);
+    markIssued();
     ++stats_.refs;
     return true;
 }
@@ -346,14 +297,13 @@ MemoryController::tryPre(int rank, BankId bank, Cycle now)
     }
     model.issuePre(rank, bank, now);
     record(CommandType::PRE, now, rank, bank, 0);
-    markIssued(now);
+    markIssued();
     ++stats_.pres;
-    // Row closed: nothing hits it any more (recountHits shortcut).
+    // Row closed: nothing hits it any more.
     std::size_t idx = bankIndex(rank, bank);
     refreshOpen.assign(idx, false);
-    nReadHit[idx] = 0;
-    nWriteHit[idx] = 0;
-    syncBankBits(idx);
+    readHit.assign(idx, false);
+    writeHit.assign(idx, false);
     return true;
 }
 
@@ -368,9 +318,10 @@ MemoryController::tryRefreshAct(int rank, BankId bank, RowId row,
     }
     model.issueAct(rank, bank, row, now);
     record(CommandType::ACT, now, rank, bank, row);
-    markIssued(now);
-    refreshOpen.assign(bankIndex(rank, bank), true);
-    recountHits(rank, bank); // a refresh row can match queued requests
+    markIssued();
+    std::size_t idx = bankIndex(rank, bank);
+    refreshOpen.assign(idx, true);
+    syncBankBits(idx); // a refresh row can match queued requests
     onRowActivation(rank, bank, row, now);
     return true;
 }
@@ -389,9 +340,9 @@ MemoryController::tryIssueHira(int rank, BankId bank, RowId first,
     record(CommandType::ACT, second_at, rank, bank, second,
            HiraRole::SecondAct);
     reserveHiraSlots(now);
-    markIssued(now);
+    markIssued();
     ++stats_.hiraOps;
-    recountHits(rank, bank); // bank now open with `second`
+    syncBankBits(bankIndex(rank, bank)); // bank now open with `second`
     return second_at;
 }
 
@@ -446,8 +397,8 @@ MemoryController::tick(Cycle now)
     lastTick = now;
     // Occupancy at tick entry; under the event engine this samples only
     // executed cycles (skipped cycles have provably unchanged queues).
-    observe(mReadQDepth, static_cast<double>(readQ.size()));
-    observe(mWriteQDepth, static_cast<double>(writeQ.size()));
+    observe(mReadQDepth, static_cast<double>(nReads));
+    observe(mWriteQDepth, static_cast<double>(nWrites));
     // Retire expired HiRA bus-slot reservations (at most a handful of
     // future slots; plain index compaction, nothing allocates here).
     if (!reservedSlots.empty()) {
@@ -532,9 +483,9 @@ MemoryController::tryDemandAct(const Request &req, Cycle now)
 
     model.issueAct(rank, bank, req.da.row, now);
     record(CommandType::ACT, now, rank, bank, req.da.row);
-    markIssued(now);
+    markIssued();
     count(mRowMisses);
-    recountHits(rank, bank);
+    syncBankBits(bankIndex(rank, bank));
     onRowActivation(rank, bank, req.da.row, now);
     return true;
 }
@@ -543,38 +494,39 @@ bool
 MemoryController::issueRowCommand(bool is_read, Cycle now)
 {
     // Oldest-first, one attempt per bank. Only a bank's oldest queued
-    // request gets a row command, and whether it issues depends on the
-    // bank alone: a closed bank takes its ACT, an open one whose row no
-    // queued request still hits takes the conflict PRE (a bank whose
-    // row is hit waits for the column commands). So pick the banks that
-    // would issue from the queued bits first, and walk the queue only
-    // if one did: its first request to a picked bank is the oldest such
-    // bank's oldest request, the one the full walk would have served.
-    const BankBits &queued = is_read ? readQueued : writeQueued;
-    bool any = pickedScratch.assignFiltered(queued, [&](std::size_t idx) {
-        if (bankBlockedAt(idx))
+    // request (its queue's front) gets a row command, and whether it
+    // issues depends on the bank alone: a closed bank takes its ACT, an
+    // open one whose row no queued request still hits takes the
+    // conflict PRE (a bank whose row is hit waits for the column
+    // commands). Of the banks that would issue, serve the one whose
+    // oldest request arrived first.
+    const std::vector<BankQueue> &queues = is_read ? readQ : writeQ;
+    const Queued *oldest = nullptr;
+    (is_read ? readQueued : writeQueued).anyOf([&](std::size_t idx) {
+        const Queued &front = queues[idx].front();
+        if ((oldest != nullptr && oldest->seq < front.seq) ||
+            bankBlockedAt(idx)) {
             return false;
-        if (model.openRowAt(idx) == kNoRow) {
-            return !rankHold[static_cast<std::size_t>(bankRank[idx])] &&
-                   model.earliestActAt(idx) <= now;
         }
-        return !bankHasOpenRowHit(idx) && model.earliestPreAt(idx) <= now;
-    });
-    if (!any)
+        bool ready =
+            model.openRowAt(idx) == kNoRow
+                ? !rankHold[static_cast<std::size_t>(bankRank[idx])] &&
+                      model.earliestActAt(idx) <= now
+                : !bankHasOpenRowHit(idx) && model.earliestPreAt(idx) <= now;
+        if (ready)
+            oldest = &front;
         return false;
-    for (const Request &req : is_read ? readQ : writeQ) {
-        std::size_t idx = bankIndex(req.da.rank, req.da.bank);
-        if (!pickedScratch.test(idx))
-            continue;
-        if (model.openRowAt(idx) == kNoRow) {
-            bool issued = tryDemandAct(req, now);
-            hira_assert(issued);
-            return issued;
-        }
-        count(mRowConflicts);
-        return tryPre(req.da.rank, req.da.bank, now);
+    });
+    if (oldest == nullptr)
+        return false;
+    const Request &req = oldest->req;
+    if (model.openRow(req.da.rank, req.da.bank) == kNoRow) {
+        bool issued = tryDemandAct(req, now);
+        hira_assert(issued);
+        return issued;
     }
-    panic("issueRowCommand: picked bank has no queued request");
+    count(mRowConflicts);
+    return tryPre(req.da.rank, req.da.bank, now);
 }
 
 bool
@@ -583,13 +535,12 @@ MemoryController::nextWriteMode() const
     // Enter write drain at drainHigh, or opportunistically when there
     // is no read work at all; leave it at drainLow once reads wait, or
     // when no write is left.
-    if (writeQ.empty())
+    if (nWrites == 0)
         return false;
     if (!writeMode)
-        return writeQ.size() >= static_cast<std::size_t>(cfg.drainHigh) ||
-               readQ.empty();
-    return writeQ.size() > static_cast<std::size_t>(cfg.drainLow) ||
-           readQ.empty();
+        return nWrites >= static_cast<std::size_t>(cfg.drainHigh) ||
+               nReads == 0;
+    return nWrites > static_cast<std::size_t>(cfg.drainLow) || nReads == 0;
 }
 
 void
@@ -662,18 +613,19 @@ MemoryController::computeNextEvent(Cycle now) const
     // One pass over the banks that can have an event: those with a
     // request of the active class queued, a pending preventive victim
     // or an open refresh row (the union of their bit words), reading
-    // the per-bank request index (nRead / nWrite / n*Hit), no queue
-    // walk at all. Only the active queue can schedule before the next
+    // only the bits derived from the bank's queues, no queue walk at
+    // all. Only the active queue can schedule before the next
     // mode flip, and flips always land on ticks the wake list covers
     // (the hysteresis check above plus enqueue's wake lowering), so
     // the inactive class contributes no horizon. The conflict-PRE and
     // preventive-close entries replay issueRowCommand /
     // preventiveTick's row-hit gate (bankHasOpenRowHit): a PRE dense
     // defers while the open row has queued hits is not considered,
-    // because the hit counts only change at covered ticks (hit issues,
+    // because the hit bits only change at covered ticks (hit issues,
     // hit arrivals through enqueue, row transitions through commands),
     // after which this recompute runs again.
     const BankBits &queued = writeMode ? writeQueued : readQueued;
+    const BankBits &hit = writeMode ? writeHit : readHit;
     bool at_floor = BankBits::anyOfUnion(
         queued, preventivePending, refreshOpen, [&](std::size_t idx) {
             if (refreshOpen.test(idx)) {
@@ -682,9 +634,6 @@ MemoryController::computeNextEvent(Cycle now) const
                 return model.openRowAt(idx) != kNoRow &&
                        consider(model.earliestPreAt(idx));
             }
-            std::uint16_t nq = writeMode ? nWrite[idx] : nRead[idx];
-            std::uint16_t nh = writeMode ? nWriteHit[idx] : nReadHit[idx];
-            bool preventive = preventivePending.test(idx);
             if (model.openRowAt(idx) == kNoRow) {
                 // Everything queued wants an ACT (demand row or
                 // preventive victim). Held ranks: the holding scheme's
@@ -693,12 +642,15 @@ MemoryController::computeNextEvent(Cycle now) const
                 return !rankHold[static_cast<std::size_t>(bankRank[idx])] &&
                        consider(model.earliestActAt(idx));
             }
-            if (nh != 0 &&
+            if (hit.test(idx) &&
                 consider(writeMode ? model.earliestWrAt(idx)
                                    : model.earliestRdAt(idx))) {
                 return true;
             }
-            return (nq > nh || preventive) && !bankHasOpenRowHit(idx) &&
+            // Without an honoured hit the active class has none either,
+            // so any queued request of it wants the conflict PRE.
+            return (queued.test(idx) || preventivePending.test(idx)) &&
+                   !bankHasOpenRowHit(idx) &&
                    consider(model.earliestPreAt(idx));
         });
     if (at_floor)
@@ -721,47 +673,55 @@ MemoryController::computeNextEvent(Cycle now) const
 bool
 MemoryController::issueColumnIfReady(bool is_read, Cycle now)
 {
-    // The oldest ready row hit: pick the banks with a queued hit whose
-    // column command may issue now, and walk the queue only if one did,
-    // to its first request that hits a picked bank's open row.
-    const BankBits &hits = is_read ? readHit : writeHit;
-    bool any = pickedScratch.assignFiltered(hits, [&](std::size_t idx) {
-        return !refreshOpen.test(idx) &&
-               (is_read ? model.earliestRdAt(idx)
-                        : model.earliestWrAt(idx)) <= now;
+    // The oldest ready row hit: each bank with a queued hit whose column
+    // command may issue now offers its oldest hit, and the least seq of
+    // those is served.
+    std::vector<BankQueue> &queues = is_read ? readQ : writeQ;
+    std::size_t bank_idx = 0;
+    BankQueue::iterator oldest;
+    bool any = false;
+    (is_read ? readHit : writeHit).anyOf([&](std::size_t idx) {
+        BankQueue &q = queues[idx];
+        if ((any && oldest->seq < q.front().seq) || refreshOpen.test(idx) ||
+            (is_read ? model.earliestRdAt(idx) : model.earliestWrAt(idx)) >
+                now) {
+            return false;
+        }
+        const RowId open = model.openRowAt(idx);
+        auto it = std::find_if(q.begin(), q.end(), [open](const Queued &e) {
+            return e.req.da.row == open;
+        });
+        hira_assert(it != q.end());
+        if (!any || it->seq < oldest->seq) {
+            bank_idx = idx;
+            oldest = it;
+            any = true;
+        }
+        return false;
     });
     if (!any)
         return false;
-    std::deque<Request> &queue = is_read ? readQ : writeQ;
-    for (auto it = queue.begin(); it != queue.end(); ++it) {
-        const Request &req = *it;
-        std::size_t idx = bankIndex(req.da.rank, req.da.bank);
-        if (!pickedScratch.test(idx) || model.openRowAt(idx) != req.da.row)
-            continue;
-        int rank = req.da.rank;
-        BankId bank = req.da.bank;
-        if (is_read) {
-            Cycle done = model.issueRd(rank, bank, now);
-            record(CommandType::RD, now, rank, bank, req.da.row);
-            completions_.push_back({req.tag, req.coreId, done});
-            stats_.readLatencySum += done - req.arrival;
-            ++stats_.readsServed;
-            --nRead[idx];
-            --nReadHit[idx]; // the issued request hit the open row
-        } else {
-            model.issueWr(rank, bank, now);
-            record(CommandType::WR, now, rank, bank, req.da.row);
-            ++stats_.writesServed;
-            --nWrite[idx];
-            --nWriteHit[idx];
-        }
-        syncBankBits(idx);
-        markIssued(now);
-        count(mRowHits);
-        queue.erase(it);
-        return true;
+    const Request &req = oldest->req;
+    const int rank = req.da.rank;
+    const BankId bank = req.da.bank;
+    if (is_read) {
+        Cycle done = model.issueRd(rank, bank, now);
+        record(CommandType::RD, now, rank, bank, req.da.row);
+        completions_.push_back({req.tag, req.coreId, done});
+        stats_.readLatencySum += done - req.arrival;
+        ++stats_.readsServed;
+        --nReads;
+    } else {
+        model.issueWr(rank, bank, now);
+        record(CommandType::WR, now, rank, bank, req.da.row);
+        ++stats_.writesServed;
+        --nWrites;
     }
-    panic("issueColumnIfReady: picked bank has no queued hit");
+    queues[bank_idx].erase(oldest);
+    syncBankBits(bank_idx);
+    markIssued();
+    count(mRowHits);
+    return true;
 }
 
 } // namespace hira

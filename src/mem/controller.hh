@@ -11,6 +11,10 @@
  * original immediate form (preventive refresh as soon as the activated
  * row's bank is free) or delegated to HiRA-MC's PreventiveRC.
  *
+ * Each queue is kept per bank in arrival order, so FR-FCFS compares the
+ * banks' oldest candidates by arrival number instead of walking one
+ * queue; the 64-entry caps apply to the totals.
+ *
  * The HiRA operation is issued atomically: the controller reserves the
  * two future command-bus slots for the inner PRE and second ACT, applies
  * the timing effects through ChannelTimingModel::issueHira, and logs all
@@ -158,10 +162,16 @@ class MemoryController
     /** Completions accumulated since the last drain. */
     std::vector<Completion> &completions() { return completions_; }
 
-    bool readQueueFull() const;
-    bool writeQueueFull() const;
-    std::size_t queuedReads() const { return readQ.size(); }
-    std::size_t queuedWrites() const { return writeQ.size(); }
+    bool readQueueFull() const
+    {
+        return nReads >= static_cast<std::size_t>(cfg.readQueueCap);
+    }
+    bool writeQueueFull() const
+    {
+        return nWrites >= static_cast<std::size_t>(cfg.writeQueueCap);
+    }
+    std::size_t queuedReads() const { return nReads; }
+    std::size_t queuedWrites() const { return nWrites; }
 
     // ----- primitives for refresh schemes ------------------------------
 
@@ -206,13 +216,19 @@ class MemoryController
      * slots).
      */
     std::vector<Command> trace() const;
-    int channelId() const { return channel; }
 
     /** True if the bank is withheld from demand scheduling. */
     bool bankBlocked(int rank, BankId bank) const;
 
     // Flat bank index (rank-major, BankBits order) helpers, so callers
     // that walk banks by index never divide.
+    /** Flat index of (rank, bank) in [0, Geometry::banksPerChannel()). */
+    std::size_t bankIndex(int rank, BankId bank) const
+    {
+        return static_cast<std::size_t>(rank) *
+                   static_cast<std::size_t>(cfg.geom.banksPerRank()) +
+               bank;
+    }
     /** Rank of a flat bank index. */
     int rankOf(std::size_t idx) const { return bankRank[idx]; }
     /** Bank within its rank of a flat bank index. */
@@ -239,21 +255,30 @@ class MemoryController
     std::size_t pendingPreventive(int rank, BankId bank) const;
 
     /**
-     * Test-only O(queue) audit of the per-bank count index: recounts
-     * nRead/nWrite/nReadHit/nWriteHit and their bit words from the
-     * queues and the open rows. Returns "" when they agree, else a
-     * description of the first mismatching bank.
+     * Test-only O(queue) audit of the per-bank request queues: every
+     * request sits in its own bank's queue of its class, in arrival
+     * order; the totals match the queues; and the four bit words agree
+     * with a recount of the queues against the open rows. Returns ""
+     * when they do, else a description of the first mismatching bank.
      */
     std::string countIndexAudit() const;
 
   private:
-    std::size_t bankIndex(int rank, BankId bank) const;
-    /** Mirror the bank's four index counts into their bit words. */
+    /** A queued request and its channel-wide arrival number. */
+    struct Queued
+    {
+        std::uint64_t seq;
+        Request req;
+    };
+    /** One bank's requests of one class, oldest first. */
+    using BankQueue = std::vector<Queued>;
+
+    /** Rebuild the bank's four bits from its two queues and open row. */
     void syncBankBits(std::size_t idx);
 
     void record(CommandType type, Cycle cycle, int rank, BankId bank,
                 RowId row, HiraRole role = HiraRole::None);
-    void markIssued(Cycle now);
+    void markIssued();
     bool slotReservedAt(Cycle c) const;
     void reserveHiraSlots(Cycle now);
     /**
@@ -280,9 +305,6 @@ class MemoryController
     bool issueRowCommand(bool is_read, Cycle now);
     bool tryDemandAct(const Request &req, Cycle now);
 
-    /** Rebuild the bank's open-row-hit counts from the queues. */
-    void recountHits(int rank, BankId bank);
-
     /**
      * True if the bank's open row has a queued hit the scheduler still
      * honors: readQ hits always, writeQ hits only in write-drain mode
@@ -293,8 +315,7 @@ class MemoryController
      */
     bool bankHasOpenRowHit(std::size_t idx) const
     {
-        return nReadHit[idx] != 0 ||
-               (writeMode && nWriteHit[idx] != 0);
+        return readHit.test(idx) || (writeMode && writeHit.test(idx));
     }
 
     int channel;
@@ -303,7 +324,12 @@ class MemoryController
     std::unique_ptr<RefreshScheme> refreshScheme;
     ParaSampler paraSampler;
 
-    std::deque<Request> readQ, writeQ;
+    // One BankQueue per flat bankIndex() and class; nReads / nWrites are
+    // the total depths the caps and drain watermarks apply to, and
+    // nextSeq numbers arrivals channel-wide (oldest = least seq).
+    std::vector<BankQueue> readQ, writeQ;
+    std::size_t nReads = 0, nWrites = 0;
+    std::uint64_t nextSeq = 0;
     std::vector<Completion> completions_;
     std::vector<Cycle> reservedSlots; //!< future HiRA PRE/ACT bus slots
 
@@ -328,25 +354,14 @@ class MemoryController
     // query (the cycle engine never queries it and pays nothing).
     mutable Cycle nextWake = 0;
     mutable bool nextWakeValid = false;
-    // Per-bank queued-request index, flat bankIndex() order: how many
-    // reads / writes target each bank, and how many of those hit the
-    // bank's currently open row. Maintained incrementally — enqueue and
-    // column issue adjust the target bank O(1), row transitions recount
-    // one bank (recountHits / tryPre) — so the wake scan and the
-    // scheduler's row-hit gates run over banks, not queue entries.
-    std::vector<std::uint16_t> nRead, nWrite, nReadHit, nWriteHit;
-    // The same index as bit words (count != 0), kept in sync by
-    // syncBankBits at every place a count changes. The FR-FCFS scans
-    // visit only the set bits of the active class (hit bits for column
-    // commands, queued bits for row commands) and walk the queue only
-    // once a bank is known to issue.
+    // Per-bank bits derived from the bank's queues: a request of the
+    // class is queued, and one of them hits the bank's open row.
+    // enqueue sets them, tryPre clears the hit bits, and syncBankBits
+    // rebuilds a bank's four after an ACT or a column issue. The wake
+    // scan and the FR-FCFS scans visit only the set bits of the active
+    // class (hit bits for column commands, queued bits for row
+    // commands), so they run over banks, not queue entries.
     BankBits readQueued, writeQueued, readHit, writeHit;
-    // Scheduler scratch: the banks a scan picked to issue this cycle,
-    // overwritten whole by each scan (no per-call clear). It replaces
-    // the per-call "bank already seen" marks the row-command walk used
-    // to keep: the walk's first request to a picked bank is that bank's
-    // oldest, so no mark is needed.
-    BankBits pickedScratch;
 
     ControllerStats stats_;
     CommandTraceRecorder recorder;

@@ -18,8 +18,7 @@ GrapheneTrr::attach(MemoryController *controller)
     BaselineRefresh::attach(controller);
     const Geometry &geom = controller->geometry();
     const TimingCycles &tcy = controller->tc();
-    std::size_t nbanks = static_cast<std::size_t>(geom.ranksPerChannel) *
-                         static_cast<std::size_t>(geom.banksPerRank());
+    std::size_t nbanks = static_cast<std::size_t>(geom.banksPerChannel());
     trackers.assign(nbanks, {});
     for (auto &t : trackers)
         t.reserve(static_cast<std::size_t>(cfg.trackerSize));
@@ -50,9 +49,7 @@ void
 GrapheneTrr::onActivate(int rank, BankId bank, RowId row, Cycle now)
 {
     (void)now;
-    std::size_t idx =
-        static_cast<std::size_t>(rank * ctrl->geometry().banksPerRank()) +
-        bank;
+    std::size_t idx = ctrl->bankIndex(rank, bank);
     std::vector<Tracked> &t = trackers[idx];
     for (Tracked &e : t) {
         if (e.row == row) {

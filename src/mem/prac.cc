@@ -17,8 +17,7 @@ PracRefresh::attach(MemoryController *controller)
     BaselineRefresh::attach(controller);
     const Geometry &geom = controller->geometry();
     slackCycles = static_cast<Cycle>(cfg.slackRc) * controller->tc().rc;
-    std::size_t nbanks = static_cast<std::size_t>(geom.ranksPerChannel) *
-                         static_cast<std::size_t>(geom.banksPerRank());
+    std::size_t nbanks = static_cast<std::size_t>(geom.banksPerChannel());
     counters.assign(nbanks, {});
     tables.clear();
     rowOf.clear();
@@ -45,9 +44,7 @@ PracRefresh::attachMetrics(const MetricScope &scope)
 void
 PracRefresh::onActivate(int rank, BankId bank, RowId row, Cycle now)
 {
-    std::size_t idx =
-        static_cast<std::size_t>(rank * ctrl->geometry().banksPerRank()) +
-        bank;
+    std::size_t idx = ctrl->bankIndex(rank, bank);
     int &c = counters[idx][row];
     if (++c < cfg.threshold)
         return;

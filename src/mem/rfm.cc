@@ -16,8 +16,7 @@ RfmRefresh::attach(MemoryController *controller)
 {
     BaselineRefresh::attach(controller);
     const Geometry &geom = controller->geometry();
-    std::size_t nbanks = static_cast<std::size_t>(geom.ranksPerChannel) *
-                         static_cast<std::size_t>(geom.banksPerRank());
+    std::size_t nbanks = static_cast<std::size_t>(geom.banksPerChannel());
     raa.assign(nbanks, 0);
     victims.reset(nbanks, cfg.queueCap);
 }
@@ -32,9 +31,7 @@ void
 RfmRefresh::onActivate(int rank, BankId bank, RowId row, Cycle now)
 {
     (void)now;
-    std::size_t idx =
-        static_cast<std::size_t>(rank * ctrl->geometry().banksPerRank()) +
-        bank;
+    std::size_t idx = ctrl->bankIndex(rank, bank);
     if (++raa[idx] < cfg.raaimt)
         return;
     // RAAIMT crossed: the bank owes an RFM. Subtracting (not zeroing)

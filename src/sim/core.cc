@@ -5,10 +5,9 @@
 namespace hira {
 
 CoreModel::CoreModel(int core_id, TraceSource &trace, Llc &shared_llc,
-                     int issue_width, int window_entries,
-                     bool allow_exhausted_ff)
+                     int issue_width, int window_entries)
     : id(core_id), gen(trace), llc(shared_llc), width(issue_width),
-      windowSize(window_entries), allowExhaustedFf(allow_exhausted_ff)
+      windowSize(window_entries)
 {
     hira_assert(issue_width > 0 && window_entries > 0);
     window.assign(static_cast<std::size_t>(window_entries), Slot{});

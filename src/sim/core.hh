@@ -27,13 +27,9 @@ class CoreModel
      * @param shared_llc the shared LLC
      * @param issue_width issue/retire width (4)
      * @param window instruction-window entries (128)
-     * @param allow_exhausted_ff permit the exhausted-trace fast-forward
-     *        (see skipTicks()); must be false when the trace source has
-     *        to observe every next() call (e.g. a TraceRecorder dump)
      */
     CoreModel(int core_id, TraceSource &trace, Llc &shared_llc,
-              int issue_width = 4, int window = 128,
-              bool allow_exhausted_ff = true);
+              int issue_width = 4, int window = 128);
 
     /** Advance one CPU cycle (@p mem_now is the memory-clock time). */
     void tick(Cycle mem_now);
@@ -141,7 +137,7 @@ class CoreModel
         // tick retires and re-dispatches exactly `width` instructions.
         // Ordered cheapest-reject-first; the virtual exhausted() call
         // comes last.
-        return allowExhaustedFf && waitingMemCount == 0 &&
+        return waitingMemCount == 0 &&
                !hasPendingInst && maxReadyAt <= cpuCycle &&
                occupancy >= static_cast<std::size_t>(width) &&
                windowSize >= width && gen.exhausted();
@@ -152,7 +148,6 @@ class CoreModel
     Llc &llc;
     int width;
     int windowSize;
-    bool allowExhaustedFf;
     std::vector<Slot> window;
     std::size_t head = 0, tail = 0, occupancy = 0;
     std::uint64_t nextTag = 1;

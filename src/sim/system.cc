@@ -100,11 +100,9 @@ System::System(const SystemConfig &config)
                                                   cfg.traceDumpFormat);
         }
         sources.push_back(std::move(src));
-        // A TraceRecorder must observe every next() call, so the
-        // exhausted-trace fast-forward is disabled when recording.
         cores.push_back(std::make_unique<CoreModel>(
             static_cast<int>(i), *sources.back(), *llc, cfg.coreWidth,
-            cfg.windowEntries, cfg.traceDumpDir.empty()));
+            cfg.windowEntries));
         cores.back()->attachMetrics(root.sub(strprintf("core%zu", i)));
     }
 }

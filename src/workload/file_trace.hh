@@ -148,7 +148,12 @@ class TraceRecorder final : public TraceSource
 
     TraceInst next() override;
     Addr regionBase() const override { return src->regionBase(); }
-    bool exhausted() const override { return src->exhausted(); }
+    /**
+     * Never exhausted, even once the wrapped source is: exhausted()
+     * lets a core fast-forward without calling next(), and the recorder
+     * must see every next() for the file to replay the same stream.
+     */
+    bool exhausted() const override { return false; }
 
     /** Write the trailing non-memory run (if any) and flush the file. */
     void flush();

@@ -1,19 +1,21 @@
 /**
  * @file
- * Property: the controller's per-bank count index never drifts from
- * its queues.
+ * Property: the controller's per-bank bit words never drift from its
+ * per-bank request queues.
  *
- * The FR-FCFS scans trust the index (nRead/nWrite/nReadHit/nWriteHit
- * and their bit words) to say which banks have queued work and row
- * hits, and walk the queue only for a bank the index picked. An
- * undercount would not fail anything; it would silently hold a bank
- * back and reorder commands. So every tick of randomized runs is
- * audited against a recount from the queues
- * (MemoryController::countIndexAudit), under every scheme and both
- * geometries of tests/controller_drive.hh, and each case's runs must
- * have reached the transitions that move the index: write drain, rank
- * holds for REF, refresh rows opened by refresh ACTs or HiRA pairs, and
- * HiRA operations.
+ * The FR-FCFS scans and the wake scan trust the bits (a read / write
+ * is queued to the bank, one of them hits its open row) to say which
+ * banks to visit, and the scans compare only the queues of the banks
+ * they visit. A missing bit would not fail anything; it would silently
+ * hold a bank back and reorder commands. So every tick of randomized
+ * runs is audited (MemoryController::countIndexAudit): each request
+ * sits in its own bank's queue of its class in arrival order, the
+ * totals match, and the bits match a recount of the queues against the
+ * open rows. This runs under every scheme and both geometries of
+ * tests/controller_drive.hh, and each case's runs must have reached the
+ * transitions that move the bits: write drain, rank holds for REF,
+ * refresh rows opened by refresh ACTs or HiRA pairs, and HiRA
+ * operations.
  */
 
 #include <gtest/gtest.h>

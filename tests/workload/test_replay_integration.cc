@@ -4,7 +4,7 @@
  * recorded to disk and replayed through FileTraceSource must drive the
  * full system to bitwise-identical IPC in both formats, and SweepRunner
  * must evaluate mixes combining synthetic and "file:" workloads end to
- * end.
+ * end. Recording a trace that runs dry mid-run must keep its tail.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,8 @@
 
 #include "result_expect.hh"
 #include "sim/experiment.hh"
+#include "sim/trace.hh"
+#include "sim/workloads.hh"
 #include "workload/file_trace.hh"
 
 using namespace hira;
@@ -94,6 +96,40 @@ TEST_F(ReplayIntegrationTest, BinaryReplayIsBitwiseIdentical)
 {
     auto [live, replay] = recordAndReplay(
         {"lbm-like", "omnetpp-like"}, TraceFormat::Binary);
+    expectSameResult(live.sys, replay.sys);
+}
+
+TEST_F(ReplayIntegrationTest, RecordingAnExhaustedTraceKeepsEveryInstruction)
+{
+    // Core 0 replays a 4000-instruction trace once and runs dry long
+    // before the run ends. Recording must still capture every
+    // instruction it executes after that (the non-memory tail), so the
+    // dumped files replayed in looping mode never wrap around to the
+    // trace's memory accesses and reproduce the run exactly.
+    std::string mcf = dir + "/mcf4000.trace";
+    files.push_back(mcf);
+    {
+        TraceGen gen(benchmarkByName("mcf-like"), 5, 0, Addr(1) << 26);
+        dumpTrace(gen, mcf, TraceFormat::Text, 4000);
+    }
+    GeomSpec geom;
+    SchemeSpec scheme;
+    scheme.kind = SchemeKind::Baseline;
+    SystemConfig cfg = makeSystemConfig(
+        geom, scheme, {"file:" + mcf + "?once", "gcc-like"}, 9);
+    cfg.traceDumpDir = dir;
+    RunResult live = runOne(cfg, kWarmup, kMeasure);
+    ASSERT_GT(live.sys.ipc[0], 0.0);
+
+    WorkloadMix replay_mix;
+    for (int i = 0; i < 2; ++i) {
+        std::string path = dir + "/core" + std::to_string(i) + ".trace";
+        files.push_back(path);
+        replay_mix.push_back("file:" + path);
+    }
+    RunResult replay =
+        runOne(makeSystemConfig(geom, scheme, replay_mix, 9), kWarmup,
+               kMeasure);
     expectSameResult(live.sys, replay.sys);
 }
 
