@@ -15,10 +15,11 @@ constexpr std::uint64_t kTagPair = 101;
 } // namespace
 
 IsolationMap::IsolationMap(const ChipConfig &config)
-    : cfg(config), count(config.subarraysPerBank)
+    : cfg(config), count(config.subarraysPerBank),
+      words((config.subarraysPerBank + 63) / 64)
 {
     hira_assert(count >= 2);
-    matrix.assign(static_cast<std::size_t>(count) * count, false);
+    partners.assign(static_cast<std::size_t>(count) * words, 0);
 
     // Per-subarray isolation target around the module mean. Averaging
     // the two endpoints' targets halves the spread, so pre-widen by 2x.
@@ -36,9 +37,12 @@ IsolationMap::IsolationMap(const ChipConfig &config)
             if (b - a < 2)
                 continue;
             double p = std::clamp(0.5 * (target[a] + target[b]), 0.0, 1.0);
-            bool iso = hashUniform(hashCombine(cfg.seed, kTagPair), a, b) < p;
-            matrix[static_cast<std::size_t>(a) * count + b] = iso;
-            matrix[static_cast<std::size_t>(b) * count + a] = iso;
+            if (hashUniform(hashCombine(cfg.seed, kTagPair), a, b) >= p)
+                continue;
+            partners[static_cast<std::size_t>(a) * words + b / 64] |=
+                std::uint64_t(1) << (b % 64);
+            partners[static_cast<std::size_t>(b) * words + a / 64] |=
+                std::uint64_t(1) << (a % 64);
         }
     }
 }

@@ -15,6 +15,7 @@
 #ifndef HIRA_CHIP_DESIGN_HH
 #define HIRA_CHIP_DESIGN_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "chip/config.hh"
@@ -31,10 +32,22 @@ class IsolationMap
     bool
     isolated(SubarrayId a, SubarrayId b) const
     {
-        if (a == b)
-            return false;
-        return matrix[static_cast<std::size_t>(a) * count + b];
+        return (partnerBits(a)[b / 64] >> (b % 64)) & 1;
     }
+
+    /**
+     * Subarray @p a's partner bitmap (its SPT entry, §5.1.4): bit b of
+     * word b / 64 is set iff isolated(a, b). partnerWords() words; the
+     * bits past subarrays() and bit a itself are always clear.
+     */
+    const std::uint64_t *
+    partnerBits(SubarrayId a) const
+    {
+        return &partners[static_cast<std::size_t>(a) * words];
+    }
+
+    /** 64-bit words per partner bitmap: ceil(subarrays() / 64). */
+    std::uint32_t partnerWords() const { return words; }
 
     /** True if two *rows* may form a HiRA pair at the circuit level. */
     bool
@@ -57,7 +70,8 @@ class IsolationMap
   private:
     ChipConfig cfg;
     std::uint32_t count;
-    std::vector<bool> matrix; //!< symmetric count x count
+    std::uint32_t words;
+    std::vector<std::uint64_t> partners; //!< count bitmaps, symmetric
 };
 
 } // namespace hira

@@ -73,9 +73,26 @@ HiraMc::attachMetrics(const MetricScope &scope)
     mRefptrResets = scope.counter("refptr_resets");
 }
 
+double
+HiraMc::earliestGen() const
+{
+    if (!nextGenMinValid) {
+        nextGenMin = nextGen.empty() ? 0.0 : nextGen[0];
+        for (double g : nextGen) {
+            if (g < nextGenMin)
+                nextGenMin = g;
+        }
+        nextGenMinValid = true;
+    }
+    return nextGenMin;
+}
+
 void
 HiraMc::generatePeriodic(Cycle now)
 {
+    // No bank's generation instant has passed: nothing to insert.
+    if (static_cast<double>(now) < earliestGen())
+        return;
     const Geometry &geom = ctrl->geometry();
     int banks = geom.banksPerRank();
     for (int rank = 0; rank < geom.ranksPerChannel; ++rank) {
@@ -194,15 +211,7 @@ HiraMc::nextEventCycle(Cycle now) const
         // First cycle c with min(nextGen) <= c, i.e. ceil of the next
         // generation instant (exact: instants stay far below 2^53).
         // ceil is monotone, so caching the double min is equivalent.
-        if (!nextGenMinValid) {
-            nextGenMin = nextGen.empty() ? 0.0 : nextGen[0];
-            for (double g : nextGen) {
-                if (g < nextGenMin)
-                    nextGenMin = g;
-            }
-            nextGenMinValid = true;
-        }
-        if (consider(static_cast<Cycle>(std::ceil(nextGenMin))))
+        if (consider(static_cast<Cycle>(std::ceil(earliestGen()))))
             return floor;
     } else if (consider(BaselineRefresh::nextEventCycle(now))) {
         return floor;
@@ -222,7 +231,7 @@ HiraMc::caseTwo(Cycle now)
         // just-refreshed bank waits for its auto-PRE.
         const RefreshEntry *e = nullptr;
         for (const RefreshEntry &cand : tables[rank].all()) {
-            if (cand.rank != rank || cand.deadline > now + marginCycles)
+            if (cand.deadline > now + marginCycles)
                 continue;
             if (ctrl->bankBlocked(rank, cand.bank))
                 continue;
@@ -245,13 +254,19 @@ HiraMc::caseTwo(Cycle now)
 
         // Copy the entry: commits mutate the table.
         RefreshEntry first = *e;
-        Target tc_first = targetFor(first, kAnySubarray, 0);
-        if (!tc_first.valid()) {
+        if (first.type == RefreshType::Preventive &&
+            fifos[rank].empty(bank)) {
             // Desynchronized preventive entry (FIFO drained elsewhere):
             // drop it defensively.
             tables[rank].remove(first.id);
             continue;
         }
+        // Every refresh below needs an ACT now (a HiRA pair's first ACT
+        // is no earlier than a plain one), so until the bank can take
+        // one, skip the target search instead of picking and dropping.
+        if (ctrl->rankHeld(rank) || model.earliestAct(rank, bank) > now)
+            continue;
+        Target tc_first = targetFor(first, kAnySubarray, 0);
 
         if (cfg.enableRefreshPairing && cfg.enablePullAhead &&
             first.type == RefreshType::Periodic &&
@@ -316,17 +331,14 @@ HiraMc::pickHiddenRefresh(int rank, BankId bank, RowId row_a, Cycle now)
     proposal.valid = false;
     if (!cfg.enableAccessPairing)
         return kNoRow;
-    const RefreshEntry *e = tables[rank].earliestForBank(rank, bank);
+    const RefreshEntry *e = tables[rank].earliestForBank(bank);
     if (e == nullptr)
         return kNoRow;
     Target t = targetFor(*e, spt_->subarrayOf(row_a), 0);
     if (!t.valid())
         return kNoRow;
     proposal.valid = true;
-    proposal.entryId = e->id;
-    proposal.rank = rank;
-    proposal.bank = bank;
-    proposal.type = e->type;
+    proposal.entry = *e;
     proposal.target = t;
     return t.row;
 }
@@ -334,22 +346,10 @@ HiraMc::pickHiddenRefresh(int rank, BankId bank, RowId row_a, Cycle now)
 void
 HiraMc::onHiraIssued(int rank, BankId bank, RowId refresh_row, Cycle now)
 {
-    hira_assert(proposal.valid && proposal.rank == rank &&
-                proposal.bank == bank &&
+    hira_assert(proposal.valid && proposal.entry.rank == rank &&
+                proposal.entry.bank == bank &&
                 proposal.target.row == refresh_row);
-    RefreshEntry e;
-    e.id = proposal.entryId;
-    e.rank = rank;
-    e.bank = bank;
-    e.type = proposal.type;
-    // Recover the deadline for the miss statistic.
-    for (const RefreshEntry &cur : tables[rank].all()) {
-        if (cur.id == proposal.entryId) {
-            e.deadline = cur.deadline;
-            break;
-        }
-    }
-    commit(e, proposal.target, now);
+    commit(proposal.entry, proposal.target, now);
     ++stats_.accessPaired;
     proposal.valid = false;
 }

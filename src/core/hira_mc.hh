@@ -106,14 +106,12 @@ class HiraMc final : public BaselineRefresh
     struct Proposal
     {
         bool valid = false;
-        std::uint64_t entryId = 0;
-        int rank = 0;
-        BankId bank = 0;
-        RefreshType type = RefreshType::Periodic;
+        RefreshEntry entry; //!< copy, deadline included, for commit
         Target target;
     };
 
     void generatePeriodic(Cycle now);
+    double earliestGen() const;
     bool caseTwo(Cycle now);
     Target targetFor(const RefreshEntry &e, SubarrayId pair_with,
                      int fifo_index) const;
@@ -127,11 +125,11 @@ class HiraMc final : public BaselineRefresh
     ParaSampler sampler;
 
     std::vector<double> nextGen;        //!< per (rank, bank), in cycles
-    // Cached min over nextGen for the event-engine horizon: every tick
-    // recomputes the wake bound, but the array only changes when a
-    // generation instant passes (generatePeriodic) or a pull-ahead
-    // consumes one (caseTwo), so those sites invalidate and the scan
-    // runs once per change instead of once per recompute.
+    // Cached min over nextGen (earliestGen): generatePeriodic and the
+    // event-engine horizon read it on every tick, but the array only
+    // changes when a generation instant passes (generatePeriodic) or a
+    // pull-ahead consumes one (caseTwo), so those sites invalidate and
+    // the scan runs once per change instead of once per read.
     mutable double nextGenMin = 0.0;
     mutable bool nextGenMinValid = false;
     double genIntervalCycles = 0.0;

@@ -36,7 +36,10 @@ struct RefreshEntry
     RefreshType type = RefreshType::Periodic;
 };
 
-/** The per-controller refresh request table. */
+/**
+ * One rank's refresh request table. Every entry is in the same rank, so
+ * the scans compare banks only.
+ */
 class RefreshTable
 {
   public:
@@ -70,25 +73,11 @@ class RefreshTable
 
     /** Earliest-deadline entry for one bank, or nullptr. */
     const RefreshEntry *
-    earliestForBank(int rank, BankId bank) const
+    earliestForBank(BankId bank) const
     {
         const RefreshEntry *best = nullptr;
         for (const RefreshEntry &e : entries) {
-            if (e.rank != rank || e.bank != bank)
-                continue;
-            if (best == nullptr || e.deadline < best->deadline)
-                best = &e;
-        }
-        return best;
-    }
-
-    /** Earliest-deadline entry in one rank, or nullptr. */
-    const RefreshEntry *
-    earliestForRank(int rank) const
-    {
-        const RefreshEntry *best = nullptr;
-        for (const RefreshEntry &e : entries) {
-            if (e.rank != rank)
+            if (e.bank != bank)
                 continue;
             if (best == nullptr || e.deadline < best->deadline)
                 best = &e;
@@ -105,10 +94,8 @@ class RefreshTable
     {
         const RefreshEntry *best = nullptr;
         for (const RefreshEntry &e : entries) {
-            if (e.id == first.id || e.rank != first.rank ||
-                e.bank != first.bank) {
+            if (e.id == first.id || e.bank != first.bank)
                 continue;
-            }
             if (best == nullptr || e.deadline < best->deadline)
                 best = &e;
         }

@@ -48,6 +48,15 @@ struct DriveCase
     std::string name;
     SchemeSpec scheme;
     GeomSpec geom;
+    /**
+     * DDR4-2400 x16 activation timing (2 KB page: tRRD_S 5.3 ns,
+     * tRRD_L 6.4 ns, tFAW 30 ns) instead of the standard's x8 values.
+     * With the x8 values a HiRA op's two-slot tFAW bound never passes a
+     * plain ACT's bound; with these it does (earliestHira >
+     * earliestAct), so a refresh can issue as a plain ACT while a HiRA
+     * pair would still wait.
+     */
+    bool x16 = false;
 };
 
 /** gtest prints a case by its name. */
@@ -79,9 +88,11 @@ ddr5TwoRanks()
 
 /**
  * NoRefresh, Baseline, Baseline + immediate PARA, HiRA-2 with
- * PreventiveRC, RFM, PRAC and Graphene-TRR, each on DDR4 8 Gb with one
- * rank and on DDR5-4800 with two ranks. Thresholds are low (NRH 64,
- * PRAC 32) so every preventive path fires within a short run.
+ * PreventiveRC, HiRA-2 alone (periodic refresh only), RFM, PRAC and
+ * Graphene-TRR, each on DDR4 8 Gb with one
+ * rank and on DDR5-4800 with two ranks, plus HiRA-2 alone on DDR4 with
+ * x16 activation timing. Thresholds are low (NRH 64, PRAC 32) so every
+ * preventive path fires within a short run.
  */
 inline std::vector<DriveCase>
 driveCases()
@@ -101,6 +112,8 @@ driveCases()
     hira.slackN = 2;
     hira.paraEnabled = true;
     hira.preventiveViaHira = true;
+    add(SchemeKind::HiraMc).slackN = 2;
+    const SchemeSpec hira_alone = schemes.back();
     add(SchemeKind::Rfm);
     add(SchemeKind::Prac).pracThreshold = 32;
     add(SchemeKind::Graphene);
@@ -117,6 +130,9 @@ driveCases()
             cases.push_back({name, s, g});
         }
     }
+    DriveCase x16{"HiRA_2_ddr4_2400_r1_x16", hira_alone, ddr4OneRank()};
+    x16.x16 = true;
+    cases.push_back(x16);
     return cases;
 }
 
@@ -132,6 +148,11 @@ makeDrivenController(const DriveCase &dc, std::uint64_t seed)
     cc.para.seed = hashCombine(cfg.seed, 0xca0);
     cc.paraImmediate = cfg.scheme != SchemeKind::HiraMc;
     cc.recordTrace = true;
+    if (dc.x16) {
+        cc.tp.tRRD_S = 5.3;
+        cc.tp.tRRD_L = 6.4;
+        cc.tp.tFAW = 30.0;
+    }
     return std::make_unique<MemoryController>(
         0, cc, schemeEntryByKind(cfg.scheme).make(cfg));
 }

@@ -20,19 +20,10 @@ TEST(RefreshTable, InsertAndEarliestByDeadline)
     t.insert(300, 0, 2, RefreshType::Periodic, &id1);
     t.insert(100, 0, 2, RefreshType::Preventive, &id2);
     t.insert(200, 0, 5, RefreshType::Periodic, &id3);
-    ASSERT_NE(t.earliestForBank(0, 2), nullptr);
-    EXPECT_EQ(t.earliestForBank(0, 2)->id, id2);
-    EXPECT_EQ(t.earliestForRank(0)->id, id2);
-    EXPECT_EQ(t.earliestForBank(0, 5)->id, id3);
-    EXPECT_EQ(t.earliestForBank(0, 9), nullptr);
-}
-
-TEST(RefreshTable, RankSeparation)
-{
-    RefreshTable t(8);
-    t.insert(100, 1, 3, RefreshType::Periodic);
-    EXPECT_EQ(t.earliestForRank(0), nullptr);
-    ASSERT_NE(t.earliestForRank(1), nullptr);
+    ASSERT_NE(t.earliestForBank(2), nullptr);
+    EXPECT_EQ(t.earliestForBank(2)->id, id2);
+    EXPECT_EQ(t.earliestForBank(5)->id, id3);
+    EXPECT_EQ(t.earliestForBank(9), nullptr);
 }
 
 TEST(RefreshTable, PairCandidateSameBankOnly)
@@ -42,12 +33,12 @@ TEST(RefreshTable, PairCandidateSameBankOnly)
     t.insert(100, 0, 2, RefreshType::Periodic, &id1);
     t.insert(150, 0, 2, RefreshType::Preventive, &id2);
     t.insert(120, 0, 3, RefreshType::Periodic, &id3);
-    const RefreshEntry *first = t.earliestForBank(0, 2);
+    const RefreshEntry *first = t.earliestForBank(2);
     const RefreshEntry *pair = t.pairCandidate(*first);
     ASSERT_NE(pair, nullptr);
     EXPECT_EQ(pair->id, id2);
     // Bank 3's lone entry has no pair.
-    EXPECT_EQ(t.pairCandidate(*t.earliestForBank(0, 3)), nullptr);
+    EXPECT_EQ(t.pairCandidate(*t.earliestForBank(3)), nullptr);
 }
 
 TEST(RefreshTable, RemoveById)

@@ -19,6 +19,12 @@
  * (controller ticks, wake recomputes, heap re-keys) follow from it, so a
  * cheaper wake scan must find exactly the same cycle. Those constants
  * were recorded before the wake scan visited only set bank bits.
+ *
+ * The HiRA-2 cases without PARA (periodic refresh only, and its x16
+ * tFAW variant) were recorded before HiRA-MC's refresh finder skipped
+ * banks that cannot take an ACT and before the RefPtr pick was indexed.
+ * Only the x16 drive reaches a cycle where a plain refresh ACT may
+ * issue but a HiRA pair may not.
  */
 
 #include <gtest/gtest.h>
@@ -69,6 +75,7 @@ goldenDigests()
         {"Baseline_ddr4_2400_r1", 0x5916cd969c0b81dull},
         {"Baseline_PARA_ddr4_2400_r1", 0x2e7e3aeb955ffa59ull},
         {"HiRA_2_PARA_HiRA__ddr4_2400_r1", 0xebfca6b778dbfcfdull},
+        {"HiRA_2_ddr4_2400_r1", 0x486493c222ece3c7ull},
         {"RFM_ddr4_2400_r1", 0xad2a1f5c3f055be0ull},
         {"PRAC_ddr4_2400_r1", 0x872948e562d6e327ull},
         {"Graphene_TRR_ddr4_2400_r1", 0xa011ca6d06e08f42ull},
@@ -76,9 +83,11 @@ goldenDigests()
         {"Baseline_ddr5_4800_r2", 0x3d3199ec9b4353c2ull},
         {"Baseline_PARA_ddr5_4800_r2", 0xf03283536056c8eeull},
         {"HiRA_2_PARA_HiRA__ddr5_4800_r2", 0x757e102651e023adull},
+        {"HiRA_2_ddr5_4800_r2", 0x177d2ea65afab5b7ull},
         {"RFM_ddr5_4800_r2", 0xb0df885975038234ull},
         {"PRAC_ddr5_4800_r2", 0xd673e82ba5fe1d29ull},
         {"Graphene_TRR_ddr5_4800_r2", 0x432f84091828f1fbull},
+        {"HiRA_2_ddr4_2400_r1_x16", 0x9530b1805c7079b7ull},
     };
     return digests;
 }
@@ -91,6 +100,7 @@ goldenWakeDigests()
         {"Baseline_ddr4_2400_r1", 0xb086641d97f69613ull},
         {"Baseline_PARA_ddr4_2400_r1", 0x918880dfd7f4731cull},
         {"HiRA_2_PARA_HiRA__ddr4_2400_r1", 0x67fd295bd1c049bdull},
+        {"HiRA_2_ddr4_2400_r1", 0x82e8e6531ad53fc4ull},
         {"RFM_ddr4_2400_r1", 0xe0cf11b3cfecd8b6ull},
         {"PRAC_ddr4_2400_r1", 0x4c32e12902851b5ull},
         {"Graphene_TRR_ddr4_2400_r1", 0xfab1aa85df781cdeull},
@@ -98,9 +108,11 @@ goldenWakeDigests()
         {"Baseline_ddr5_4800_r2", 0xafcfa7f2928a7f45ull},
         {"Baseline_PARA_ddr5_4800_r2", 0x396641c61da581e1ull},
         {"HiRA_2_PARA_HiRA__ddr5_4800_r2", 0x56ae709b086b4060ull},
+        {"HiRA_2_ddr5_4800_r2", 0x48afc7b8ec63166bull},
         {"RFM_ddr5_4800_r2", 0xffdb03b2afb87abeull},
         {"PRAC_ddr5_4800_r2", 0xfc5563c8917d2974ull},
         {"Graphene_TRR_ddr5_4800_r2", 0x7e21bf73ffb45c78ull},
+        {"HiRA_2_ddr4_2400_r1_x16", 0xcdc667a58c7aa7f3ull},
     };
     return digests;
 }
@@ -133,7 +145,7 @@ TEST_P(CommandStreamGolden, DigestMatchesRecordedStream)
     if (dc.scheme.kind == SchemeKind::HiraMc) {
         EXPECT_GT(rs.accessPaired, 0u);
         EXPECT_GT(rs.refreshPaired, 0u);
-        EXPECT_GT(rs.preventiveGenerated, 0u);
+        EXPECT_EQ(rs.preventiveGenerated > 0, dc.scheme.paraEnabled);
     } else if (dc.scheme.paraEnabled) {
         EXPECT_GT(ctrl->para().generated, 0u);
     } else if (dc.scheme.kind != SchemeKind::NoRefresh &&
