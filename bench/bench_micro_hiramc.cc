@@ -20,8 +20,8 @@ BM_RefreshTableScan(benchmark::State &state)
 {
     RefreshTable table(68);
     for (int i = 0; i < 68; ++i) {
-        table.insert(static_cast<Cycle>(1000 + i * 7), 0,
-                     static_cast<BankId>(i % 16),
+        table.insert(static_cast<Cycle>(1000 + i * 7),
+                     static_cast<std::size_t>(i % 16),
                      i % 3 == 0 ? RefreshType::Periodic
                                 : RefreshType::Preventive);
     }

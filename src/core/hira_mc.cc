@@ -14,9 +14,9 @@ HiraMc::HiraMc(const HiraMcConfig &config)
 }
 
 void
-HiraMc::attach(MemoryController *controller)
+HiraMc::attach(MemoryController *controller, const MetricScope &scope)
 {
-    BaselineRefresh::attach(controller);
+    BaselineRefresh::attach(controller, scope);
     const Geometry &geom = controller->geometry();
     const TimingCycles &tcy = controller->tc();
 
@@ -33,20 +33,16 @@ HiraMc::attach(MemoryController *controller)
     if (groups_per_sub == 0)
         groups_per_sub = 1;
 
-    tables.clear();
-    refptrs.clear();
-    fifos.clear();
-    for (int r = 0; r < geom.ranksPerChannel; ++r) {
-        // §6 sizing: slack-bounded periodic entries per rank plus up to
-        // 4 preventive entries per bank (68 at tRefSlack = 4 tRC).
-        std::size_t capacity =
-            static_cast<std::size_t>(std::max(cfg.slackN, 4)) +
-            4 * static_cast<std::size_t>(geom.banksPerRank());
-        tables.emplace_back(capacity);
-        refptrs.emplace_back(geom.banksPerRank(), geom.subarraysPerBank,
-                             groups_per_sub);
-        fifos.emplace_back(geom.banksPerRank());
-    }
+    // §6 sizing: slack-bounded periodic entries per rank plus up to 4
+    // preventive entries per bank (68 at tRefSlack = 4 tRC).
+    tables.assign(static_cast<std::size_t>(geom.ranksPerChannel),
+                  RefreshTable(
+                      static_cast<std::size_t>(std::max(cfg.slackN, 4)) +
+                      4 * static_cast<std::size_t>(geom.banksPerRank())));
+    const int total_banks = geom.banksPerChannel();
+    refptrs = std::make_unique<RefPtrTable>(
+        total_banks, geom.subarraysPerBank, groups_per_sub);
+    fifos = std::make_unique<PrFifoSet>(total_banks);
 
     // Periodic generation: one row-refresh request per bank every
     // tREFW / refreshGroupsPerBank, staggered across the rank's banks
@@ -54,7 +50,6 @@ HiraMc::attach(MemoryController *controller)
     genIntervalCycles =
         static_cast<double>(windowCycles) /
         static_cast<double>(geom.refreshGroupsPerBank);
-    int total_banks = geom.banksPerChannel();
     nextGen.assign(static_cast<std::size_t>(total_banks), 0.0);
     for (int i = 0; i < total_banks; ++i) {
         nextGen[static_cast<std::size_t>(i)] =
@@ -62,11 +57,7 @@ HiraMc::attach(MemoryController *controller)
             static_cast<double>(total_banks);
     }
     nextGenMinValid = false;
-}
 
-void
-HiraMc::attachMetrics(const MetricScope &scope)
-{
     // PR-FIFOs hold 4 entries (Section 6); one extra bin keeps the
     // full-FIFO occupancy distinguishable from near-full.
     mPrFifoDepth = scope.histogram("pr_fifo_depth", 0.0, 5.0, 5);
@@ -93,19 +84,13 @@ HiraMc::generatePeriodic(Cycle now)
     // No bank's generation instant has passed: nothing to insert.
     if (static_cast<double>(now) < earliestGen())
         return;
-    const Geometry &geom = ctrl->geometry();
-    int banks = geom.banksPerRank();
-    for (int rank = 0; rank < geom.ranksPerChannel; ++rank) {
-        for (BankId bank = 0; bank < static_cast<BankId>(banks); ++bank) {
-            std::size_t idx =
-                static_cast<std::size_t>(rank * banks) + bank;
-            while (nextGen[idx] <= static_cast<double>(now)) {
-                Cycle gen = static_cast<Cycle>(nextGen[idx]);
-                tables[rank].insert(gen + slackCycles, rank, bank,
-                                    RefreshType::Periodic);
-                nextGen[idx] += genIntervalCycles;
-                nextGenMinValid = false;
-            }
+    for (std::size_t bank = 0; bank < nextGen.size(); ++bank) {
+        while (nextGen[bank] <= static_cast<double>(now)) {
+            Cycle gen = static_cast<Cycle>(nextGen[bank]);
+            tables[ctrl->rankOf(bank)].insert(gen + slackCycles, bank,
+                                              RefreshType::Periodic);
+            nextGen[bank] += genIntervalCycles;
+            nextGenMinValid = false;
         }
     }
 }
@@ -116,12 +101,12 @@ HiraMc::targetFor(const RefreshEntry &e, SubarrayId pair_with,
 {
     Target t;
     if (e.type == RefreshType::Periodic) {
-        RefPtrPick pick = refptrs[e.rank].peek(e.bank, pair_with, *spt_);
+        RefPtrPick pick = refptrs->peek(e.bank, pair_with, *spt_);
         t.row = pick.row;
         t.subarray = pick.subarray;
         return t;
     }
-    const PrFifoSet &fifo = fifos[e.rank];
+    const PrFifoSet &fifo = *fifos;
     RowId row = fifo_index == 0
                     ? (fifo.empty(e.bank) ? kNoRow : fifo.front(e.bank))
                     : fifo.second(e.bank);
@@ -145,12 +130,12 @@ HiraMc::commit(const RefreshEntry &e, const Target &t, Cycle now)
     if (now > e.deadline + marginCycles)
         ++stats_.deadlineMisses;
     if (e.type == RefreshType::Periodic) {
-        refptrs[e.rank].advance(e.bank, t.subarray);
+        refptrs->advance(e.bank, t.subarray);
     } else {
-        fifos[e.rank].pop(e.bank);
+        fifos->pop(e.bank);
     }
     ++stats_.rowRefreshes;
-    bool removed = tables[e.rank].remove(e.id);
+    bool removed = tables[ctrl->rankOf(e.bank)].remove(e.id);
     hira_assert(removed);
 }
 
@@ -158,8 +143,7 @@ void
 HiraMc::tick(Cycle now)
 {
     if (now >= nextWindowReset) {
-        for (auto &rp : refptrs)
-            rp.resetWindow();
+        refptrs->resetWindow();
         nextWindowReset += windowCycles;
         count(mRefptrResets);
     }
@@ -200,9 +184,9 @@ HiraMc::nextEventCycle(Cycle now) const
                     return floor;
                 continue;
             }
-            if (ctrl->bankBlocked(e.rank, e.bank))
+            if (ctrl->bankBlocked(e.bank))
                 continue;
-            if (consider(model.earliestBankCommand(e.rank, e.bank)))
+            if (consider(model.earliestBankCommand(e.bank)))
                 return floor;
         }
     }
@@ -233,19 +217,19 @@ HiraMc::caseTwo(Cycle now)
         for (const RefreshEntry &cand : tables[rank].all()) {
             if (cand.deadline > now + marginCycles)
                 continue;
-            if (ctrl->bankBlocked(rank, cand.bank))
+            if (ctrl->bankBlocked(cand.bank))
                 continue;
             if (e == nullptr || cand.deadline < e->deadline)
                 e = &cand;
         }
         if (e == nullptr)
             continue;
-        BankId bank = e->bank;
+        const std::size_t bank = e->bank;
 
         const ChannelTimingModel &model = ctrl->timing();
-        if (model.openRow(rank, bank) != kNoRow) {
+        if (model.openRow(bank) != kNoRow) {
             // Step 7 of Fig. 8: precharge the target bank first.
-            if (ctrl->tryPre(rank, bank, now)) {
+            if (ctrl->tryPre(bank, now)) {
                 rankCursor = rank + 1;
                 return true;
             }
@@ -254,17 +238,15 @@ HiraMc::caseTwo(Cycle now)
 
         // Copy the entry: commits mutate the table.
         RefreshEntry first = *e;
-        if (first.type == RefreshType::Preventive &&
-            fifos[rank].empty(bank)) {
-            // Desynchronized preventive entry (FIFO drained elsewhere):
-            // drop it defensively.
-            tables[rank].remove(first.id);
-            continue;
-        }
+        // A preventive entry is inserted only after its PR-FIFO push
+        // succeeded, and only its commit pops the FIFO, so each bank
+        // holds as many preventive entries as FIFO slots.
+        hira_assert(first.type != RefreshType::Preventive ||
+                    !fifos->empty(bank));
         // Every refresh below needs an ACT now (a HiRA pair's first ACT
         // is no earlier than a plain one), so until the bank can take
         // one, skip the target search instead of picking and dropping.
-        if (ctrl->rankHeld(rank) || model.earliestAct(rank, bank) > now)
+        if (ctrl->rankHeld(rank) || model.earliestAct(bank) > now)
             continue;
         Target tc_first = targetFor(first, kAnySubarray, 0);
 
@@ -275,13 +257,13 @@ HiraMc::caseTwo(Cycle now)
             // refresh forward and pair the two (see HiraMcConfig).
             Target ahead = targetFor(first, tc_first.subarray, 0);
             if (ahead.valid() &&
-                ctrl->tryHiraRefreshPair(rank, bank, tc_first.row,
-                                         ahead.row, now)) {
+                ctrl->tryHiraRefreshPair(bank, tc_first.row, ahead.row,
+                                         now)) {
                 commit(first, tc_first, now);
-                refptrs[rank].advance(bank, ahead.subarray);
+                refptrs->advance(bank, ahead.subarray);
                 ++stats_.rowRefreshes;
                 stats_.refreshPaired += 2;
-                nextGen[ctrl->bankIndex(rank, bank)] += genIntervalCycles;
+                nextGen[bank] += genIntervalCycles;
                 nextGenMinValid = false;
                 rankCursor = rank + 1;
                 return true;
@@ -300,7 +282,7 @@ HiraMc::caseTwo(Cycle now)
                 Target tc_second =
                     targetFor(second, tc_first.subarray, fifo_index);
                 if (tc_second.valid() &&
-                    ctrl->tryHiraRefreshPair(rank, bank, tc_first.row,
+                    ctrl->tryHiraRefreshPair(bank, tc_first.row,
                                              tc_second.row, now)) {
                     // Commit order matters for two preventive entries:
                     // the second target's FIFO index was relative to the
@@ -314,7 +296,7 @@ HiraMc::caseTwo(Cycle now)
             }
         }
 
-        if (ctrl->tryRefreshAct(rank, bank, tc_first.row, now)) {
+        if (ctrl->tryRefreshAct(bank, tc_first.row, now)) {
             commit(first, tc_first, now);
             ++stats_.standalone;
             rankCursor = rank + 1;
@@ -325,37 +307,23 @@ HiraMc::caseTwo(Cycle now)
 }
 
 RowId
-HiraMc::pickHiddenRefresh(int rank, BankId bank, RowId row_a, Cycle now)
+HiraMc::takeHiddenRefresh(std::size_t bank, RowId row_a, Cycle now)
 {
-    (void)now;
-    proposal.valid = false;
     if (!cfg.enableAccessPairing)
         return kNoRow;
-    const RefreshEntry *e = tables[rank].earliestForBank(bank);
+    const RefreshEntry *e = tables[ctrl->rankOf(bank)].earliestForBank(bank);
     if (e == nullptr)
         return kNoRow;
     Target t = targetFor(*e, spt_->subarrayOf(row_a), 0);
     if (!t.valid())
         return kNoRow;
-    proposal.valid = true;
-    proposal.entry = *e;
-    proposal.target = t;
+    commit(RefreshEntry(*e), t, now); // a copy: commit removes the entry
+    ++stats_.accessPaired;
     return t.row;
 }
 
 void
-HiraMc::onHiraIssued(int rank, BankId bank, RowId refresh_row, Cycle now)
-{
-    hira_assert(proposal.valid && proposal.entry.rank == rank &&
-                proposal.entry.bank == bank &&
-                proposal.target.row == refresh_row);
-    commit(proposal.entry, proposal.target, now);
-    ++stats_.accessPaired;
-    proposal.valid = false;
-}
-
-void
-HiraMc::onActivate(int rank, BankId bank, RowId row, Cycle now)
+HiraMc::onActivate(std::size_t bank, RowId row, Cycle now)
 {
     if (!cfg.preventive.enabled)
         return;
@@ -364,17 +332,16 @@ HiraMc::onActivate(int rank, BankId bank, RowId row, Cycle now)
     if (victim == kNoRow)
         return;
     ++stats_.preventiveGenerated;
-    if (!fifos[rank].push(bank, victim)) {
+    if (!fifos->push(bank, victim)) {
         // The 4-entry per-bank PR-FIFO is full: the victim was never
         // enqueued, so scheduling a RefreshTable request for it would
         // desynchronize the two structures. Count the drop instead.
         ++stats_.preventiveDropped;
         return;
     }
-    observe(mPrFifoDepth,
-            static_cast<double>(fifos[rank].size(bank)));
-    tables[rank].insert(now + slackCycles, rank, bank,
-                        RefreshType::Preventive);
+    observe(mPrFifoDepth, static_cast<double>(fifos->size(bank)));
+    tables[ctrl->rankOf(bank)].insert(now + slackCycles, bank,
+                                      RefreshType::Preventive);
 }
 
 } // namespace hira

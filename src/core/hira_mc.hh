@@ -8,9 +8,11 @@
  * activation with a slack-adjusted PARA threshold and queues victims in
  * per-bank PR-FIFOs; the Refresh Table holds all queued requests with
  * deadlines; the Concurrent Refresh Finder pairs queued refreshes with
- * demand activations (case 1, via the controller's pickHiddenRefresh
+ * demand activations (case 1, via the controller's takeHiddenRefresh
  * hook) or with each other (case 2) and falls back to standalone
- * refreshes at the deadline.
+ * refreshes at the deadline. The RefPtr Table, the PR-FIFOs and the
+ * generation schedule are indexed by the channel's flat bank index;
+ * the Refresh Tables are per rank.
  *
  * HiRA-N configurations set tRefSlack = N * tRC (Sections 8-9's
  * notation). With periodicViaHira off (Section 9.2: PARA served by
@@ -76,21 +78,18 @@ class HiraMc final : public BaselineRefresh
   public:
     explicit HiraMc(const HiraMcConfig &cfg);
 
-    void attach(MemoryController *ctrl) override;
-    void attachMetrics(const MetricScope &scope) override;
+    void attach(MemoryController *ctrl, const MetricScope &scope) override;
     void tick(Cycle now) override;
     Cycle nextEventCycle(Cycle now) const override;
-    RowId pickHiddenRefresh(int rank, BankId bank, RowId row_a,
+    RowId takeHiddenRefresh(std::size_t bank, RowId row_a,
                             Cycle now) override;
-    void onHiraIssued(int rank, BankId bank, RowId refresh_row,
-                      Cycle now) override;
-    void onActivate(int rank, BankId bank, RowId row, Cycle now) override;
+    void onActivate(std::size_t bank, RowId row, Cycle now) override;
 
     // ----- inspection ---------------------------------------------------
 
     const RefreshTable &table(int rank) const { return tables[rank]; }
-    const RefPtrTable &refPtr(int rank) const { return refptrs[rank]; }
-    const PrFifoSet &prFifo(int rank) const { return fifos[rank]; }
+    const RefPtrTable &refPtr() const { return *refptrs; }
+    const PrFifoSet &prFifo() const { return *fifos; }
     const SubarrayPairsTable &spt() const { return *spt_; }
     const HiraMcConfig &config() const { return cfg; }
 
@@ -103,13 +102,6 @@ class HiraMc final : public BaselineRefresh
         bool valid() const { return row != kNoRow; }
     };
 
-    struct Proposal
-    {
-        bool valid = false;
-        RefreshEntry entry; //!< copy, deadline included, for commit
-        Target target;
-    };
-
     void generatePeriodic(Cycle now);
     double earliestGen() const;
     bool caseTwo(Cycle now);
@@ -120,11 +112,11 @@ class HiraMc final : public BaselineRefresh
     HiraMcConfig cfg;
     std::unique_ptr<SubarrayPairsTable> spt_;
     std::vector<RefreshTable> tables;   //!< per rank
-    std::vector<RefPtrTable> refptrs;   //!< per rank
-    std::vector<PrFifoSet> fifos;       //!< per rank
+    std::unique_ptr<RefPtrTable> refptrs;
+    std::unique_ptr<PrFifoSet> fifos;
     ParaSampler sampler;
 
-    std::vector<double> nextGen;        //!< per (rank, bank), in cycles
+    std::vector<double> nextGen;        //!< per bank, in cycles
     // Cached min over nextGen (earliestGen): generatePeriodic and the
     // event-engine horizon read it on every tick, but the array only
     // changes when a generation instant passes (generatePeriodic) or a
@@ -137,7 +129,6 @@ class HiraMc final : public BaselineRefresh
     Cycle marginCycles = 0;
     Cycle windowCycles = 0;
     Cycle nextWindowReset = 0;
-    Proposal proposal;
     int rankCursor = 0;
 
     // Observability (nullptr when metrics are off). mPrFifoDepth samples

@@ -31,8 +31,7 @@ struct RefreshEntry
 {
     std::uint64_t id = 0;   //!< unique handle for commit/remove
     Cycle deadline = 0;
-    int rank = 0;
-    BankId bank = 0;
+    std::size_t bank = 0;   //!< flat bank index within the channel
     RefreshType type = RefreshType::Periodic;
 };
 
@@ -52,18 +51,14 @@ class RefreshTable
      * this, and the overflow counter is exposed for tests).
      */
     bool
-    insert(Cycle deadline, int rank, BankId bank, RefreshType type,
-           std::uint64_t *id_out = nullptr)
+    insert(Cycle deadline, std::size_t bank, RefreshType type)
     {
         RefreshEntry e;
         e.id = nextId++;
         e.deadline = deadline;
-        e.rank = rank;
         e.bank = bank;
         e.type = type;
         entries.push_back(e);
-        if (id_out != nullptr)
-            *id_out = e.id;
         if (entries.size() > cap) {
             ++overflows_;
             return false;
@@ -73,7 +68,7 @@ class RefreshTable
 
     /** Earliest-deadline entry for one bank, or nullptr. */
     const RefreshEntry *
-    earliestForBank(BankId bank) const
+    earliestForBank(std::size_t bank) const
     {
         const RefreshEntry *best = nullptr;
         for (const RefreshEntry &e : entries) {

@@ -47,12 +47,6 @@ struct Command
     RowId row = 0;          //!< for ACT
     std::uint32_t col = 0;  //!< for RD/WR
     HiraRole hiraRole = HiraRole::None;
-
-    bool
-    isColumn() const
-    {
-        return type == CommandType::RD || type == CommandType::WR;
-    }
 };
 
 /** Short mnemonic for logs and test failure messages. */

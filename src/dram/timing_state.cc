@@ -60,18 +60,6 @@ ChannelTimingModel::ChannelTimingModel(const Geometry &g,
         refreshTerms(rank);
 }
 
-BankState &
-ChannelTimingModel::bankRef(int rank, BankId bank)
-{
-    return banks[static_cast<std::size_t>(bankIndex(rank, bank))];
-}
-
-const BankState &
-ChannelTimingModel::bankRef(int rank, BankId bank) const
-{
-    return banks[static_cast<std::size_t>(bankIndex(rank, bank))];
-}
-
 Cycle
 ChannelTimingModel::fawConstraint(const RankState &r, int slots_needed) const
 {
@@ -106,10 +94,11 @@ ChannelTimingModel::refreshTerms(int rank)
 }
 
 void
-ChannelTimingModel::recordAct(int rank, BankId bank, Cycle now)
+ChannelTimingModel::recordAct(std::size_t idx, Cycle now)
 {
+    const int rank = bankRank[idx];
     RankState &r = ranks[static_cast<std::size_t>(rank)];
-    std::size_t group = groupIndex(rank, bank);
+    std::size_t group = bankGroup[idx];
     r.actReadyS = std::max(r.actReadyS, now + tc.rrdS);
     actReadyL[group] = std::max(actReadyL[group], now + tc.rrdL);
     r.fawRing[static_cast<std::size_t>(r.fawIdx)] = now;
@@ -123,7 +112,7 @@ ChannelTimingModel::earliestRef(int rank) const
     const RankState &r = ranks[static_cast<std::size_t>(rank)];
     Cycle t = r.refBlockUntil;
     for (BankId b = 0; b < static_cast<BankId>(geom.banksPerRank()); ++b) {
-        const BankState &bs = bankRef(rank, b);
+        const BankState &bs = banks[bankIndex(rank, b)];
         hira_assert(bs.openRow == kNoRow); // caller precharges first
         t = std::max(t, bs.actReady);      // tRP after the last PRE
     }
@@ -131,36 +120,37 @@ ChannelTimingModel::earliestRef(int rank) const
 }
 
 void
-ChannelTimingModel::issueAct(int rank, BankId bank, RowId row, Cycle now)
+ChannelTimingModel::issueAct(std::size_t idx, RowId row, Cycle now)
 {
-    BankState &b = bankRef(rank, bank);
+    BankState &b = banks[idx];
     hira_assert(b.openRow == kNoRow);
-    hira_assert(now >= earliestAct(rank, bank));
+    hira_assert(now >= earliestAct(idx));
     b.openRow = row;
     b.rdReady = std::max(b.rdReady, now + tc.rcd);
     b.wrReady = std::max(b.wrReady, now + tc.rcd);
     b.preReady = std::max(b.preReady, now + tc.ras);
     b.actReady = std::max(b.actReady, now + tc.rc);
-    recordAct(rank, bank, now);
+    recordAct(idx, now);
 }
 
 void
-ChannelTimingModel::issuePre(int rank, BankId bank, Cycle now)
+ChannelTimingModel::issuePre(std::size_t idx, Cycle now)
 {
-    BankState &b = bankRef(rank, bank);
-    hira_assert(now >= earliestPre(rank, bank));
+    BankState &b = banks[idx];
+    hira_assert(now >= earliestPre(idx));
     b.openRow = kNoRow;
     b.actReady = std::max(b.actReady, now + tc.rp);
 }
 
 Cycle
-ChannelTimingModel::issueRd(int rank, BankId bank, Cycle now)
+ChannelTimingModel::issueRd(std::size_t idx, Cycle now)
 {
-    BankState &b = bankRef(rank, bank);
+    const int rank = bankRank[idx];
+    BankState &b = banks[idx];
     RankState &r = ranks[static_cast<std::size_t>(rank)];
-    std::size_t group = groupIndex(rank, bank);
+    std::size_t group = bankGroup[idx];
     hira_assert(b.openRow != kNoRow);
-    hira_assert(now >= earliestRd(rank, bank));
+    hira_assert(now >= earliestRd(idx));
     b.preReady = std::max(b.preReady, now + tc.rtp);
     r.rdReadyS = std::max(r.rdReadyS, now + tc.ccdS);
     rdReadyL[group] = std::max(rdReadyL[group], now + tc.ccdL);
@@ -177,13 +167,14 @@ ChannelTimingModel::issueRd(int rank, BankId bank, Cycle now)
 }
 
 Cycle
-ChannelTimingModel::issueWr(int rank, BankId bank, Cycle now)
+ChannelTimingModel::issueWr(std::size_t idx, Cycle now)
 {
-    BankState &b = bankRef(rank, bank);
+    const int rank = bankRank[idx];
+    BankState &b = banks[idx];
     RankState &r = ranks[static_cast<std::size_t>(rank)];
-    std::size_t group = groupIndex(rank, bank);
+    std::size_t group = bankGroup[idx];
     hira_assert(b.openRow != kNoRow);
-    hira_assert(now >= earliestWr(rank, bank));
+    hira_assert(now >= earliestWr(idx));
     Cycle wr_end = now + tc.cwl + tc.bl;
     b.preReady = std::max(b.preReady, wr_end + tc.wr);
     r.wrReadyS = std::max(r.wrReadyS, now + tc.ccdS);
@@ -208,23 +199,23 @@ ChannelTimingModel::issueRef(int rank, Cycle now)
     r.refBlockUntil = now + tc.rfc;
     refreshTerms(rank);
     for (BankId b = 0; b < static_cast<BankId>(geom.banksPerRank()); ++b) {
-        BankState &bs = bankRef(rank, b);
+        BankState &bs = banks[bankIndex(rank, b)];
         bs.actReady = std::max(bs.actReady, now + tc.rfc);
     }
 }
 
 Cycle
-ChannelTimingModel::issueHira(int rank, BankId bank, RowId refresh_row,
+ChannelTimingModel::issueHira(std::size_t idx, RowId refresh_row,
                               RowId second_row, Cycle now)
 {
-    BankState &b = bankRef(rank, bank);
+    BankState &b = banks[idx];
     hira_assert(b.openRow == kNoRow);
-    hira_assert(now >= earliestHira(rank, bank));
+    hira_assert(now >= earliestHira(idx));
     (void)refresh_row;
 
     // First ACT: opens the refresh target; its restoration completes in
     // the shadow of the rest of the sequence (Section 3).
-    recordAct(rank, bank, now);
+    recordAct(idx, now);
 
     // Inner PRE at now + c1 and second ACT at now + c1 + c2 deliberately
     // violate tRAS / tRP; the second ACT is a nominal activation for all
@@ -235,7 +226,7 @@ ChannelTimingModel::issueHira(int rank, BankId bank, RowId refresh_row,
     b.wrReady = std::max(b.wrReady, second + tc.rcd);
     b.preReady = std::max(b.preReady, second + tc.ras);
     b.actReady = std::max(b.actReady, second + tc.rc);
-    recordAct(rank, bank, second);
+    recordAct(idx, second);
     return second;
 }
 

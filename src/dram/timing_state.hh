@@ -86,7 +86,9 @@ struct RankTerms
 
 /**
  * Timing model for one channel: per-bank, per-rank, and shared-bus
- * constraints. Flat bank indexing: rank * banksPerRank + bank.
+ * constraints. A bank is addressed by its flat index within the
+ * channel, rank * banksPerRank + bank (bankIndex()); only the
+ * rank-level REF takes a rank.
  */
 class ChannelTimingModel
 {
@@ -98,6 +100,7 @@ class ChannelTimingModel
 
     // --- queries -----------------------------------------------------
     //
+    // Every per-bank query and command takes the bank's flat index.
     // Each earliest-command query is computed when it is asked: the
     // bank's own BankState, its rank's RankTerms and its bank group's
     // tRRD_L / tCCD_L entry, found through tables the constructor
@@ -106,60 +109,39 @@ class ChannelTimingModel
     // command costs O(1) bookkeeping on the rank it touched and a
     // column command on one rank touches no other rank's state.
 
+    /** Flat bank index of (rank, bank): rank * banksPerRank + bank. */
+    std::size_t bankIndex(int rank, BankId bank) const
+    {
+        return static_cast<std::size_t>(rank) *
+                   static_cast<std::size_t>(geom.banksPerRank()) +
+               bank;
+    }
+    /** Rank of a flat bank index. */
+    int rankOf(std::size_t idx) const { return bankRank[idx]; }
+    /** Bank within its rank of a flat bank index. */
+    BankId bankOf(std::size_t idx) const
+    {
+        return static_cast<BankId>(idx - bankIndex(bankRank[idx], 0));
+    }
+
     // Inline: the scheduler's queue walks read the open row once per
     // visited request, so this is the most-called query in the model.
-    RowId
-    openRow(int rank, BankId bank) const
-    {
-        return openRowAt(static_cast<std::size_t>(bankIndex(rank, bank)));
-    }
-    bool
-    bankClosed(int rank, BankId bank) const
-    {
-        return openRow(rank, bank) == kNoRow;
-    }
+    RowId openRow(std::size_t idx) const { return banks[idx].openRow; }
+    bool bankClosed(std::size_t idx) const { return openRow(idx) == kNoRow; }
 
-    /** Flat bank index of (rank, bank). */
-    int bankIndex(int rank, BankId bank) const
-    {
-        return rank * geom.banksPerRank() + static_cast<int>(bank);
-    }
-
-    /** Earliest cycle an ACT to (rank, bank) may issue. */
-    Cycle earliestAct(int rank, BankId bank) const
-    {
-        return earliestActAt(static_cast<std::size_t>(bankIndex(rank, bank)));
-    }
-    /** Earliest cycle a PRE to (rank, bank) may issue. */
-    Cycle earliestPre(int rank, BankId bank) const
-    {
-        return earliestPreAt(static_cast<std::size_t>(bankIndex(rank, bank)));
-    }
-    /** Earliest RD issue cycle (bank must be open; data bus checked). */
-    Cycle earliestRd(int rank, BankId bank) const
-    {
-        return earliestRdAt(static_cast<std::size_t>(bankIndex(rank, bank)));
-    }
-    /** Earliest WR issue cycle. */
-    Cycle earliestWr(int rank, BankId bank) const
-    {
-        return earliestWrAt(static_cast<std::size_t>(bankIndex(rank, bank)));
-    }
-
-    // Flat-index forms of the queries above, for callers that already
-    // hold a bankIndex() (the controller's per-bank scheduling scans):
-    // no rank * banksPerRank multiply per query.
-    RowId openRowAt(std::size_t idx) const { return banks[idx].openRow; }
-    Cycle earliestActAt(std::size_t idx) const
+    /** Earliest cycle an ACT to the bank may issue. */
+    Cycle earliestAct(std::size_t idx) const
     {
         return std::max({banks[idx].actReady, termsOf(idx).act,
                          actReadyL[bankGroup[idx]]});
     }
-    Cycle earliestPreAt(std::size_t idx) const
+    /** Earliest cycle a PRE to the bank may issue. */
+    Cycle earliestPre(std::size_t idx) const
     {
         return std::max(banks[idx].preReady, termsOf(idx).refBlock);
     }
-    Cycle earliestRdAt(std::size_t idx) const
+    /** Earliest RD issue cycle (bank must be open; data bus checked). */
+    Cycle earliestRd(std::size_t idx) const
     {
         Cycle rd = std::max({banks[idx].rdReady, termsOf(idx).rd,
                              rdReadyL[bankGroup[idx]]});
@@ -167,7 +149,8 @@ class ChannelTimingModel
         Cycle bus_free = busFreeFor(idx);
         return bus_free > rd + tc.cl ? bus_free - tc.cl : rd;
     }
-    Cycle earliestWrAt(std::size_t idx) const
+    /** Earliest WR issue cycle. */
+    Cycle earliestWr(std::size_t idx) const
     {
         Cycle wr = std::max({banks[idx].wrReady, termsOf(idx).wr,
                              wrReadyL[bankGroup[idx]]});
@@ -177,14 +160,13 @@ class ChannelTimingModel
     /** Earliest all-bank REF for the rank (all banks must be closed). */
     Cycle earliestRef(int rank) const;
     /**
-     * Earliest first-ACT cycle of a HiRA sequence on (rank, bank): the
+     * Earliest first-ACT cycle of a HiRA sequence on the bank: the
      * nominal ACT constraints plus room for the second ACT in the tFAW
      * window.
      */
-    Cycle earliestHira(int rank, BankId bank) const
+    Cycle earliestHira(std::size_t idx) const
     {
-        std::size_t idx = static_cast<std::size_t>(bankIndex(rank, bank));
-        return std::max(earliestActAt(idx), termsOf(idx).faw2);
+        return std::max(earliestAct(idx), termsOf(idx).faw2);
     }
 
     /**
@@ -196,20 +178,19 @@ class ChannelTimingModel
      * minimum of these horizons without diverging from per-cycle
      * polling.
      */
-    Cycle earliestBankCommand(int rank, BankId bank) const
+    Cycle earliestBankCommand(std::size_t idx) const
     {
-        std::size_t idx = static_cast<std::size_t>(bankIndex(rank, bank));
-        return banks[idx].openRow == kNoRow ? earliestActAt(idx)
-                                            : earliestPreAt(idx);
+        return banks[idx].openRow == kNoRow ? earliestAct(idx)
+                                            : earliestPre(idx);
     }
 
     // --- mutations ---------------------------------------------------
 
-    void issueAct(int rank, BankId bank, RowId row, Cycle now);
-    void issuePre(int rank, BankId bank, Cycle now);
+    void issueAct(std::size_t idx, RowId row, Cycle now);
+    void issuePre(std::size_t idx, Cycle now);
     /** @return cycle at which read data has fully returned. */
-    Cycle issueRd(int rank, BankId bank, Cycle now);
-    Cycle issueWr(int rank, BankId bank, Cycle now);
+    Cycle issueRd(std::size_t idx, Cycle now);
+    Cycle issueWr(std::size_t idx, Cycle now);
     void issueRef(int rank, Cycle now);
     /**
      * Issue a full HiRA sequence starting at @p now: ACT(refresh_row),
@@ -217,16 +198,13 @@ class ChannelTimingModel
      * as if second_row had been activated at now + t1 + t2.
      * @return issue cycle of the second ACT.
      */
-    Cycle issueHira(int rank, BankId bank, RowId refresh_row,
-                    RowId second_row, Cycle now);
+    Cycle issueHira(std::size_t idx, RowId refresh_row, RowId second_row,
+                    Cycle now);
 
     /** Data-bus cycles the channel has transferred (utilization stat). */
     Cycle dataBusBusyCycles() const { return dataBusBusy; }
 
   private:
-    BankState &bankRef(int rank, BankId bank);
-    const BankState &bankRef(int rank, BankId bank) const;
-
     const RankTerms &termsOf(std::size_t idx) const
     {
         return terms[static_cast<std::size_t>(bankRank[idx])];
@@ -241,14 +219,9 @@ class ChannelTimingModel
                    ? dataBusFree + tc.rtrs
                    : dataBusFree;
     }
-    /** Flat (rank, bank group) index of (rank, bank). */
-    std::size_t groupIndex(int rank, BankId bank) const
-    {
-        return bankGroup[static_cast<std::size_t>(bankIndex(rank, bank))];
-    }
 
     Cycle fawConstraint(const RankState &r, int slots_needed) const;
-    void recordAct(int rank, BankId bank, Cycle now);
+    void recordAct(std::size_t idx, Cycle now);
     /** Re-derive terms[rank] after a mutation of ranks[rank]. */
     void refreshTerms(int rank);
 
@@ -263,7 +236,9 @@ class ChannelTimingModel
     std::vector<Cycle> actReadyL, rdReadyL, wrReadyL;
 
     // Constructor-built lookup tables, flat-indexed by bankIndex(): the
-    // bank's rank and its flat (rank, bank group) index.
+    // bank's rank and its flat (rank, bank group) index. The only
+    // flat index -> rank table of a channel; the controller and the
+    // refresh schemes read it through rankOf().
     std::vector<int> bankRank;
     std::vector<std::size_t> bankGroup;
 

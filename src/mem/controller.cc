@@ -20,10 +20,6 @@ MemoryController::MemoryController(int channel_id,
         static_cast<std::size_t>(cfg.geom.banksPerChannel());
     rankHold.assign(static_cast<std::size_t>(cfg.geom.ranksPerChannel),
                     false);
-    bankRank.resize(nbanks);
-    for (std::size_t i = 0; i < nbanks; ++i)
-        bankRank[i] = static_cast<int>(
-            i / static_cast<std::size_t>(cfg.geom.banksPerRank()));
     preventiveVictims.resize(nbanks);
     readQ.resize(nbanks);
     writeQ.resize(nbanks);
@@ -32,7 +28,6 @@ MemoryController::MemoryController(int channel_id,
         bits->resize(nbanks);
     }
     recorder.setEnabled(cfg.recordTrace);
-    refreshScheme->attach(this);
 
     // Metrics registration (cold path; every pointer stays nullptr when
     // the scope is disabled). Queue-depth capacity +1 so the full-queue
@@ -58,13 +53,13 @@ MemoryController::MemoryController(int channel_id,
             mBankWrites[i] = bank.counter("writes");
         }
     }
-    refreshScheme->attachMetrics(ms.sub("scheme"));
+    refreshScheme->attach(this, ms.sub("scheme"));
 }
 
 void
 MemoryController::syncBankBits(std::size_t idx)
 {
-    const RowId open = model.openRowAt(idx);
+    const RowId open = model.openRow(idx);
     auto hits = [open](const BankQueue &q) {
         return std::any_of(q.begin(), q.end(), [open](const Queued &e) {
             return e.req.da.row == open;
@@ -87,14 +82,14 @@ MemoryController::countIndexAudit() const
             const MemType type = is_read ? MemType::Read : MemType::Write;
             for (std::size_t k = 0; k < q.size(); ++k) {
                 const Request &r = q[k].req;
-                if (bankIndex(r.da.rank, r.da.bank) != i || r.type != type)
+                const std::size_t at = model.bankIndex(r.da.rank, r.da.bank);
+                if (at != i || r.type != type)
                     return strprintf("bank %zu: queues a request of bank "
-                                     "%zu or of the other class", i,
-                                     bankIndex(r.da.rank, r.da.bank));
+                                     "%zu or of the other class", i, at);
                 if (k > 0 && q[k - 1].seq >= q[k].seq)
                     return strprintf("bank %zu: queue out of arrival "
                                      "order", i);
-                hit[is_read] |= model.openRowAt(i) == r.da.row;
+                hit[is_read] |= model.openRow(i) == r.da.row;
             }
         }
         reads += readQ[i].size();
@@ -140,18 +135,6 @@ MemoryController::trace() const
 }
 
 bool
-MemoryController::bankBlocked(int rank, BankId bank) const
-{
-    return bankBlockedAt(bankIndex(rank, bank));
-}
-
-std::size_t
-MemoryController::pendingPreventive(int rank, BankId bank) const
-{
-    return preventiveVictims[bankIndex(rank, bank)].size();
-}
-
-bool
 MemoryController::enqueue(const Request &req)
 {
     hira_assert(req.da.channel == channel);
@@ -171,7 +154,7 @@ MemoryController::enqueue(const Request &req)
             nextWake = seen;
         count(mWakeLowers);
     };
-    const std::size_t idx = bankIndex(req.da.rank, req.da.bank);
+    const std::size_t idx = model.bankIndex(req.da.rank, req.da.bank);
     const bool is_read = req.type == MemType::Read;
     if (is_read) {
         // Forward from a queued write to the same line. The forward
@@ -200,15 +183,15 @@ MemoryController::enqueue(const Request &req)
     ++(is_read ? nReads : nWrites);
     count((is_read ? mBankReads : mBankWrites)[idx]);
     (is_read ? readQueued : writeQueued).assign(idx, true);
-    if (model.openRowAt(idx) == req.da.row)
+    if (model.openRow(idx) == req.da.row)
         (is_read ? readHit : writeHit).assign(idx, true);
     lowerWake();
     return true;
 }
 
 void
-MemoryController::record(CommandType type, Cycle cycle, int rank,
-                         BankId bank, RowId row, HiraRole role)
+MemoryController::record(CommandType type, Cycle cycle, std::size_t idx,
+                         RowId row, HiraRole role)
 {
     if (!recorder.isEnabled())
         return;
@@ -216,8 +199,8 @@ MemoryController::record(CommandType type, Cycle cycle, int rank,
     c.type = type;
     c.cycle = cycle;
     c.channel = channel;
-    c.rank = rank;
-    c.bank = bank;
+    c.rank = model.rankOf(idx);
+    c.bank = model.bankOf(idx);
     c.row = row;
     c.hiraRole = role;
     recorder.record(c);
@@ -237,11 +220,12 @@ MemoryController::slotReservedAt(Cycle c) const
            reservedSlots.end();
 }
 
-void
-MemoryController::reserveHiraSlots(Cycle now)
+bool
+MemoryController::hiraSlotsFree(Cycle now) const
 {
-    reservedSlots.push_back(now + model.cycles().c1);
-    reservedSlots.push_back(now + model.cycles().hiraSpan());
+    const TimingCycles &tcy = model.cycles();
+    return !slotReservedAt(now + tcy.c1) &&
+           !slotReservedAt(now + tcy.hiraSpan());
 }
 
 bool
@@ -259,15 +243,16 @@ MemoryController::tryRef(int rank, Cycle now)
 {
     if (!busFree(now))
         return false;
-    for (BankId b = 0; b < static_cast<BankId>(cfg.geom.banksPerRank());
-         ++b) {
-        if (model.openRow(rank, b) != kNoRow)
+    const std::size_t first = model.bankIndex(rank, 0);
+    const std::size_t end = first + cfg.geom.banksPerRank();
+    for (std::size_t idx = first; idx < end; ++idx) {
+        if (model.openRow(idx) != kNoRow)
             return false;
     }
     if (model.earliestRef(rank) > now)
         return false;
     model.issueRef(rank, now);
-    record(CommandType::REF, now, rank, 0, 0);
+    record(CommandType::REF, now, first, 0);
     markIssued();
     ++stats_.refs;
     return true;
@@ -278,29 +263,27 @@ MemoryController::tryCloseOneBank(int rank, Cycle now)
 {
     if (!busFree(now))
         return false;
-    for (BankId b = 0; b < static_cast<BankId>(cfg.geom.banksPerRank());
-         ++b) {
-        if (model.openRow(rank, b) != kNoRow &&
-            model.earliestPre(rank, b) <= now) {
-            return tryPre(rank, b, now);
-        }
+    const std::size_t first = model.bankIndex(rank, 0);
+    const std::size_t end = first + cfg.geom.banksPerRank();
+    for (std::size_t idx = first; idx < end; ++idx) {
+        if (model.openRow(idx) != kNoRow && model.earliestPre(idx) <= now)
+            return tryPre(idx, now);
     }
     return false;
 }
 
 bool
-MemoryController::tryPre(int rank, BankId bank, Cycle now)
+MemoryController::tryPre(std::size_t idx, Cycle now)
 {
-    if (!busFree(now) || model.openRow(rank, bank) == kNoRow ||
-        model.earliestPre(rank, bank) > now) {
+    if (!busFree(now) || model.openRow(idx) == kNoRow ||
+        model.earliestPre(idx) > now) {
         return false;
     }
-    model.issuePre(rank, bank, now);
-    record(CommandType::PRE, now, rank, bank, 0);
+    model.issuePre(idx, now);
+    record(CommandType::PRE, now, idx, 0);
     markIssued();
     ++stats_.pres;
     // Row closed: nothing hits it any more.
-    std::size_t idx = bankIndex(rank, bank);
     refreshOpen.assign(idx, false);
     readHit.assign(idx, false);
     writeHit.assign(idx, false);
@@ -308,69 +291,60 @@ MemoryController::tryPre(int rank, BankId bank, Cycle now)
 }
 
 bool
-MemoryController::tryRefreshAct(int rank, BankId bank, RowId row,
-                                Cycle now)
+MemoryController::tryRefreshAct(std::size_t idx, RowId row, Cycle now)
 {
-    if (!busFree(now) || rankHeld(rank) ||
-        model.openRow(rank, bank) != kNoRow ||
-        model.earliestAct(rank, bank) > now) {
+    if (!busFree(now) || rankHeld(model.rankOf(idx)) ||
+        model.openRow(idx) != kNoRow || model.earliestAct(idx) > now) {
         return false;
     }
-    model.issueAct(rank, bank, row, now);
-    record(CommandType::ACT, now, rank, bank, row);
+    model.issueAct(idx, row, now);
+    record(CommandType::ACT, now, idx, row);
     markIssued();
-    std::size_t idx = bankIndex(rank, bank);
     refreshOpen.assign(idx, true);
     syncBankBits(idx); // a refresh row can match queued requests
-    onRowActivation(rank, bank, row, now);
+    onRowActivation(idx, row, now);
     return true;
 }
 
 Cycle
-MemoryController::tryIssueHira(int rank, BankId bank, RowId first,
-                               RowId second, Cycle now)
+MemoryController::issueHira(std::size_t idx, RowId first, RowId second,
+                            Cycle now)
 {
     const TimingCycles &tcy = model.cycles();
-    if (slotReservedAt(now + tcy.c1) || slotReservedAt(now + tcy.hiraSpan()))
-        return kNeverCycle;
-    Cycle second_at = model.issueHira(rank, bank, first, second, now);
-    record(CommandType::ACT, now, rank, bank, first, HiraRole::FirstAct);
-    record(CommandType::PRE, now + tcy.c1, rank, bank, 0,
-           HiraRole::CutPre);
-    record(CommandType::ACT, second_at, rank, bank, second,
-           HiraRole::SecondAct);
-    reserveHiraSlots(now);
+    Cycle second_at = model.issueHira(idx, first, second, now);
+    record(CommandType::ACT, now, idx, first, HiraRole::FirstAct);
+    record(CommandType::PRE, now + tcy.c1, idx, 0, HiraRole::CutPre);
+    record(CommandType::ACT, second_at, idx, second, HiraRole::SecondAct);
+    reservedSlots.push_back(now + tcy.c1);
+    reservedSlots.push_back(second_at);
     markIssued();
     ++stats_.hiraOps;
-    syncBankBits(bankIndex(rank, bank)); // bank now open with `second`
+    syncBankBits(idx); // bank now open with `second`
     return second_at;
 }
 
 bool
-MemoryController::tryHiraRefreshPair(int rank, BankId bank, RowId first,
+MemoryController::tryHiraRefreshPair(std::size_t idx, RowId first,
                                      RowId second, Cycle now)
 {
-    if (!busFree(now) || rankHeld(rank) ||
-        model.openRow(rank, bank) != kNoRow ||
-        model.earliestHira(rank, bank) > now) {
+    if (!busFree(now) || rankHeld(model.rankOf(idx)) ||
+        model.openRow(idx) != kNoRow || model.earliestHira(idx) > now ||
+        !hiraSlotsFree(now)) {
         return false;
     }
-    Cycle second_at = tryIssueHira(rank, bank, first, second, now);
-    if (second_at == kNeverCycle)
-        return false;
+    Cycle second_at = issueHira(idx, first, second, now);
     // Auto-PRE after the second tRAS.
-    refreshOpen.assign(bankIndex(rank, bank), true);
-    onRowActivation(rank, bank, first, now);
-    onRowActivation(rank, bank, second, second_at);
+    refreshOpen.assign(idx, true);
+    onRowActivation(idx, first, now);
+    onRowActivation(idx, second, second_at);
     return true;
 }
 
 void
-MemoryController::onRowActivation(int rank, BankId bank, RowId row,
-                                  Cycle now)
+MemoryController::onRowActivation(std::size_t idx, RowId row, Cycle now)
 {
     ++stats_.acts;
-    refreshScheme->onActivate(rank, bank, row, now);
+    refreshScheme->onActivate(idx, row, now);
     if (!paraSampler.enabled())
         return;
     RowId victim = paraSampler.sample(row, cfg.geom.rowsPerBank);
@@ -378,7 +352,6 @@ MemoryController::onRowActivation(int rank, BankId bank, RowId row,
         return;
     ++paraSampler.generated;
     if (cfg.paraImmediate) {
-        std::size_t idx = bankIndex(rank, bank);
         preventiveVictims[idx].push_back(victim);
         preventivePending.assign(idx, true);
     }
@@ -430,26 +403,23 @@ MemoryController::preventiveTick(Cycle now)
     preventivePending.anyOfFrom(preventiveCursor, [&](std::size_t idx) {
         if (refreshOpen.test(idx))
             return false;
-        int rank = bankRank[idx];
-        BankId bank = bankOf(idx);
         std::deque<RowId> &victims = preventiveVictims[idx];
-        if (model.openRowAt(idx) == kNoRow) {
+        if (model.openRow(idx) == kNoRow) {
             // Pop the victim only once the refresh ACT actually issued:
             // tryRefreshAct re-checks the rank hold, bank state, and
             // ACT timing itself, and any of those can decline (e.g. a
             // hold placed between our earliestAct probe and the issue).
             // Popping first would silently drop the victim — a missed
             // preventive refresh, invisible until a bit flips.
-            if (!tryRefreshAct(rank, bank, victims.front(), now))
+            if (!tryRefreshAct(idx, victims.front(), now))
                 return false;
             victims.pop_front();
             if (victims.empty())
                 preventivePending.assign(idx, false);
-        } else if (!bankHasOpenRowHit(idx) &&
-                   model.earliestPreAt(idx) <= now) {
+        } else if (!bankHasOpenRowHit(idx) && model.earliestPre(idx) <= now) {
             // Close the bank so the preventive refresh can proceed; row
             // hits in flight drain first.
-            tryPre(rank, bank, now);
+            tryPre(idx, now);
         } else {
             return false;
         }
@@ -458,36 +428,30 @@ MemoryController::preventiveTick(Cycle now)
     });
 }
 
-bool
-MemoryController::tryDemandAct(const Request &req, Cycle now)
+void
+MemoryController::demandAct(std::size_t idx, RowId row, Cycle now)
 {
-    int rank = req.da.rank;
-    BankId bank = req.da.bank;
-    if (rankHeld(rank) || model.earliestAct(rank, bank) > now)
-        return false;
+    hira_assert(!rankHeld(model.rankOf(idx)));
+    count(mRowMisses);
 
-    // Case-1 hook (Fig. 8): give the refresh scheme the chance to hide a
-    // refresh under this activation with a HiRA operation.
-    RowId hidden =
-        refreshScheme->pickHiddenRefresh(rank, bank, req.da.row, now);
-    if (hidden != kNoRow && model.earliestHira(rank, bank) <= now) {
-        Cycle second_at = tryIssueHira(rank, bank, hidden, req.da.row, now);
-        if (second_at != kNeverCycle) {
-            count(mRowMisses); // the demand ACT rode a closed bank
-            refreshScheme->onHiraIssued(rank, bank, hidden, now);
-            onRowActivation(rank, bank, hidden, now);
-            onRowActivation(rank, bank, req.da.row, second_at);
-            return true;
+    // Case-1 hook (Fig. 8): when a HiRA op fits, the refresh scheme may
+    // hide a refresh under this activation; a picked refresh is already
+    // committed, so the op issues.
+    if (model.earliestHira(idx) <= now && hiraSlotsFree(now)) {
+        RowId hidden = refreshScheme->takeHiddenRefresh(idx, row, now);
+        if (hidden != kNoRow) {
+            Cycle second_at = issueHira(idx, hidden, row, now);
+            onRowActivation(idx, hidden, now);
+            onRowActivation(idx, row, second_at);
+            return;
         }
     }
 
-    model.issueAct(rank, bank, req.da.row, now);
-    record(CommandType::ACT, now, rank, bank, req.da.row);
+    model.issueAct(idx, row, now);
+    record(CommandType::ACT, now, idx, row);
     markIssued();
-    count(mRowMisses);
-    syncBankBits(bankIndex(rank, bank));
-    onRowActivation(rank, bank, req.da.row, now);
-    return true;
+    syncBankBits(idx);
+    onRowActivation(idx, row, now);
 }
 
 bool
@@ -502,31 +466,31 @@ MemoryController::issueRowCommand(bool is_read, Cycle now)
     // oldest request arrived first.
     const std::vector<BankQueue> &queues = is_read ? readQ : writeQ;
     const Queued *oldest = nullptr;
+    std::size_t oldest_idx = 0;
     (is_read ? readQueued : writeQueued).anyOf([&](std::size_t idx) {
         const Queued &front = queues[idx].front();
         if ((oldest != nullptr && oldest->seq < front.seq) ||
-            bankBlockedAt(idx)) {
+            bankBlocked(idx)) {
             return false;
         }
         bool ready =
-            model.openRowAt(idx) == kNoRow
-                ? !rankHold[static_cast<std::size_t>(bankRank[idx])] &&
-                      model.earliestActAt(idx) <= now
-                : !bankHasOpenRowHit(idx) && model.earliestPreAt(idx) <= now;
-        if (ready)
+            model.openRow(idx) == kNoRow
+                ? !rankHeld(model.rankOf(idx)) && model.earliestAct(idx) <= now
+                : !bankHasOpenRowHit(idx) && model.earliestPre(idx) <= now;
+        if (ready) {
             oldest = &front;
+            oldest_idx = idx;
+        }
         return false;
     });
     if (oldest == nullptr)
         return false;
-    const Request &req = oldest->req;
-    if (model.openRow(req.da.rank, req.da.bank) == kNoRow) {
-        bool issued = tryDemandAct(req, now);
-        hira_assert(issued);
-        return issued;
+    if (model.openRow(oldest_idx) == kNoRow) {
+        demandAct(oldest_idx, oldest->req.da.row, now);
+        return true;
     }
     count(mRowConflicts);
-    return tryPre(req.da.rank, req.da.bank, now);
+    return tryPre(oldest_idx, now);
 }
 
 bool
@@ -565,9 +529,9 @@ MemoryController::autoPreTick(Cycle now)
         return;
     // Ascending flat index is the (rank, bank) order of a full sweep.
     refreshOpen.anyOf([&](std::size_t idx) {
-        if (model.openRowAt(idx) == kNoRow || model.earliestPreAt(idx) > now)
+        if (model.openRow(idx) == kNoRow || model.earliestPre(idx) > now)
             return false;
-        tryPre(bankRank[idx], bankOf(idx), now);
+        tryPre(idx, now);
         return true;
     });
 }
@@ -631,27 +595,27 @@ MemoryController::computeNextEvent(Cycle now) const
             if (refreshOpen.test(idx)) {
                 // Demand and preventive work is withheld; the bank's
                 // only event is the auto-PRE of the refresh row.
-                return model.openRowAt(idx) != kNoRow &&
-                       consider(model.earliestPreAt(idx));
+                return model.openRow(idx) != kNoRow &&
+                       consider(model.earliestPre(idx));
             }
-            if (model.openRowAt(idx) == kNoRow) {
+            if (model.openRow(idx) == kNoRow) {
                 // Everything queued wants an ACT (demand row or
                 // preventive victim). Held ranks: the holding scheme's
                 // horizon polls densely while it drains the rank toward
                 // a REF, so ACT entries drop out.
-                return !rankHold[static_cast<std::size_t>(bankRank[idx])] &&
-                       consider(model.earliestActAt(idx));
+                return !rankHeld(model.rankOf(idx)) &&
+                       consider(model.earliestAct(idx));
             }
             if (hit.test(idx) &&
-                consider(writeMode ? model.earliestWrAt(idx)
-                                   : model.earliestRdAt(idx))) {
+                consider(writeMode ? model.earliestWr(idx)
+                                   : model.earliestRd(idx))) {
                 return true;
             }
             // Without an honoured hit the active class has none either,
             // so any queued request of it wants the conflict PRE.
             return (queued.test(idx) || preventivePending.test(idx)) &&
                    !bankHasOpenRowHit(idx) &&
-                   consider(model.earliestPreAt(idx));
+                   consider(model.earliestPre(idx));
         });
     if (at_floor)
         return floor;
@@ -683,11 +647,10 @@ MemoryController::issueColumnIfReady(bool is_read, Cycle now)
     (is_read ? readHit : writeHit).anyOf([&](std::size_t idx) {
         BankQueue &q = queues[idx];
         if ((any && oldest->seq < q.front().seq) || refreshOpen.test(idx) ||
-            (is_read ? model.earliestRdAt(idx) : model.earliestWrAt(idx)) >
-                now) {
+            (is_read ? model.earliestRd(idx) : model.earliestWr(idx)) > now) {
             return false;
         }
-        const RowId open = model.openRowAt(idx);
+        const RowId open = model.openRow(idx);
         auto it = std::find_if(q.begin(), q.end(), [open](const Queued &e) {
             return e.req.da.row == open;
         });
@@ -702,18 +665,16 @@ MemoryController::issueColumnIfReady(bool is_read, Cycle now)
     if (!any)
         return false;
     const Request &req = oldest->req;
-    const int rank = req.da.rank;
-    const BankId bank = req.da.bank;
     if (is_read) {
-        Cycle done = model.issueRd(rank, bank, now);
-        record(CommandType::RD, now, rank, bank, req.da.row);
+        Cycle done = model.issueRd(bank_idx, now);
+        record(CommandType::RD, now, bank_idx, req.da.row);
         completions_.push_back({req.tag, req.coreId, done});
         stats_.readLatencySum += done - req.arrival;
         ++stats_.readsServed;
         --nReads;
     } else {
-        model.issueWr(rank, bank, now);
-        record(CommandType::WR, now, rank, bank, req.da.row);
+        model.issueWr(bank_idx, now);
+        record(CommandType::WR, now, bank_idx, req.da.row);
         ++stats_.writesServed;
         --nWrites;
     }

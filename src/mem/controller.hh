@@ -174,6 +174,9 @@ class MemoryController
     std::size_t queuedWrites() const { return nWrites; }
 
     // ----- primitives for refresh schemes ------------------------------
+    //
+    // A bank is named by its flat index within the channel
+    // (timing().bankIndex()); only the rank-level REF work takes a rank.
 
     /** True if the command bus can carry a command this cycle. */
     bool busFree(Cycle now) const;
@@ -185,21 +188,21 @@ class MemoryController
     bool tryCloseOneBank(int rank, Cycle now);
 
     /** Precharge a specific bank. */
-    bool tryPre(int rank, BankId bank, Cycle now);
+    bool tryPre(std::size_t bank, Cycle now);
 
     /**
      * Standalone per-row refresh: ACT @p row now, auto-PRE after tRAS.
      * The bank is withheld from demand scheduling until the PRE.
      */
-    bool tryRefreshAct(int rank, BankId bank, RowId row, Cycle now);
+    bool tryRefreshAct(std::size_t bank, RowId row, Cycle now);
 
     /**
      * Refresh-refresh HiRA (Section 5.1.3 case 2): one HiRA op
      * refreshing @p first and @p second, auto-PRE after the second's
      * tRAS.
      */
-    bool tryHiraRefreshPair(int rank, BankId bank, RowId first,
-                            RowId second, Cycle now);
+    bool tryHiraRefreshPair(std::size_t bank, RowId first, RowId second,
+                            Cycle now);
 
     // ----- inspection ---------------------------------------------------
 
@@ -217,29 +220,16 @@ class MemoryController
      */
     std::vector<Command> trace() const;
 
-    /** True if the bank is withheld from demand scheduling. */
-    bool bankBlocked(int rank, BankId bank) const;
-
-    // Flat bank index (rank-major, BankBits order) helpers, so callers
-    // that walk banks by index never divide.
-    /** Flat index of (rank, bank) in [0, Geometry::banksPerChannel()). */
+    /** Flat index of (rank, bank), forwarded to the timing model. */
     std::size_t bankIndex(int rank, BankId bank) const
     {
-        return static_cast<std::size_t>(rank) *
-                   static_cast<std::size_t>(cfg.geom.banksPerRank()) +
-               bank;
+        return model.bankIndex(rank, bank);
     }
-    /** Rank of a flat bank index. */
-    int rankOf(std::size_t idx) const { return bankRank[idx]; }
-    /** Bank within its rank of a flat bank index. */
-    BankId bankOf(std::size_t idx) const
-    {
-        return static_cast<BankId>(
-            idx - static_cast<std::size_t>(bankRank[idx]) *
-                      static_cast<std::size_t>(cfg.geom.banksPerRank()));
-    }
-    /** bankBlocked() by flat bank index. */
-    bool bankBlockedAt(std::size_t idx) const
+    /** Rank of a flat bank index, forwarded to the timing model. */
+    int rankOf(std::size_t idx) const { return model.rankOf(idx); }
+
+    /** True if the bank is withheld from demand scheduling. */
+    bool bankBlocked(std::size_t idx) const
     {
         return refreshOpen.test(idx) || preventivePending.test(idx);
     }
@@ -252,7 +242,10 @@ class MemoryController
     bool rankHeld(int rank) const;
 
     /** Pending preventive refreshes on the bank (immediate PARA). */
-    std::size_t pendingPreventive(int rank, BankId bank) const;
+    std::size_t pendingPreventive(std::size_t idx) const
+    {
+        return preventiveVictims[idx].size();
+    }
 
     /**
      * Test-only O(queue) audit of the per-bank request queues: every
@@ -276,25 +269,27 @@ class MemoryController
     /** Rebuild the bank's four bits from its two queues and open row. */
     void syncBankBits(std::size_t idx);
 
-    void record(CommandType type, Cycle cycle, int rank, BankId bank,
-                RowId row, HiraRole role = HiraRole::None);
+    /** Record a command on the bank (REF: the rank's first bank). */
+    void record(CommandType type, Cycle cycle, std::size_t idx, RowId row,
+                HiraRole role = HiraRole::None);
     void markIssued();
     bool slotReservedAt(Cycle c) const;
-    void reserveHiraSlots(Cycle now);
+    /** True if neither future bus slot of a HiRA op issued now is taken. */
+    bool hiraSlotsFree(Cycle now) const;
     /**
-     * Issue HiRA (ACT @p first, PRE, ACT @p second) unless one of its
-     * two future bus slots is reserved; returns the second ACT's cycle,
-     * or kNeverCycle. Callers check the bank and do the ACT bookkeeping.
+     * Issue HiRA (ACT @p first, PRE, ACT @p second) and reserve its two
+     * future bus slots; returns the second ACT's cycle. Callers check
+     * the bank, earliestHira and hiraSlotsFree, and do the ACT
+     * bookkeeping.
      */
-    Cycle tryIssueHira(int rank, BankId bank, RowId first, RowId second,
-                       Cycle now);
+    Cycle issueHira(std::size_t idx, RowId first, RowId second, Cycle now);
     void autoPreTick(Cycle now);
     bool issueColumnIfReady(bool is_read, Cycle now);
     Cycle computeNextEvent(Cycle now) const;
     /** Refill nextEvent()'s cache from computeNextEvent(lastTick). */
     Cycle recomputeWake() const;
     /** Every activation funnels through here (PARA sampling hook). */
-    void onRowActivation(int rank, BankId bank, RowId row, Cycle now);
+    void onRowActivation(std::size_t idx, RowId row, Cycle now);
     void preventiveTick(Cycle now);
     /**
      * writeMode after the write-drain hysteresis step on the current
@@ -303,7 +298,11 @@ class MemoryController
     bool nextWriteMode() const;
     void scheduleDemand(Cycle now);
     bool issueRowCommand(bool is_read, Cycle now);
-    bool tryDemandAct(const Request &req, Cycle now);
+    /**
+     * Demand ACT of @p row on the closed bank @p idx, or a HiRA op that
+     * hides a refresh under it (the case-1 hook).
+     */
+    void demandAct(std::size_t idx, RowId row, Cycle now);
 
     /**
      * True if the bank's open row has a queued hit the scheduler still
@@ -334,7 +333,6 @@ class MemoryController
     std::vector<Cycle> reservedSlots; //!< future HiRA PRE/ACT bus slots
 
     std::vector<bool> rankHold;
-    std::vector<int> bankRank; //!< flat bank index -> rank
     // Immediate-PARA victims per bank (bankIndex order), and the banks
     // whose deque is non-empty: set by onRowActivation's push, cleared
     // by preventiveTick's pop of the last victim.

@@ -13,9 +13,9 @@ GrapheneTrr::GrapheneTrr(const GrapheneConfig &config) : cfg(config)
 }
 
 void
-GrapheneTrr::attach(MemoryController *controller)
+GrapheneTrr::attach(MemoryController *controller, const MetricScope &scope)
 {
-    BaselineRefresh::attach(controller);
+    BaselineRefresh::attach(controller, scope);
     const Geometry &geom = controller->geometry();
     const TimingCycles &tcy = controller->tc();
     std::size_t nbanks = static_cast<std::size_t>(geom.banksPerChannel());
@@ -34,11 +34,6 @@ GrapheneTrr::attach(MemoryController *controller)
             tcy.refi * static_cast<Cycle>(r + 1) /
             static_cast<Cycle>(geom.ranksPerChannel);
     }
-}
-
-void
-GrapheneTrr::attachMetrics(const MetricScope &scope)
-{
     mTrrSelections = scope.counter("trr_selections");
     mTrackerDepth = scope.histogram(
         "tracker_depth", 0.0, static_cast<double>(cfg.trackerSize + 1),
@@ -46,11 +41,10 @@ GrapheneTrr::attachMetrics(const MetricScope &scope)
 }
 
 void
-GrapheneTrr::onActivate(int rank, BankId bank, RowId row, Cycle now)
+GrapheneTrr::onActivate(std::size_t bank, RowId row, Cycle now)
 {
     (void)now;
-    std::size_t idx = ctrl->bankIndex(rank, bank);
-    std::vector<Tracked> &t = trackers[idx];
+    std::vector<Tracked> &t = trackers[bank];
     for (Tracked &e : t) {
         if (e.row == row) {
             ++e.hits;
@@ -82,7 +76,7 @@ GrapheneTrr::trrSelect(int rank)
     Tracked *best = nullptr;
     std::size_t bestIdx = 0;
     for (BankId bank = 0; bank < static_cast<BankId>(banks); ++bank) {
-        std::size_t idx = static_cast<std::size_t>(rank * banks) + bank;
+        std::size_t idx = ctrl->bankIndex(rank, bank);
         for (Tracked &e : trackers[idx]) {
             if (e.hits < cfg.threshold)
                 continue;

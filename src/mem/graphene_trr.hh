@@ -42,11 +42,10 @@ class GrapheneTrr final : public BaselineRefresh
   public:
     explicit GrapheneTrr(const GrapheneConfig &cfg);
 
-    void attach(MemoryController *ctrl) override;
-    void attachMetrics(const MetricScope &scope) override;
+    void attach(MemoryController *ctrl, const MetricScope &scope) override;
     void tick(Cycle now) override;
     Cycle nextEventCycle(Cycle now) const override;
-    void onActivate(int rank, BankId bank, RowId row, Cycle now) override;
+    void onActivate(std::size_t bank, RowId row, Cycle now) override;
 
     const GrapheneConfig &config() const { return cfg; }
     /** Victims currently queued across all banks (test hook). */
@@ -62,7 +61,7 @@ class GrapheneTrr final : public BaselineRefresh
     void trrSelect(int rank);
 
     GrapheneConfig cfg;
-    std::vector<std::vector<Tracked>> trackers;  //!< per (rank, bank)
+    std::vector<std::vector<Tracked>> trackers;  //!< per flat bank index
     VictimQueue victims;
     std::vector<Cycle> nextTrrAt;                //!< per rank
     Cycle windowCycles = 0;

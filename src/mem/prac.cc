@@ -12,47 +12,43 @@ PracRefresh::PracRefresh(const PracConfig &config) : cfg(config)
 }
 
 void
-PracRefresh::attach(MemoryController *controller)
+PracRefresh::attach(MemoryController *controller, const MetricScope &scope)
 {
-    BaselineRefresh::attach(controller);
+    BaselineRefresh::attach(controller, scope);
     const Geometry &geom = controller->geometry();
     slackCycles = static_cast<Cycle>(cfg.slackRc) * controller->tc().rc;
-    std::size_t nbanks = static_cast<std::size_t>(geom.banksPerChannel());
-    counters.assign(nbanks, {});
-    tables.clear();
-    rowOf.clear();
-    for (int r = 0; r < geom.ranksPerChannel; ++r) {
-        // Same shape as HiRA-MC's §6 sizing: up to 4 queued targeted
-        // refreshes per bank.
-        tables.emplace_back(4 *
-                            static_cast<std::size_t>(geom.banksPerRank()));
-        rowOf.emplace_back();
-    }
+    counters.assign(static_cast<std::size_t>(geom.banksPerChannel()), {});
+    targets.assign(static_cast<std::size_t>(geom.ranksPerChannel), {});
+    // Same shape as HiRA-MC's §6 sizing: up to 4 queued targeted
+    // refreshes per bank.
+    cap = 4 * static_cast<std::size_t>(geom.banksPerRank());
     rankCursor = 0;
-}
-
-void
-PracRefresh::attachMetrics(const MetricScope &scope)
-{
     mPracTriggers = scope.counter("prac_triggers");
-    mTableDepth = scope.histogram(
-        "table_depth", 0.0,
-        static_cast<double>(tables.empty() ? 64 : tables[0].capacity() + 1),
-        16);
+    mTableDepth = scope.histogram("table_depth", 0.0,
+                                  static_cast<double>(cap + 1), 16);
+}
+
+std::size_t
+PracRefresh::pendingTargets() const
+{
+    std::size_t n = 0;
+    for (const std::vector<Target> &q : targets)
+        n += q.size();
+    return n;
 }
 
 void
-PracRefresh::onActivate(int rank, BankId bank, RowId row, Cycle now)
+PracRefresh::onActivate(std::size_t bank, RowId row, Cycle now)
 {
-    std::size_t idx = ctrl->bankIndex(rank, bank);
-    int &c = counters[idx][row];
+    int &c = counters[bank][row];
     if (++c < cfg.threshold)
         return;
     // Threshold crossed: back off the counter and queue targeted
     // refreshes for both physical neighbors.
     c = 0;
     count(mPracTriggers);
-    RefreshTable &table = tables[static_cast<std::size_t>(rank)];
+    std::vector<Target> &q =
+        targets[static_cast<std::size_t>(ctrl->rankOf(bank))];
     RowId rows = ctrl->geometry().rowsPerBank;
     RowId neighbors[2] = {row > 0 ? row - 1 : kNoRow,
                           row + 1 < rows ? row + 1 : kNoRow};
@@ -60,19 +56,14 @@ PracRefresh::onActivate(int rank, BankId bank, RowId row, Cycle now)
         if (victim == kNoRow)
             continue;
         ++stats_.preventiveGenerated;
-        if (table.size() >= table.capacity()) {
-            // RefreshTable::insert stores past capacity (overflow
-            // accounting for force-drain callers); PRAC instead models
-            // a hard hardware bound, so guard before inserting and
-            // count the never-refreshed victim as dropped.
+        if (q.size() >= cap) {
+            // The list models a hard hardware bound: the victim is
+            // never refreshed and counts as dropped.
             ++stats_.preventiveDropped;
             continue;
         }
-        std::uint64_t id = 0;
-        table.insert(now + slackCycles, rank, bank,
-                     RefreshType::Preventive, &id);
-        rowOf[static_cast<std::size_t>(rank)][id] = victim;
-        observe(mTableDepth, static_cast<double>(table.size()));
+        q.push_back({now + slackCycles, bank, victim});
+        observe(mTableDepth, static_cast<double>(q.size()));
     }
 }
 
@@ -83,41 +74,36 @@ PracRefresh::drain(Cycle now)
     int nranks = geom.ranksPerChannel;
     for (int i = 0; i < nranks; ++i) {
         int rank = (rankCursor + i) % nranks;
-        RefreshTable &table = tables[static_cast<std::size_t>(rank)];
-        if (table.empty())
-            continue;
-        // Earliest-deadline entry whose bank is actionable (skipping
+        std::vector<Target> &q = targets[static_cast<std::size_t>(rank)];
+        // Earliest-deadline target whose bank is actionable (skipping
         // blocked banks avoids head-of-line blocking behind an
         // in-flight refresh's auto-PRE).
-        const RefreshEntry *e = nullptr;
-        for (const RefreshEntry &cand : table.all()) {
-            if (ctrl->bankBlocked(rank, cand.bank))
+        std::size_t pick = q.size();
+        for (std::size_t k = 0; k < q.size(); ++k) {
+            if (ctrl->bankBlocked(q[k].bank))
                 continue;
-            if (e == nullptr || cand.deadline < e->deadline)
-                e = &cand;
+            if (pick == q.size() || q[k].deadline < q[pick].deadline)
+                pick = k;
         }
-        if (e == nullptr)
+        if (pick == q.size())
             continue;
-        // Copy the entry: the refresh ACT below re-enters onActivate,
-        // which can insert into (and reallocate) this same table.
-        RefreshEntry entry = *e;
-        if (ctrl->timing().openRow(rank, entry.bank) != kNoRow) {
-            if (ctrl->tryPre(rank, entry.bank, now)) {
+        // Copy the target: the refresh ACT below re-enters onActivate,
+        // which can append to (and reallocate) this same list.
+        const Target t = q[pick];
+        if (ctrl->timing().openRow(t.bank) != kNoRow) {
+            if (ctrl->tryPre(t.bank, now)) {
                 rankCursor = rank + 1;
                 return true;
             }
             continue;
         }
-        auto &rows = rowOf[static_cast<std::size_t>(rank)];
-        RowId victim = rows.at(entry.id);
-        if (ctrl->tryRefreshAct(rank, entry.bank, victim, now)) {
-            if (now > entry.deadline)
+        if (ctrl->tryRefreshAct(t.bank, t.row, now)) {
+            if (now > t.deadline)
                 ++stats_.deadlineMisses;
             ++stats_.rowRefreshes;
             ++stats_.standalone;
-            bool removed = table.remove(entry.id);
-            hira_assert(removed);
-            rows.erase(entry.id);
+            q[pick] = q.back();
+            q.pop_back();
             rankCursor = rank + 1;
             return true;
         }
@@ -137,11 +123,11 @@ Cycle
 PracRefresh::nextEventCycle(Cycle now) const
 {
     // Queued targeted refreshes drain against per-bank timing gates;
-    // poll densely while any are queued (tables cap at 4 per bank, so
+    // poll densely while any are queued (lists cap at 4 per bank, so
     // the dense window is short). Counters only change via onActivate,
     // i.e. on issues, which force a poll anyway.
-    for (const RefreshTable &table : tables) {
-        if (!table.empty())
+    for (const std::vector<Target> &q : targets) {
+        if (!q.empty())
             return now + 1;
     }
     return BaselineRefresh::nextEventCycle(now);

@@ -7,7 +7,7 @@
  * when a row's count crosses the threshold the controller performs a
  * targeted refresh of the row's physical neighbors before they can
  * disturb-fail, then resets the counter (back-off). Queued targeted
- * refreshes live in the existing RefreshTable with a slack deadline and
+ * refreshes wait in a bounded per-rank list with a slack deadline and
  * drain earliest-deadline-first through the controller's refresh-open
  * machinery. Periodic refresh stays on conventional REF, inherited from
  * BaselineRefresh.
@@ -19,7 +19,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/refresh_table.hh"
 #include "mem/refresh.hh"
 
 namespace hira {
@@ -39,28 +38,33 @@ class PracRefresh final : public BaselineRefresh
   public:
     explicit PracRefresh(const PracConfig &cfg);
 
-    void attach(MemoryController *ctrl) override;
-    void attachMetrics(const MetricScope &scope) override;
+    void attach(MemoryController *ctrl, const MetricScope &scope) override;
     void tick(Cycle now) override;
     Cycle nextEventCycle(Cycle now) const override;
-    void onActivate(int rank, BankId bank, RowId row, Cycle now) override;
+    void onActivate(std::size_t bank, RowId row, Cycle now) override;
 
     const PracConfig &config() const { return cfg; }
-    /** Queued targeted refreshes in one rank's table (test hook). */
-    const RefreshTable &table(int rank) const
-    {
-        return tables[static_cast<std::size_t>(rank)];
-    }
+    /** Targeted refreshes queued across all ranks (test hook). */
+    std::size_t pendingTargets() const;
+    /** Targeted refreshes one rank can queue. */
+    std::size_t capacity() const { return cap; }
 
   private:
+    /** A queued targeted refresh of one victim row. */
+    struct Target
+    {
+        Cycle deadline;
+        std::size_t bank; //!< flat bank index
+        RowId row;
+    };
+
     bool drain(Cycle now);
 
     PracConfig cfg;
-    /** Per-(rank, bank) activation counters, keyed by row. */
+    /** Per-bank activation counters, keyed by row. */
     std::vector<std::unordered_map<RowId, int>> counters;
-    std::vector<RefreshTable> tables;                //!< per rank
-    /** Victim row per queued table entry id, per rank. */
-    std::vector<std::unordered_map<std::uint64_t, RowId>> rowOf;
+    std::vector<std::vector<Target>> targets; //!< per rank
+    std::size_t cap = 0;
     Cycle slackCycles = 0;
     int rankCursor = 0;
 

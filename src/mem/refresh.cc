@@ -6,9 +6,10 @@
 namespace hira {
 
 void
-BaselineRefresh::attach(MemoryController *controller)
+BaselineRefresh::attach(MemoryController *controller,
+                        const MetricScope &scope)
 {
-    RefreshScheme::attach(controller);
+    RefreshScheme::attach(controller, scope);
     const Geometry &geom = controller->geometry();
     Cycle refi = controller->tc().refi;
     nextRefAt.resize(static_cast<std::size_t>(geom.ranksPerChannel));

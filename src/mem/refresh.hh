@@ -70,61 +70,40 @@ struct RefreshStats
 };
 
 /**
- * A refresh scheme plugged into one memory controller. The controller
- * calls tick() first each cycle (refresh has priority over demand
- * scheduling when deadlines require it) and offers the Case-1 hook
- * before every demand activation.
+ * A refresh scheme plugged into one memory controller, through five
+ * hooks. The controller calls tick() first each cycle (refresh has
+ * priority over demand scheduling when deadlines require it) and
+ * offers takeHiddenRefresh() before a demand activation. Every
+ * per-bank argument is the bank's flat index within the channel
+ * (ChannelTimingModel::bankIndex), and so is every per-bank argument
+ * of the controller primitives the scheme calls.
  */
 class RefreshScheme
 {
   public:
     virtual ~RefreshScheme() = default;
 
-    /** Called once after the controller is constructed. */
-    virtual void attach(MemoryController *controller) { ctrl = controller; }
-
     /**
-     * Offer the scheme a metrics scope (e.g. "ctrl0.scheme."), called
-     * right after attach(). Schemes register what they want and keep
-     * the returned pointers; the default registers nothing (the
-     * RefreshStats every scheme reports are mirrored into the registry
-     * by System::metricsSnapshot() without scheme cooperation).
-     * Metrics must only observe — scheme behavior must be identical
-     * with and without a live scope.
+     * Called once, at the end of the controller's construction, with
+     * the scheme's metrics scope (e.g. "ctrl0.scheme."). Schemes size
+     * their state, register the metrics they want and keep the
+     * returned pointers; the RefreshStats every scheme reports are
+     * mirrored into the registry by System::metricsSnapshot() without
+     * scheme cooperation. Metrics must only observe: scheme behavior
+     * must be identical with and without a live scope.
      */
-    virtual void attachMetrics(const MetricScope &scope) { (void)scope; }
+    virtual void
+    attach(MemoryController *controller, const MetricScope &scope)
+    {
+        ctrl = controller;
+        (void)scope;
+    }
 
     /**
      * Per-cycle refresh work. May issue at most one command through the
      * controller's try* primitives.
      */
     virtual void tick(Cycle now) = 0;
-
-    /**
-     * Case-1 hook (Fig. 8): the controller is about to activate
-     * @p row_a on (rank, bank) for a demand access. Return a row whose
-     * refresh should ride along as HiRA's first ACT, or kNoRow.
-     */
-    virtual RowId
-    pickHiddenRefresh(int rank, BankId bank, RowId row_a, Cycle now)
-    {
-        (void)rank; (void)bank; (void)row_a; (void)now;
-        return kNoRow;
-    }
-
-    /** The proposed HiRA op was issued; commit the bookkeeping. */
-    virtual void
-    onHiraIssued(int rank, BankId bank, RowId refresh_row, Cycle now)
-    {
-        (void)rank; (void)bank; (void)refresh_row; (void)now;
-    }
-
-    /** Notification of every row activation (for PreventiveRC). */
-    virtual void
-    onActivate(int rank, BankId bank, RowId row, Cycle now)
-    {
-        (void)rank; (void)bank; (void)row; (void)now;
-    }
 
     /**
      * Event-engine horizon: a conservative lower bound on the next
@@ -141,6 +120,28 @@ class RefreshScheme
     nextEventCycle(Cycle now) const
     {
         return now + 1;
+    }
+
+    /**
+     * Case-1 hook (Fig. 8): the controller activates @p row_a on
+     * @p bank for a demand access now, and a HiRA operation fits (the
+     * bank's earliestHira has passed and both future bus slots are
+     * free). Return a row whose refresh rides along as HiRA's first
+     * ACT, with the refresh already committed, or kNoRow for a plain
+     * ACT. A returned row is always issued.
+     */
+    virtual RowId
+    takeHiddenRefresh(std::size_t bank, RowId row_a, Cycle now)
+    {
+        (void)bank; (void)row_a; (void)now;
+        return kNoRow;
+    }
+
+    /** Notification of every row activation (for PreventiveRC). */
+    virtual void
+    onActivate(std::size_t bank, RowId row, Cycle now)
+    {
+        (void)bank; (void)row; (void)now;
     }
 
     const RefreshStats &stats() const { return stats_; }
@@ -169,7 +170,7 @@ class NoRefresh final : public RefreshScheme
 class BaselineRefresh : public RefreshScheme
 {
   public:
-    void attach(MemoryController *ctrl) override;
+    void attach(MemoryController *ctrl, const MetricScope &scope) override;
     void tick(Cycle now) override;
     Cycle nextEventCycle(Cycle now) const override;
 

@@ -12,34 +12,28 @@ RfmRefresh::RfmRefresh(const RfmConfig &config) : cfg(config)
 }
 
 void
-RfmRefresh::attach(MemoryController *controller)
+RfmRefresh::attach(MemoryController *controller, const MetricScope &scope)
 {
-    BaselineRefresh::attach(controller);
+    BaselineRefresh::attach(controller, scope);
     const Geometry &geom = controller->geometry();
     std::size_t nbanks = static_cast<std::size_t>(geom.banksPerChannel());
     raa.assign(nbanks, 0);
     victims.reset(nbanks, cfg.queueCap);
-}
-
-void
-RfmRefresh::attachMetrics(const MetricScope &scope)
-{
     mRfmTriggers = scope.counter("rfm_triggers");
 }
 
 void
-RfmRefresh::onActivate(int rank, BankId bank, RowId row, Cycle now)
+RfmRefresh::onActivate(std::size_t bank, RowId row, Cycle now)
 {
     (void)now;
-    std::size_t idx = ctrl->bankIndex(rank, bank);
-    if (++raa[idx] < cfg.raaimt)
+    if (++raa[bank] < cfg.raaimt)
         return;
     // RAAIMT crossed: the bank owes an RFM. Subtracting (not zeroing)
     // the threshold keeps the rolling-counter semantics when several
     // ACTs land between drain opportunities.
-    raa[idx] -= cfg.raaimt;
+    raa[bank] -= cfg.raaimt;
     count(mRfmTriggers);
-    victims.pushNeighbors(idx, row, ctrl->geometry().rowsPerBank, stats_);
+    victims.pushNeighbors(bank, row, ctrl->geometry().rowsPerBank, stats_);
 }
 
 void

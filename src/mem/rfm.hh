@@ -39,11 +39,10 @@ class RfmRefresh final : public BaselineRefresh
   public:
     explicit RfmRefresh(const RfmConfig &cfg);
 
-    void attach(MemoryController *ctrl) override;
-    void attachMetrics(const MetricScope &scope) override;
+    void attach(MemoryController *ctrl, const MetricScope &scope) override;
     void tick(Cycle now) override;
     Cycle nextEventCycle(Cycle now) const override;
-    void onActivate(int rank, BankId bank, RowId row, Cycle now) override;
+    void onActivate(std::size_t bank, RowId row, Cycle now) override;
 
     const RfmConfig &config() const { return cfg; }
     /** Victims currently queued across all banks (test hook). */
@@ -51,7 +50,7 @@ class RfmRefresh final : public BaselineRefresh
 
   private:
     RfmConfig cfg;
-    std::vector<int> raa; //!< per (rank, bank)
+    std::vector<int> raa; //!< per flat bank index
     VictimQueue victims;
 
     Counter *mRfmTriggers = nullptr; //!< RAAIMT crossings (null when off)

@@ -43,16 +43,14 @@ VictimQueue::drain(MemoryController &ctrl, Cycle now, RefreshStats &stats)
     // Round-robin from the cursor over the banks holding victims, in
     // flat (rank, bank) order: the bits at or above it, then below.
     pendingBanks.anyOfFrom(cursor, [&](std::size_t idx) {
-        if (ctrl.bankBlockedAt(idx))
+        if (ctrl.bankBlocked(idx))
             return false;
-        int rank = ctrl.rankOf(idx);
-        BankId bank = ctrl.bankOf(idx);
         std::deque<RowId> &q = queues[idx];
-        if (ctrl.timing().openRowAt(idx) != kNoRow) {
-            if (!ctrl.tryPre(rank, bank, now))
+        if (ctrl.timing().openRow(idx) != kNoRow) {
+            if (!ctrl.tryPre(idx, now))
                 return false;
         } else {
-            if (!ctrl.tryRefreshAct(rank, bank, q.front(), now))
+            if (!ctrl.tryRefreshAct(idx, q.front(), now))
                 return false;
             q.pop_front();
             if (q.empty())

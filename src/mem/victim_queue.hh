@@ -3,7 +3,7 @@
  * Per-bank bounded victim queues for the schemes that refresh the
  * physical neighbours of a triggering row (RFM, Graphene-TRR).
  *
- * Each (rank, bank) holds up to a fixed number of victims, modelling
+ * Each bank holds up to a fixed number of victims, modelling
  * the device's bounded work list: a victim that finds its bank's queue
  * full is never refreshed and is counted as dropped, so every scheme
  * using the queue conserves generated = refreshed + pending + dropped.
@@ -51,7 +51,7 @@ class VictimQueue
 
   private:
     std::size_t cap = 0;
-    std::vector<std::deque<RowId>> queues; //!< per (rank, bank)
+    std::vector<std::deque<RowId>> queues; //!< per flat bank index
     BankBits pendingBanks; //!< banks whose queue is non-empty
     std::uint64_t pending_ = 0;
     std::size_t cursor = 0; //!< bank index the next drain scan starts at

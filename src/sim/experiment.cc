@@ -120,7 +120,6 @@ makeSystemConfig(const GeomSpec &geom, const SchemeSpec &scheme,
     if (scheme.paraEnabled && !scheme.preventiveViaHira) {
         cfg.para.enabled = true;
         cfg.para.pth = solvePth(scheme.nrh, 0.0);
-        cfg.para.seed = hashCombine(seed, 0x9b1);
     }
     return cfg;
 }

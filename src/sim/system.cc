@@ -42,6 +42,19 @@ System::makeScheme() const
     return schemeEntryByKind(cfg.scheme).make(cfg);
 }
 
+ControllerConfig
+controllerConfig(const SystemConfig &cfg, int ch)
+{
+    ControllerConfig cc;
+    cc.geom = cfg.geom;
+    cc.tp = cfg.tp;
+    cc.para = cfg.para;
+    cc.para.seed = hashCombine(cfg.seed, 0xca0 + ch);
+    cc.paraImmediate = cfg.scheme != SchemeKind::HiraMc;
+    cc.recordTrace = cfg.recordTraces;
+    return cc;
+}
+
 System::System(const SystemConfig &config)
     : cfg(config), mapper(config.geom)
 {
@@ -59,15 +72,7 @@ System::System(const SystemConfig &config)
 
     // Controllers, one per channel.
     for (int ch = 0; ch < cfg.geom.channels; ++ch) {
-        ControllerConfig cc;
-        cc.geom = cfg.geom;
-        cc.tp = cfg.tp;
-        cc.para = cfg.para;
-        cc.para.seed = hashCombine(cfg.seed, 0xca0 + ch);
-        // When HiRA-MC runs PreventiveRC, the controller must not also
-        // perform immediate preventive refreshes.
-        cc.paraImmediate = cfg.scheme != SchemeKind::HiraMc;
-        cc.recordTrace = cfg.recordTraces;
+        ControllerConfig cc = controllerConfig(cfg, ch);
         cc.metrics = root.sub(strprintf("ctrl%d", ch));
         controllers.push_back(std::make_unique<MemoryController>(
             ch, cc, makeScheme()));

@@ -113,6 +113,14 @@ struct SystemConfig
     MetricsLevel metricsLevel = defaultMetricsLevel();
 };
 
+/**
+ * Channel @p ch's controller configuration: the system's geometry and
+ * timing, its PARA parameters seeded per channel, and immediate PARA
+ * off for HiRA-MC (whose PreventiveRC does its own sampling). Metrics
+ * stay off; System gives each controller its scope.
+ */
+ControllerConfig controllerConfig(const SystemConfig &cfg, int ch);
+
 /** Post-run summary. */
 struct SystemResult
 {

@@ -4,9 +4,9 @@
  * shared by the command-stream golden digests and the count-index
  * property test.
  *
- * The controller is built the way System builds channel 0 (same PARA
- * seed, same immediate-PARA switch, the registry's scheme factory), so
- * every scheme runs its production configuration. The traffic repeats
+ * The controller is built from System's recipe for channel 0
+ * (controllerConfig, and the registry's scheme factory), so every
+ * scheme runs its production configuration. The traffic repeats
  * a 4096-cycle pattern of saturated bursts over two hot rows per bank
  * (row hits and conflicts) and random cold rows, with quiet stretches
  * where the queues drain and refresh runs unopposed:
@@ -38,6 +38,7 @@
 #include "mem/controller.hh"
 #include "sim/experiment.hh"
 #include "sim/scheme_registry.hh"
+#include "sim/system.hh"
 
 namespace hira {
 namespace testing_drive {
@@ -141,12 +142,7 @@ inline std::unique_ptr<MemoryController>
 makeDrivenController(const DriveCase &dc, std::uint64_t seed)
 {
     SystemConfig cfg = makeSystemConfig(dc.geom, dc.scheme, {}, seed);
-    ControllerConfig cc;
-    cc.geom = cfg.geom;
-    cc.tp = cfg.tp;
-    cc.para = cfg.para;
-    cc.para.seed = hashCombine(cfg.seed, 0xca0);
-    cc.paraImmediate = cfg.scheme != SchemeKind::HiraMc;
+    ControllerConfig cc = controllerConfig(cfg, 0);
     cc.recordTrace = true;
     if (dc.x16) {
         cc.tp.tRRD_S = 5.3;

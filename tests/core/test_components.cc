@@ -16,10 +16,10 @@ using namespace hira;
 TEST(RefreshTable, InsertAndEarliestByDeadline)
 {
     RefreshTable t(8);
-    std::uint64_t id1, id2, id3;
-    t.insert(300, 0, 2, RefreshType::Periodic, &id1);
-    t.insert(100, 0, 2, RefreshType::Preventive, &id2);
-    t.insert(200, 0, 5, RefreshType::Periodic, &id3);
+    t.insert(300, 2, RefreshType::Periodic);
+    t.insert(100, 2, RefreshType::Preventive);
+    t.insert(200, 5, RefreshType::Periodic);
+    const std::uint64_t id2 = t.all()[1].id, id3 = t.all()[2].id;
     ASSERT_NE(t.earliestForBank(2), nullptr);
     EXPECT_EQ(t.earliestForBank(2)->id, id2);
     EXPECT_EQ(t.earliestForBank(5)->id, id3);
@@ -29,10 +29,10 @@ TEST(RefreshTable, InsertAndEarliestByDeadline)
 TEST(RefreshTable, PairCandidateSameBankOnly)
 {
     RefreshTable t(8);
-    std::uint64_t id1, id2, id3;
-    t.insert(100, 0, 2, RefreshType::Periodic, &id1);
-    t.insert(150, 0, 2, RefreshType::Preventive, &id2);
-    t.insert(120, 0, 3, RefreshType::Periodic, &id3);
+    t.insert(100, 2, RefreshType::Periodic);
+    t.insert(150, 2, RefreshType::Preventive);
+    t.insert(120, 3, RefreshType::Periodic);
+    const std::uint64_t id2 = t.all()[1].id;
     const RefreshEntry *first = t.earliestForBank(2);
     const RefreshEntry *pair = t.pairCandidate(*first);
     ASSERT_NE(pair, nullptr);
@@ -44,8 +44,8 @@ TEST(RefreshTable, PairCandidateSameBankOnly)
 TEST(RefreshTable, RemoveById)
 {
     RefreshTable t(8);
-    std::uint64_t id;
-    t.insert(100, 0, 1, RefreshType::Periodic, &id);
+    t.insert(100, 1, RefreshType::Periodic);
+    const std::uint64_t id = t.all()[0].id;
     EXPECT_TRUE(t.remove(id));
     EXPECT_FALSE(t.remove(id));
     EXPECT_TRUE(t.empty());
@@ -54,9 +54,9 @@ TEST(RefreshTable, RemoveById)
 TEST(RefreshTable, OverflowCounted)
 {
     RefreshTable t(2);
-    EXPECT_TRUE(t.insert(1, 0, 0, RefreshType::Periodic));
-    EXPECT_TRUE(t.insert(2, 0, 0, RefreshType::Periodic));
-    EXPECT_FALSE(t.insert(3, 0, 0, RefreshType::Periodic));
+    EXPECT_TRUE(t.insert(1, 0, RefreshType::Periodic));
+    EXPECT_TRUE(t.insert(2, 0, RefreshType::Periodic));
+    EXPECT_FALSE(t.insert(3, 0, RefreshType::Periodic));
     EXPECT_EQ(t.overflows(), 1u);
     EXPECT_EQ(t.size(), 3u); // entry still stored
 }

@@ -202,19 +202,19 @@ TEST(HiraMc, PrFifoNeverExceedsDepthUnderLowNrhStress)
                                  tag++));
         }
         for (BankId b = 0; b < static_cast<BankId>(banks); ++b)
-            ASSERT_LE(mc->prFifo(0).size(b), 4u) << "cycle " << now;
+            ASSERT_LE(mc->prFifo().size(b), 4u) << "cycle " << now;
     }
     // The stress actually hit capacity, and the bookkeeping agrees:
     // every rejected push is exactly one counted drop.
     EXPECT_GT(mc->stats().preventiveDropped, 0u);
-    EXPECT_EQ(mc->stats().preventiveDropped, mc->prFifo(0).overflows());
+    EXPECT_EQ(mc->stats().preventiveDropped, mc->prFifo().overflows());
     EXPECT_GT(mc->stats().preventiveGenerated,
               mc->stats().preventiveDropped);
     // Dropped victims were never enqueued anywhere: everything that
     // did execute or is still queued traces back to accepted pushes.
     std::uint64_t queued = 0;
     for (BankId b = 0; b < static_cast<BankId>(banks); ++b)
-        queued += mc->prFifo(0).size(b);
+        queued += mc->prFifo().size(b);
     EXPECT_EQ(mc->stats().preventiveGenerated -
                   mc->stats().preventiveDropped,
               mc->stats().rowRefreshes + queued);

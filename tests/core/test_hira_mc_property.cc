@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hh"
 #include "core/hira_mc.hh"
@@ -122,6 +124,9 @@ TEST_P(PreventiveProperty, GeneratedEqualsExecutedPlusQueued)
 
     Rng rng(99);
     std::uint64_t tag = 1;
+    const std::size_t banks =
+        static_cast<std::size_t>(cc.geom.banksPerChannel());
+    std::vector<std::size_t> preventive(banks);
     for (Cycle now = 1; now < 120000; ++now) {
         ctrl.tick(now);
         ctrl.completions().clear();
@@ -129,6 +134,18 @@ TEST_P(PreventiveProperty, GeneratedEqualsExecutedPlusQueued)
             ctrl.enqueue(readReq(0, static_cast<BankId>(rng.below(16)),
                                  static_cast<RowId>(rng.below(65536)),
                                  tag++));
+        }
+        // Each bank's preventive Refresh Table entries and its PR-FIFO
+        // slots stay one to one: an entry is inserted only after its
+        // push succeeded, and only its commit pops the FIFO.
+        std::fill(preventive.begin(), preventive.end(), 0);
+        for (int r = 0; r < cc.geom.ranksPerChannel; ++r) {
+            for (const RefreshEntry &e : mc->table(r).all())
+                preventive[e.bank] += e.type == RefreshType::Preventive;
+        }
+        for (std::size_t b = 0; b < banks; ++b) {
+            ASSERT_EQ(preventive[b], mc->prFifo().size(b))
+                << "cycle " << now << " bank " << b;
         }
     }
 
@@ -139,7 +156,7 @@ TEST_P(PreventiveProperty, GeneratedEqualsExecutedPlusQueued)
     EXPECT_EQ(mc->stats().preventiveGenerated,
               mc->stats().rowRefreshes + queued +
                   mc->stats().preventiveDropped);
-    EXPECT_EQ(mc->stats().preventiveDropped, mc->prFifo(0).overflows());
+    EXPECT_EQ(mc->stats().preventiveDropped, mc->prFifo().overflows());
     if (pth > 0.0) {
         EXPECT_GT(mc->stats().preventiveGenerated, 50u);
     }

@@ -44,14 +44,13 @@ TEST(Ddr5, TimingModelRunsOnDdr5)
     TimingParams d5 = ddr5_4800(16.0);
     ChannelTimingModel model(geom, d5);
     const TimingCycles &tc = model.cycles();
-    model.issueAct(0, 0, 5, 0);
-    EXPECT_EQ(model.earliestRd(0, 0), tc.rcd);
-    Cycle second = model.issueHira(0, 1, 7, 9,
-                                   model.earliestHira(0, 1));
-    EXPECT_EQ(second, model.earliestHira(0, 1) == 0
+    model.issueAct(0, 5, 0);
+    EXPECT_EQ(model.earliestRd(0), tc.rcd);
+    Cycle second = model.issueHira(1, 7, 9, model.earliestHira(1));
+    EXPECT_EQ(second, model.earliestHira(1) == 0
                           ? tc.hiraSpan()
                           : second);
-    EXPECT_EQ(model.openRow(0, 1), 9u);
+    EXPECT_EQ(model.openRow(1), 9u);
 }
 
 TEST(Ddr5, RefreshIntervalCyclesConsistent)

@@ -271,19 +271,19 @@ TEST(TimingChecker, ModelDrivenRandomTraceIsLegal)
     // Interleave activity on several banks, including HiRA ops.
     for (int iter = 0; iter < 50; ++iter) {
         BankId bank = static_cast<BankId>((iter * 5) % 16);
-        if (model.openRow(0, bank) != kNoRow) {
+        if (model.openRow(bank) != kNoRow) {
             Cycle t = push(f.cmd(CommandType::RD,
-                                 model.earliestRd(0, bank), bank,
-                                 model.openRow(0, bank)));
-            model.issueRd(0, bank, t);
-            t = push(f.cmd(CommandType::PRE, model.earliestPre(0, bank),
+                                 model.earliestRd(bank), bank,
+                                 model.openRow(bank)));
+            model.issueRd(bank, t);
+            t = push(f.cmd(CommandType::PRE, model.earliestPre(bank),
                            bank));
-            model.issuePre(0, bank, t);
+            model.issuePre(bank, t);
         } else if (iter % 3 == 0) {
             Cycle t = push(f.cmd(CommandType::ACT,
-                                 model.earliestHira(0, bank), bank, 7,
+                                 model.earliestHira(bank), bank, 7,
                                  HiraRole::FirstAct));
-            Cycle second = model.issueHira(0, bank, 7, 9, t);
+            Cycle second = model.issueHira(bank, 7, 9, t);
             Command pre = f.cmd(CommandType::PRE, t + f.tc.c1, bank, 0,
                                 HiraRole::CutPre);
             bus = pre.cycle;
@@ -294,8 +294,8 @@ TEST(TimingChecker, ModelDrivenRandomTraceIsLegal)
             trace.push_back(act2);
         } else {
             Cycle t = push(f.cmd(CommandType::ACT,
-                                 model.earliestAct(0, bank), bank, 3));
-            model.issueAct(0, bank, 3, t);
+                                 model.earliestAct(bank), bank, 3));
+            model.issueAct(bank, 3, t);
         }
     }
     auto v = f.checker.check(trace);

@@ -73,26 +73,27 @@ struct Driver
             static_cast<std::uint64_t>(geom.banksPerRank())));
         RowId row = static_cast<RowId>(rng.below(512));
         const TimingCycles &tc = model.cycles();
+        const std::size_t idx = model.bankIndex(rank, bank);
 
-        if (model.openRow(rank, bank) != kNoRow) {
+        if (model.openRow(idx) != kNoRow) {
             switch (rng.below(3)) {
               case 0: {
-                Cycle t = slot(model.earliestRd(rank, bank));
-                model.issueRd(rank, bank, t);
+                Cycle t = slot(model.earliestRd(idx));
+                model.issueRd(idx, t);
                 push(CommandType::RD, t, rank, bank,
-                     model.openRow(rank, bank));
+                     model.openRow(idx));
                 break;
               }
               case 1: {
-                Cycle t = slot(model.earliestWr(rank, bank));
-                model.issueWr(rank, bank, t);
+                Cycle t = slot(model.earliestWr(idx));
+                model.issueWr(idx, t);
                 push(CommandType::WR, t, rank, bank,
-                     model.openRow(rank, bank));
+                     model.openRow(idx));
                 break;
               }
               default: {
-                Cycle t = slot(model.earliestPre(rank, bank));
-                model.issuePre(rank, bank, t);
+                Cycle t = slot(model.earliestPre(idx));
+                model.issuePre(idx, t);
                 push(CommandType::PRE, t, rank, bank, 0);
                 break;
               }
@@ -102,15 +103,15 @@ struct Driver
 
         switch (rng.below(3)) {
           case 0: {
-            Cycle t = slot(model.earliestAct(rank, bank));
-            model.issueAct(rank, bank, row, t);
+            Cycle t = slot(model.earliestAct(idx));
+            model.issueAct(idx, row, t);
             push(CommandType::ACT, t, rank, bank, row);
             break;
           }
           case 1: {
             // HiRA refresh pair: two rows, the second stays open.
-            Cycle t = slot(model.earliestHira(rank, bank));
-            Cycle second = model.issueHira(rank, bank, row, row + 1, t);
+            Cycle t = slot(model.earliestHira(idx));
+            Cycle second = model.issueHira(idx, row, row + 1, t);
             push(CommandType::ACT, t, rank, bank, row,
                  HiraRole::FirstAct);
             push(CommandType::PRE, t + tc.c1, rank, bank, 0,
@@ -124,7 +125,7 @@ struct Driver
             bool all_closed = true;
             for (BankId b = 0;
                  b < static_cast<BankId>(geom.banksPerRank()); ++b)
-                all_closed = all_closed && model.bankClosed(rank, b);
+                all_closed = all_closed && model.bankClosed(model.bankIndex(rank, b));
             if (all_closed) {
                 Cycle t = slot(model.earliestRef(rank));
                 model.issueRef(rank, t);
@@ -139,17 +140,14 @@ struct Driver
     std::uint64_t
     horizonDigest(std::uint64_t h) const
     {
-        for (int rank = 0; rank < geom.ranksPerChannel; ++rank) {
-            for (BankId b = 0;
-                 b < static_cast<BankId>(geom.banksPerRank()); ++b) {
-                for (Cycle c : {model.earliestAct(rank, b),
-                                model.earliestPre(rank, b),
-                                model.earliestRd(rank, b),
-                                model.earliestWr(rank, b),
-                                model.earliestHira(rank, b),
-                                model.earliestBankCommand(rank, b)}) {
-                    h = hashCombine(h, c);
-                }
+        const std::size_t banks =
+            static_cast<std::size_t>(geom.banksPerChannel());
+        for (std::size_t idx = 0; idx < banks; ++idx) {
+            for (Cycle c : {model.earliestAct(idx), model.earliestPre(idx),
+                            model.earliestRd(idx), model.earliestWr(idx),
+                            model.earliestHira(idx),
+                            model.earliestBankCommand(idx)}) {
+                h = hashCombine(h, c);
             }
         }
         return h;

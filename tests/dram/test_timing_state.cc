@@ -40,40 +40,40 @@ TEST(TimingCycles, ConversionTable)
 TEST(TimingState, FreshBankImmediatelyActivatable)
 {
     Fixture f;
-    EXPECT_EQ(f.model.earliestAct(0, 0), 0u);
-    EXPECT_TRUE(f.model.bankClosed(0, 0));
+    EXPECT_EQ(f.model.earliestAct(0), 0u);
+    EXPECT_TRUE(f.model.bankClosed(0));
 }
 
 TEST(TimingState, ActSetsRcdRasRc)
 {
     Fixture f;
-    f.model.issueAct(0, 0, 42, 100);
-    EXPECT_EQ(f.model.openRow(0, 0), 42u);
-    EXPECT_EQ(f.model.earliestRd(0, 0), 100 + f.tc.rcd);
-    EXPECT_EQ(f.model.earliestWr(0, 0), 100 + f.tc.rcd);
-    EXPECT_EQ(f.model.earliestPre(0, 0), 100 + f.tc.ras);
+    f.model.issueAct(0, 42, 100);
+    EXPECT_EQ(f.model.openRow(0), 42u);
+    EXPECT_EQ(f.model.earliestRd(0), 100 + f.tc.rcd);
+    EXPECT_EQ(f.model.earliestWr(0), 100 + f.tc.rcd);
+    EXPECT_EQ(f.model.earliestPre(0), 100 + f.tc.ras);
     // Same-bank re-activation: tRC (after an intervening PRE).
-    EXPECT_GE(f.model.earliestAct(0, 0), 100 + f.tc.rc);
+    EXPECT_GE(f.model.earliestAct(0), 100 + f.tc.rc);
 }
 
 TEST(TimingState, PreThenActRespectsRp)
 {
     Fixture f;
-    f.model.issueAct(0, 0, 1, 0);
-    Cycle pre_at = f.model.earliestPre(0, 0);
-    f.model.issuePre(0, 0, pre_at);
-    EXPECT_TRUE(f.model.bankClosed(0, 0));
-    EXPECT_GE(f.model.earliestAct(0, 0), pre_at + f.tc.rp);
+    f.model.issueAct(0, 1, 0);
+    Cycle pre_at = f.model.earliestPre(0);
+    f.model.issuePre(0, pre_at);
+    EXPECT_TRUE(f.model.bankClosed(0));
+    EXPECT_GE(f.model.earliestAct(0), pre_at + f.tc.rp);
 }
 
 TEST(TimingState, RrdBetweenBanks)
 {
     Fixture f;
-    f.model.issueAct(0, 0, 1, 0);
+    f.model.issueAct(0, 1, 0);
     // Bank 1 shares the bank group with bank 0 -> tRRD_L.
-    EXPECT_EQ(f.model.earliestAct(0, 1), f.tc.rrdL);
+    EXPECT_EQ(f.model.earliestAct(1), f.tc.rrdL);
     // Bank 4 is in another group -> tRRD_S.
-    EXPECT_EQ(f.model.earliestAct(0, 4), f.tc.rrdS);
+    EXPECT_EQ(f.model.earliestAct(4), f.tc.rrdS);
 }
 
 TEST(TimingState, FawLimitsFourActivations)
@@ -82,57 +82,57 @@ TEST(TimingState, FawLimitsFourActivations)
     // Four ACTs to different bank groups as fast as tRRD_S allows.
     Cycle t = 0;
     for (BankId b : {BankId(0), BankId(4), BankId(8), BankId(12)}) {
-        t = std::max(t, f.model.earliestAct(0, b));
-        f.model.issueAct(0, b, 1, t);
+        t = std::max(t, f.model.earliestAct(b));
+        f.model.issueAct(b, 1, t);
     }
     // The fifth ACT must wait for the tFAW window from the first.
-    Cycle fifth = f.model.earliestAct(0, 1);
+    Cycle fifth = f.model.earliestAct(1);
     EXPECT_GE(fifth, f.tc.faw);
 }
 
 TEST(TimingState, ReadOccupiesDataBusAndSetsRtp)
 {
     Fixture f;
-    f.model.issueAct(0, 0, 1, 0);
-    Cycle rd_at = f.model.earliestRd(0, 0);
-    Cycle done = f.model.issueRd(0, 0, rd_at);
+    f.model.issueAct(0, 1, 0);
+    Cycle rd_at = f.model.earliestRd(0);
+    Cycle done = f.model.issueRd(0, rd_at);
     EXPECT_EQ(done, rd_at + f.tc.cl + f.tc.bl);
-    EXPECT_GE(f.model.earliestPre(0, 0), rd_at + f.tc.rtp);
+    EXPECT_GE(f.model.earliestPre(0), rd_at + f.tc.rtp);
     EXPECT_EQ(f.model.dataBusBusyCycles(), f.tc.bl);
 }
 
 TEST(TimingState, ConsecutiveReadsSpacedByCcd)
 {
     Fixture f;
-    f.model.issueAct(0, 0, 1, 0);
-    f.model.issueAct(0, 4, 1, f.model.earliestAct(0, 4));
-    Cycle rd1 = f.model.earliestRd(0, 0);
-    f.model.issueRd(0, 0, rd1);
+    f.model.issueAct(0, 1, 0);
+    f.model.issueAct(4, 1, f.model.earliestAct(4));
+    Cycle rd1 = f.model.earliestRd(0);
+    f.model.issueRd(0, rd1);
     // Same bank group -> tCCD_L; different group -> tCCD_S.
-    EXPECT_GE(f.model.earliestRd(0, 0), rd1 + f.tc.ccdL);
-    EXPECT_GE(f.model.earliestRd(0, 4), rd1 + f.tc.ccdS);
+    EXPECT_GE(f.model.earliestRd(0), rd1 + f.tc.ccdL);
+    EXPECT_GE(f.model.earliestRd(4), rd1 + f.tc.ccdS);
 }
 
 TEST(TimingState, WriteRecoveryBeforePre)
 {
     Fixture f;
-    f.model.issueAct(0, 0, 1, 0);
-    Cycle wr_at = f.model.earliestWr(0, 0);
-    f.model.issueWr(0, 0, wr_at);
-    EXPECT_GE(f.model.earliestPre(0, 0),
+    f.model.issueAct(0, 1, 0);
+    Cycle wr_at = f.model.earliestWr(0);
+    f.model.issueWr(0, wr_at);
+    EXPECT_GE(f.model.earliestPre(0),
               wr_at + f.tc.cwl + f.tc.bl + f.tc.wr);
 }
 
 TEST(TimingState, WriteToReadTurnaround)
 {
     Fixture f;
-    f.model.issueAct(0, 0, 1, 0);
-    f.model.issueAct(0, 4, 1, f.model.earliestAct(0, 4));
-    Cycle wr_at = f.model.earliestWr(0, 0);
-    f.model.issueWr(0, 0, wr_at);
+    f.model.issueAct(0, 1, 0);
+    f.model.issueAct(4, 1, f.model.earliestAct(4));
+    Cycle wr_at = f.model.earliestWr(0);
+    f.model.issueWr(0, wr_at);
     Cycle wr_end = wr_at + f.tc.cwl + f.tc.bl;
-    EXPECT_GE(f.model.earliestRd(0, 4), wr_end + f.tc.wtrS);
-    EXPECT_GE(f.model.earliestRd(0, 0), wr_end + f.tc.wtrL);
+    EXPECT_GE(f.model.earliestRd(4), wr_end + f.tc.wtrS);
+    EXPECT_GE(f.model.earliestRd(0), wr_end + f.tc.wtrL);
 }
 
 TEST(TimingState, RefBlocksWholeRank)
@@ -141,7 +141,7 @@ TEST(TimingState, RefBlocksWholeRank)
     Cycle ref_at = f.model.earliestRef(0);
     f.model.issueRef(0, ref_at);
     for (BankId b = 0; b < 16; ++b)
-        EXPECT_GE(f.model.earliestAct(0, b), ref_at + f.tc.rfc);
+        EXPECT_GE(f.model.earliestAct(b), ref_at + f.tc.rfc);
 }
 
 TEST(TimingState, RefDoesNotBlockOtherRanks)
@@ -150,29 +150,29 @@ TEST(TimingState, RefDoesNotBlockOtherRanks)
     g.ranksPerChannel = 2;
     ChannelTimingModel model(g, ddr4_2400(8.0));
     model.issueRef(0, 0);
-    EXPECT_EQ(model.earliestAct(1, 0), 0u);
+    EXPECT_EQ(model.earliestAct(model.bankIndex(1, 0)), 0u);
 }
 
 TEST(TimingState, RefAfterPreWaitsForRp)
 {
     Fixture f;
-    f.model.issueAct(0, 3, 9, 0);
-    Cycle pre_at = f.model.earliestPre(0, 3);
-    f.model.issuePre(0, 3, pre_at);
+    f.model.issueAct(3, 9, 0);
+    Cycle pre_at = f.model.earliestPre(3);
+    f.model.issuePre(3, pre_at);
     EXPECT_GE(f.model.earliestRef(0), pre_at + f.tc.rp);
 }
 
 TEST(TimingState, HiraSequenceTiming)
 {
     Fixture f;
-    Cycle start = f.model.earliestHira(0, 0);
-    Cycle second = f.model.issueHira(0, 0, /*refresh_row=*/7,
+    Cycle start = f.model.earliestHira(0);
+    Cycle second = f.model.issueHira(0, /*refresh_row=*/7,
                                      /*second_row=*/9, start);
     EXPECT_EQ(second, start + f.tc.hiraSpan());
     // Bank behaves as if second_row was activated at `second`.
-    EXPECT_EQ(f.model.openRow(0, 0), 9u);
-    EXPECT_EQ(f.model.earliestRd(0, 0), second + f.tc.rcd);
-    EXPECT_EQ(f.model.earliestPre(0, 0), second + f.tc.ras);
+    EXPECT_EQ(f.model.openRow(0), 9u);
+    EXPECT_EQ(f.model.earliestRd(0), second + f.tc.rcd);
+    EXPECT_EQ(f.model.earliestPre(0), second + f.tc.ras);
 }
 
 TEST(TimingState, HiraTwoRowLatencyBeatsNominal)
@@ -191,13 +191,13 @@ TEST(TimingState, HiraCountsTwoActsAgainstFaw)
 {
     Fixture f;
     // HiRA (2 ACTs) + 2 single ACTs fill the tFAW window of 4.
-    Cycle s = f.model.issueHira(0, 0, 1, 2, 0);
-    Cycle t = std::max(f.model.earliestAct(0, 4), s + 1);
-    f.model.issueAct(0, 4, 1, t);
-    t = f.model.earliestAct(0, 8);
-    f.model.issueAct(0, 8, 1, t);
+    Cycle s = f.model.issueHira(0, 1, 2, 0);
+    Cycle t = std::max(f.model.earliestAct(4), s + 1);
+    f.model.issueAct(4, 1, t);
+    t = f.model.earliestAct(8);
+    f.model.issueAct(8, 1, t);
     // A fifth activation (bank 12) must respect tFAW from HiRA's first.
-    EXPECT_GE(f.model.earliestAct(0, 12), f.tc.faw);
+    EXPECT_GE(f.model.earliestAct(12), f.tc.faw);
 }
 
 TEST(TimingState, HiraNeedsTwoFawSlots)
@@ -206,13 +206,13 @@ TEST(TimingState, HiraNeedsTwoFawSlots)
     // Fill three of the four tFAW slots right away.
     Cycle t = 0;
     for (BankId b : {BankId(0), BankId(4), BankId(8)}) {
-        t = std::max(t, f.model.earliestAct(0, b));
-        f.model.issueAct(0, b, 1, t);
+        t = std::max(t, f.model.earliestAct(b));
+        f.model.issueAct(b, 1, t);
     }
     // A plain ACT could go as the 4th activation, but a HiRA op needs
     // room for two, so its earliest start is later than a plain ACT's.
-    Cycle plain = f.model.earliestAct(0, 12);
-    Cycle hira = f.model.earliestHira(0, 12);
+    Cycle plain = f.model.earliestAct(12);
+    Cycle hira = f.model.earliestHira(12);
     EXPECT_GE(hira, plain);
 }
 
@@ -222,11 +222,12 @@ TEST(TimingState, EarliestRdAccountsForDataBusRankSwitch)
     g.ranksPerChannel = 2;
     ChannelTimingModel model(g, ddr4_2400(8.0));
     TimingCycles tc(ddr4_2400(8.0));
-    model.issueAct(0, 0, 1, 0);
-    model.issueAct(1, 0, 1, tc.rrdS); // other rank: no tRRD coupling needed
-    Cycle rd0 = model.earliestRd(0, 0);
-    model.issueRd(0, 0, rd0);
-    Cycle rd1 = model.earliestRd(1, 0);
+    model.issueAct(0, 1, 0);
+    // Other rank: no tRRD coupling needed.
+    model.issueAct(model.bankIndex(1, 0), 1, tc.rrdS);
+    Cycle rd0 = model.earliestRd(0);
+    model.issueRd(0, rd0);
+    Cycle rd1 = model.earliestRd(model.bankIndex(1, 0));
     // Rank switch: burst must start tRTRS after the previous burst ends.
     EXPECT_GE(rd1 + tc.cl, rd0 + tc.cl + tc.bl + tc.rtrs);
 }

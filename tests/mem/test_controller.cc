@@ -181,9 +181,9 @@ TEST(Controller, PreventiveVictimSurvivesDeclinedRefreshAct)
     ASSERT_TRUE(ctrl.enqueue(readReq(cc.geom, 0, 0, 5, 0, 1)));
 
     Cycle now = 0;
-    while (ctrl.pendingPreventive(0, 0) == 0 && now < 1000)
+    while (ctrl.pendingPreventive(0) == 0 && now < 1000)
         ctrl.tick(++now);
-    ASSERT_EQ(ctrl.pendingPreventive(0, 0), 1u);
+    ASSERT_EQ(ctrl.pendingPreventive(0), 1u);
 
     // Hold the rank: every preventive ACT attempt must decline without
     // consuming the queued victim.
@@ -191,7 +191,7 @@ TEST(Controller, PreventiveVictimSurvivesDeclinedRefreshAct)
     std::uint64_t actsBefore = ctrl.stats().acts;
     for (int i = 0; i < 500; ++i)
         ctrl.tick(++now);
-    EXPECT_EQ(ctrl.pendingPreventive(0, 0), 1u);
+    EXPECT_EQ(ctrl.pendingPreventive(0), 1u);
     EXPECT_EQ(ctrl.stats().acts, actsBefore);
 
     // Released, the retained victim refreshes (pth = 1 immediately

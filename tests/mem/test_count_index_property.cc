@@ -53,13 +53,12 @@ TEST_P(CountIndexProperty, IndexMatchesQueuesAfterEveryTick)
             ASSERT_EQ(ctrl->countIndexAudit(), "") << "cycle " << now;
             saw_drain |= ctrl->queuedWrites() >=
                          static_cast<std::size_t>(ControllerConfig{}.drainHigh);
-            for (int r = 0; r < g.ranksPerChannel; ++r) {
+            for (int r = 0; r < g.ranksPerChannel; ++r)
                 saw_hold |= ctrl->rankHeld(r);
-                for (BankId b = 0;
-                     b < static_cast<BankId>(g.banksPerRank()); ++b) {
-                    saw_refresh_row |= ctrl->bankBlocked(r, b) &&
-                                       ctrl->pendingPreventive(r, b) == 0;
-                }
+            for (std::size_t b = 0;
+                 b < static_cast<std::size_t>(g.banksPerChannel()); ++b) {
+                saw_refresh_row |= ctrl->bankBlocked(b) &&
+                                   ctrl->pendingPreventive(b) == 0;
             }
         }
         hira_ops += ctrl->stats().hiraOps;

@@ -124,14 +124,14 @@ TEST_P(PracProperty, VictimConservationAndRefCount)
                                   0.08, 8);
 
     EXPECT_EQ(prac->stats().preventiveGenerated,
-              prac->stats().rowRefreshes + prac->table(0).size() +
+              prac->stats().rowRefreshes + prac->pendingTargets() +
                   prac->stats().preventiveDropped);
     EXPECT_EQ(prac->stats().rowRefreshes, prac->stats().standalone);
     EXPECT_GT(prac->stats().refCommands, 0u);
     EXPECT_EQ(prac->stats().refCommands, ctrl.stats().refs);
     EXPECT_GT(prac->stats().preventiveGenerated, 0u);
     // The deadline-slack drain keeps the table bounded under this load.
-    EXPECT_LT(prac->table(0).size(), prac->table(0).capacity());
+    EXPECT_LT(prac->pendingTargets(), prac->capacity());
 }
 
 INSTANTIATE_TEST_SUITE_P(ThresholdSweep, PracProperty,
