@@ -7,15 +7,19 @@ namespace hira {
 Llc::Llc(const LlcConfig &config, SendFn send_fn, NotifyFn notify_fn)
     : cfg(config), send(std::move(send_fn)), notify(std::move(notify_fn))
 {
-    hira_assert(cfg.ways > 0);
-    if (cfg.lineBytes <= 0 || (cfg.lineBytes & (cfg.lineBytes - 1)) != 0)
-        fatal("LLC lineBytes = %d is not a power of two", cfg.lineBytes);
+    if (cfg.ways <= 0 || cfg.ways > kInvalidRank)
+        fatal("LLC ways = %d is not in [1, %d]", cfg.ways, kInvalidRank);
+    if (cfg.lineBytes < 4 || (cfg.lineBytes & (cfg.lineBytes - 1)) != 0)
+        fatal("LLC lineBytes = %d is not a power of two of at least 4",
+              cfg.lineBytes);
     lineShift = __builtin_ctz(static_cast<unsigned>(cfg.lineBytes));
-    sets = cfg.sizeBytes /
-           (static_cast<std::uint64_t>(cfg.ways) *
-            static_cast<std::uint64_t>(cfg.lineBytes));
+    ways = static_cast<std::size_t>(cfg.ways);
+    sets = cfg.sizeBytes / (ways * static_cast<std::uint64_t>(cfg.lineBytes));
     hira_assert(sets > 0 && (sets & (sets - 1)) == 0);
-    lines.assign(sets * static_cast<std::size_t>(cfg.ways), Line{});
+    // Plain fills: a per-element division here costs more than the
+    // rest of building a System.
+    tags.assign(sets * ways, 0);
+    ranks.assign(sets * ways, kInvalidRank);
 }
 
 Addr
@@ -30,16 +34,27 @@ Llc::setOf(Addr line) const
     return static_cast<std::size_t>(line) & (sets - 1);
 }
 
-Llc::Line *
-Llc::lookup(Addr line)
+int
+Llc::lookup(std::size_t base, Addr line) const
 {
-    std::size_t base = setOf(line) * static_cast<std::size_t>(cfg.ways);
-    for (int w = 0; w < cfg.ways; ++w) {
-        Line &l = lines[base + static_cast<std::size_t>(w)];
-        if (l.valid && l.tag == line)
-            return &l;
+    const std::uint64_t want = line << 2 | kValid;
+    for (std::size_t w = 0; w < ways; ++w) {
+        if ((tags[base + w] & ~kDirty) == want)
+            return static_cast<int>(w);
     }
-    return nullptr;
+    return -1;
+}
+
+void
+Llc::touch(std::size_t base, int way)
+{
+    // Every way more recent than @p way ages by one; invalid ways
+    // (kInvalidRank) are never more recent, so they keep their rank.
+    std::uint8_t *r = &ranks[base];
+    const std::uint8_t old = r[way];
+    for (std::size_t w = 0; w < ways; ++w)
+        r[w] = static_cast<std::uint8_t>(r[w] + (r[w] < old ? 1 : 0));
+    r[way] = 0;
 }
 
 bool
@@ -69,9 +84,12 @@ Llc::access(bool is_write, Addr addr, int core_id, std::uint64_t tag,
             Cycle mem_now)
 {
     Addr line = lineOf(addr);
-    if (Line *l = lookup(line)) {
-        l->lru = ++lruClock;
-        l->dirty = l->dirty || is_write;
+    std::size_t base = setOf(line) * ways;
+    int way = lookup(base, line);
+    if (way >= 0) {
+        if (is_write)
+            tags[base + static_cast<std::size_t>(way)] |= kDirty;
+        touch(base, way);
         ++hits;
         return LlcResult::Hit;
     }
@@ -120,36 +138,35 @@ Llc::access(bool is_write, Addr addr, int core_id, std::uint64_t tag,
 void
 Llc::install(Addr line, bool dirty, Cycle mem_now)
 {
-    std::size_t base = setOf(line) * static_cast<std::size_t>(cfg.ways);
-    Line *victim = nullptr;
-    for (int w = 0; w < cfg.ways; ++w) {
-        Line &l = lines[base + static_cast<std::size_t>(w)];
-        if (!l.valid) {
-            victim = &l;
-            break;
+    // The victim is the first invalid way, else the least recent one
+    // (rank ways - 1): the choice a per-line LRU stamp would make.
+    std::size_t base = setOf(line) * ways;
+    std::size_t victim = 0;
+    while (victim < ways && tags[base + victim] != 0)
+        ++victim;
+    if (victim == ways) {
+        victim = 0;
+        while (victim < ways && ranks[base + victim] != ways - 1)
+            ++victim;
+        hira_assert(victim < ways);
+        std::uint64_t old = tags[base + victim];
+        if (old & kDirty) {
+            // Dirty eviction: write the line back to memory.
+            Request wb;
+            wb.type = MemType::Write;
+            wb.addr = (old >> 2) * static_cast<Addr>(cfg.lineBytes);
+            wb.coreId = -1;
+            wb.tag = 0;
+            wb.arrival = mem_now;
+            // Writebacks must never be dropped: bypass the outbound cap
+            // (the queue drains through tick()).
+            if (!(outbound.empty() && send(wb)))
+                outbound.push_back(wb);
+            ++writebacks;
         }
-        if (victim == nullptr || l.lru < victim->lru)
-            victim = &l;
     }
-    hira_assert(victim != nullptr);
-    if (victim->valid && victim->dirty) {
-        // Dirty eviction: write the line back to memory.
-        Request wb;
-        wb.type = MemType::Write;
-        wb.addr = victim->tag * static_cast<Addr>(cfg.lineBytes);
-        wb.coreId = -1;
-        wb.tag = 0;
-        wb.arrival = mem_now;
-        // Writebacks must never be dropped: bypass the outbound cap (the
-        // queue drains through tick()).
-        if (!(outbound.empty() && send(wb)))
-            outbound.push_back(wb);
-        ++writebacks;
-    }
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->tag = line;
-    victim->lru = ++lruClock;
+    tags[base + victim] = line << 2 | (dirty ? kDirty : 0) | kValid;
+    touch(base, static_cast<int>(victim));
 }
 
 void

@@ -5,7 +5,9 @@
  * Write-allocate / write-back, LRU, with MSHRs that merge concurrent
  * misses to the same line. Misses and dirty writebacks go to the memory
  * controllers through a routing callback; returning fills notify the
- * waiting cores through a completion callback.
+ * waiting cores through a completion callback. The tag store is packed:
+ * one 8-byte tag word per way (valid and dirty bits folded in, 0 =
+ * invalid) and one recency rank byte per way, in separate arrays.
  */
 
 #ifndef HIRA_SIM_CACHE_HH
@@ -50,7 +52,11 @@ class Llc
     using NotifyFn =
         std::function<void(int core_id, std::uint64_t tag, Cycle mem_now)>;
 
-    /** Fatal when @p cfg's lineBytes is not a power of two. */
+    /**
+     * Fatal when @p cfg's lineBytes is not a power of two of at least 4
+     * (a line number must leave two bits of its tag word free) or its
+     * ways exceed 255 (a rank byte per way).
+     */
     Llc(const LlcConfig &cfg, SendFn send, NotifyFn notify);
 
     /**
@@ -90,13 +96,9 @@ class Llc
     std::uint64_t blocked = 0;
 
   private:
-    struct Line
-    {
-        Addr tag = ~Addr(0);
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lru = 0;
-    };
+    static constexpr std::uint64_t kValid = 1;
+    static constexpr std::uint64_t kDirty = 2;
+    static constexpr std::uint8_t kInvalidRank = 0xff;
 
     struct Waiter
     {
@@ -113,7 +115,10 @@ class Llc
 
     Addr lineOf(Addr addr) const;
     std::size_t setOf(Addr line) const;
-    Line *lookup(Addr line);
+    /** Way of @p line in its set (first way at @p base), or -1. */
+    int lookup(std::size_t base, Addr line) const;
+    /** Make way @p way of the set at @p base the most recent. */
+    void touch(std::size_t base, int way);
     void install(Addr line, bool dirty, Cycle mem_now);
     bool sendOrQueue(const Request &req);
 
@@ -122,8 +127,19 @@ class Llc
     SendFn send;
     NotifyFn notify;
     std::size_t sets;
-    std::vector<Line> lines; //!< sets x ways
-    std::uint64_t lruClock = 1;
+    std::size_t ways; //!< cfg.ways
+    /**
+     * sets x ways tag words: line << 2 | kDirty | kValid, 0 when the
+     * way is invalid. Lines are never invalidated, so a set's valid
+     * ways are always a prefix of its ways.
+     */
+    std::vector<std::uint64_t> tags;
+    /**
+     * sets x ways recency ranks: 0 for the most recent valid way, up to
+     * (valid ways - 1) for the least recent; kInvalidRank for an
+     * invalid way, so that touching one ranks every valid way down.
+     */
+    std::vector<std::uint8_t> ranks;
     std::unordered_map<std::uint64_t, Mshr> mshrs; //!< memTag -> MSHR
     std::unordered_map<Addr, std::uint64_t> mshrByLine;
     std::uint64_t nextMemTag = 1;

@@ -1,5 +1,7 @@
 #include "sim/core.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace hira {
@@ -10,7 +12,51 @@ CoreModel::CoreModel(int core_id, TraceSource &trace, Llc &shared_llc,
       windowSize(window_entries)
 {
     hira_assert(issue_width > 0 && window_entries > 0);
-    window.assign(static_cast<std::size_t>(window_entries), Slot{});
+    // Every live entry holds at least one instruction, so a ring of
+    // windowSize entries never overflows.
+    std::size_t cap = 1;
+    while (cap < static_cast<std::size_t>(window_entries))
+        cap <<= 1;
+    ring.assign(cap, Entry{});
+    ringMask = cap - 1;
+}
+
+void
+CoreModel::pushEntry(std::uint64_t count, bool done, Cycle ready_at)
+{
+    Entry &e = entryAt(tailSeq++);
+    e.count = static_cast<std::uint32_t>(count);
+    e.done = done;
+    e.readyAt = ready_at;
+}
+
+void
+CoreModel::popInstructions(std::uint64_t n)
+{
+    while (n > 0) {
+        Entry &h = entryAt(headSeq);
+        std::uint32_t k = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(h.count, n));
+        h.count -= k;
+        n -= k;
+        occupancy -= k;
+        if (h.count == 0)
+            ++headSeq;
+    }
+}
+
+void
+CoreModel::dispatchDone(std::uint64_t n, bool &shared)
+{
+    if (shared) {
+        entryAt(tailSeq - 1).count += static_cast<std::uint32_t>(n);
+    } else {
+        pushEntry(n, true, cpuCycle);
+        shared = true;
+    }
+    occupancy += n;
+    if (cpuCycle > maxReadyAt)
+        maxReadyAt = cpuCycle;
 }
 
 void
@@ -19,72 +65,73 @@ CoreModel::tick(Cycle mem_now)
     ++cpuCycle;
 
     // Retire: up to `width` completed instructions, in order from head.
-    for (int i = 0; i < width && occupancy > 0; ++i) {
-        Slot &s = window[head];
-        if (!s.done || s.readyAt > cpuCycle)
+    std::uint64_t budget = static_cast<std::uint64_t>(width);
+    while (budget > 0 && occupancy > 0) {
+        Entry &h = entryAt(headSeq);
+        if (!h.done || h.readyAt > cpuCycle)
             break;
-        s.valid = false;
-        if (++head == window.size())
-            head = 0;
-        --occupancy;
-        ++retired;
+        std::uint64_t n = std::min<std::uint64_t>(h.count, budget);
+        budget -= n;
+        retired += n;
+        popInstructions(n);
     }
 
     // Dispatch: up to `width` instructions into the tail, stopping at
-    // the first that cannot enter (window full or LLC Blocked).
-    int dispatched = 0;
-    for (; dispatched < width; ++dispatched) {
-        if (occupancy >= window.size())
-            break;
-        if (!hasPendingInst) {
-            pendingInst = gen.next();
-            hasPendingInst = true;
-            blockedCached = false;
+    // the first that cannot enter (window full or LLC Blocked). A new
+    // record is pulled only once the last one is used up and an
+    // instruction is wanted, so a pass-through source sees each pull
+    // when the core needs it.
+    const std::size_t wsize = static_cast<std::size_t>(windowSize);
+    std::uint64_t dispatched = 0;
+    bool shared = false; // the tail entry is this tick's shared run
+    while (dispatched < static_cast<std::uint64_t>(width) &&
+           occupancy < wsize) {
+        if (runLeft == 0 && !access.isMem) {
+            TraceRecord rec = gen.nextRecord();
+            hira_assert(rec.nonMem > 0 || rec.access.isMem);
+            runLeft = rec.nonMem;
+            access = rec.access;
         }
-        Slot &s = window[tail];
-        s.valid = true;
-        s.tag = 0;
-        s.waitingMem = false;
-        if (!pendingInst.isMem) {
-            s.done = true;
-            s.readyAt = cpuCycle;
+        if (runLeft > 0) {
+            std::uint64_t n = std::min<std::uint64_t>(
+                {runLeft, static_cast<std::uint64_t>(width) - dispatched,
+                 wsize - occupancy});
+            runLeft -= n;
+            dispatched += n;
+            dispatchDone(n, shared);
+            continue;
+        }
+        if (blockedCached && blockedGen == llc.capacityGeneration())
+            break; // retry is provably Blocked; skip the probe
+        // A load's tag is the sequence number its entry gets.
+        LlcResult res =
+            llc.access(access.isWrite, access.addr, id, tailSeq, mem_now);
+        if (res == LlcResult::Blocked) {
+            blockedCached = true;
+            blockedGen = llc.capacityGeneration();
+            break; // keep the access pending, stall
+        }
+        blockedCached = false;
+        ++dispatched;
+        if (access.isWrite) {
+            ++stores;
+            // Stores are posted (store buffer): retire immediately.
+            dispatchDone(1, shared);
         } else {
-            if (blockedCached && blockedGen == llc.capacityGeneration())
-                break; // retry is provably Blocked; skip the probe
-            std::uint64_t tag = nextTag++;
-            LlcResult res = llc.access(pendingInst.isWrite, pendingInst.addr,
-                                       id, tag, mem_now);
-            if (res == LlcResult::Blocked) {
-                blockedCached = true;
-                blockedGen = llc.capacityGeneration();
-                break; // keep the instruction pending, stall
-            }
-            blockedCached = false;
-            if (pendingInst.isWrite) {
-                ++stores;
-                // Stores are posted (store buffer): retire immediately.
-                s.done = true;
-                s.readyAt = cpuCycle;
+            ++loads;
+            shared = false;
+            ++occupancy;
+            if (res == LlcResult::Hit) {
+                Cycle ready = cpuCycle + 30; // LLC hit latency
+                pushEntry(1, true, ready);
+                if (ready > maxReadyAt)
+                    maxReadyAt = ready;
             } else {
-                ++loads;
-                if (res == LlcResult::Hit) {
-                    s.done = true;
-                    s.readyAt = cpuCycle +
-                                static_cast<Cycle>(30); // LLC hit latency
-                } else {
-                    s.done = false;
-                    s.tag = tag;
-                    s.waitingMem = true;
-                    ++waitingMemCount;
-                }
+                pushEntry(1, false, 0);
+                ++waitingMemCount;
             }
         }
-        if (s.done && s.readyAt > maxReadyAt)
-            maxReadyAt = s.readyAt;
-        hasPendingInst = false;
-        if (++tail == window.size())
-            tail = 0;
-        ++occupancy;
+        access = TraceInst{};
     }
     if (dispatched == 0)
         ++stallCycles;
@@ -93,20 +140,17 @@ CoreModel::tick(Cycle mem_now)
 void
 CoreModel::onDataReturn(std::uint64_t tag)
 {
-    // The window is small (128); a linear scan per return is cheap.
-    for (Slot &s : window) {
-        if (s.valid && s.waitingMem && s.tag == tag) {
-            s.done = true;
-            s.waitingMem = false;
-            s.readyAt = cpuCycle;
-            if (s.readyAt > maxReadyAt)
-                maxReadyAt = s.readyAt;
-            --waitingMemCount;
-            return;
-        }
-    }
-    // Returns for slots that already left the measurement window (e.g.,
-    // after a stats reset) are harmless.
+    // Tags are handed out only to loads that entered the window, and a
+    // load cannot retire before its data returns, so its entry is live
+    // and waiting.
+    hira_assert(tag - headSeq < tailSeq - headSeq);
+    Entry &e = entryAt(tag);
+    hira_assert(!e.done);
+    e.done = true;
+    e.readyAt = cpuCycle;
+    if (e.readyAt > maxReadyAt)
+        maxReadyAt = e.readyAt;
+    --waitingMemCount;
 }
 
 void
@@ -119,41 +163,33 @@ CoreModel::fastForward(Cycle nticks)
     if (steadyExhausted()) {
         // Each skipped tick retires `width` and dispatches `width`
         // non-memory instructions: occupancy, loads, stores and
-        // stallCycles are unchanged; the ring advances width per tick.
-        std::size_t wsize = window.size();
+        // stallCycles are unchanged. The source is not pulled: what it
+        // holds back (runLeft included) is non-memory only.
+        const std::uint64_t w = static_cast<std::uint64_t>(width);
+        const Cycle start = cpuCycle;
+        const std::uint64_t moved = w * nticks;
+        const std::size_t occ = occupancy;
         cpuCycle += nticks;
-        retired += static_cast<std::uint64_t>(width) * nticks;
-        std::size_t adv = static_cast<std::size_t>(
-            (static_cast<std::uint64_t>(width) * nticks) % wsize);
-        head = (head + adv) % wsize;
-        tail = (tail + adv) % wsize;
-        for (std::size_t pos = 0; pos < wsize; ++pos) {
-            // Ring membership relative to the advanced head.
-            std::size_t off = (pos + wsize - head) % wsize;
-            if (off >= occupancy)
-                window[pos].valid = false;
-        }
-        // Stamp the slots (re)dispatched during the skip with the exact
-        // per-tick readyAt the dense loop would have written (width
-        // dispatches per tick, newest at the final cpuCycle). Exact —
-        // not merely "retirable" — values matter: resetStats() rewinds
-        // cpuCycle, which turns these stamps back into future times, so
-        // approximating them would diverge from the cycle engine after
-        // a reset. Older survivors keep their pre-skip state untouched.
-        std::uint64_t redispatched =
-            std::min(static_cast<std::uint64_t>(width) * nticks,
-                     static_cast<std::uint64_t>(occupancy));
-        for (std::uint64_t j = 0; j < redispatched; ++j) {
-            // j counts back from the newest slot.
-            std::size_t pos =
-                (head + occupancy - 1 - static_cast<std::size_t>(j)) %
-                wsize;
-            Slot &s = window[pos];
-            s.valid = true;
-            s.done = true;
-            s.waitingMem = false;
-            s.tag = 0;
-            s.readyAt = cpuCycle - j / static_cast<std::uint64_t>(width);
+        retired += moved;
+        // The dispatches of the skip are one entry per tick with the
+        // exact readyAt the dense loop would have written (newest at
+        // the final cpuCycle). Exact, not merely retirable, values
+        // matter: resetStats() rewinds cpuCycle, which turns these
+        // stamps back into future times, so approximating them would
+        // diverge from the cycle engine after a reset. Older survivors
+        // keep their pre-skip state untouched.
+        if (moved >= occ) {
+            // Only the last ceil(occ / w) ticks' dispatches remain.
+            headSeq = tailSeq;
+            std::uint64_t ticks = (occ + w - 1) / w;
+            pushEntry(occ - (ticks - 1) * w, true, cpuCycle - (ticks - 1));
+            for (std::uint64_t k = ticks - 1; k-- > 0;)
+                pushEntry(w, true, cpuCycle - k);
+        } else {
+            popInstructions(moved);
+            occupancy = occ;
+            for (Cycle t = 1; t <= nticks; ++t)
+                pushEntry(w, true, start + t);
         }
         if (cpuCycle > maxReadyAt)
             maxReadyAt = cpuCycle;

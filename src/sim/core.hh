@@ -4,6 +4,12 @@
  * instruction window), at the same modeling altitude as Ramulator's
  * simple OOO core: non-memory instructions retire at full width, loads
  * occupy a window slot until their data returns, stores are posted.
+ *
+ * The window is kept as runs: a ring of entries, each a count of
+ * consecutive instructions that share their completion state. The
+ * non-memory instructions and stores one tick dispatches in a row
+ * share one entry (they complete at that tick); each load has its own,
+ * and its entry's sequence number is the tag its data return carries.
  */
 
 #ifndef HIRA_SIM_CORE_HH
@@ -47,7 +53,7 @@ class CoreModel
      *   can end the stall (the kernel wakes at the completion's cycle).
      * - Exhausted steady run: the trace has run dry (only non-memory
      *   instructions remain, per the TraceSource contract), nothing
-     *   waits on memory, and every window slot is retirable. Each tick
+     *   waits on memory, and every window entry is retirable. Each tick
      *   retires and re-dispatches exactly `width` instructions with no
      *   LLC interaction. Returns kNeverCycle (bounded by the caller).
      *
@@ -65,12 +71,12 @@ class CoreModel
         // Stall regime: dispatch blocked and no retirement possible.
         bool blocked =
             occupancy >= static_cast<std::size_t>(windowSize) ||
-            hasPendingInst;
+            blockedCached;
         if (!blocked)
             return 0;
         if (occupancy == 0)
             return kNeverCycle; // LLC-blocked with an empty window
-        const Slot &h = window[head];
+        const Entry &h = entryAt(headSeq);
         if (!h.done)
             return kNeverCycle; // head waits on memory: external wake only
         if (h.readyAt <= cpuCycle + 1)
@@ -95,7 +101,10 @@ class CoreModel
         ffCallsMetric = scope.counter("ff_calls");
     }
 
-    /** A missed load's data returned (tag from the access). */
+    /**
+     * A missed load's data returned (tag from the access). Fatal when
+     * @p tag names no load waiting in the window.
+     */
     void onDataReturn(std::uint64_t tag);
 
     /** Begin the measurement interval. */
@@ -117,13 +126,12 @@ class CoreModel
     std::uint64_t stallCycles = 0; //!< cycles with zero dispatch
 
   private:
-    struct Slot
+    /** A run of window instructions that retire alike (file comment). */
+    struct Entry
     {
-        bool valid = false;
-        bool done = false;
-        Cycle readyAt = 0;         //!< CPU cycle a hit completes
-        std::uint64_t tag = 0;     //!< for miss matching
-        bool waitingMem = false;
+        std::uint32_t count = 0; //!< instructions, at least 1 while live
+        bool done = false;       //!< false only for a load awaiting data
+        Cycle readyAt = 0;       //!< CPU cycle the run can retire from
     };
 
     bool
@@ -132,39 +140,61 @@ class CoreModel
         // All conditions together guarantee a closed-form tick: only
         // non-memory instructions remain (TraceSource contract once
         // exhausted() holds), nothing waits on memory, every window
-        // slot is retirable (maxReadyAt is a monotone
+        // entry is retirable (maxReadyAt is a monotone
         // over-approximation), and the window is deep enough that each
         // tick retires and re-dispatches exactly `width` instructions.
         // Ordered cheapest-reject-first; the virtual exhausted() call
         // comes last.
-        return waitingMemCount == 0 &&
-               !hasPendingInst && maxReadyAt <= cpuCycle &&
+        return waitingMemCount == 0 && !blockedCached && !access.isMem &&
+               maxReadyAt <= cpuCycle &&
                occupancy >= static_cast<std::size_t>(width) &&
                windowSize >= width && gen.exhausted();
     }
+
+    const Entry &
+    entryAt(std::uint64_t seq) const
+    {
+        return ring[seq & ringMask];
+    }
+    Entry &entryAt(std::uint64_t seq) { return ring[seq & ringMask]; }
+
+    /** Append an entry at the tail. */
+    void pushEntry(std::uint64_t count, bool done, Cycle ready_at);
+    /** Retire @p n instructions from the head (all must be retirable). */
+    void popInstructions(std::uint64_t n);
+    /**
+     * Dispatch @p n instructions that complete at this tick, into the
+     * tick's shared tail entry when @p shared already names one.
+     */
+    void dispatchDone(std::uint64_t n, bool &shared);
 
     int id;
     TraceSource &gen;
     Llc &llc;
     int width;
     int windowSize;
-    std::vector<Slot> window;
-    std::size_t head = 0, tail = 0, occupancy = 0;
-    std::uint64_t nextTag = 1;
-    bool hasPendingInst = false;
-    TraceInst pendingInst;
-    // Blocked-dispatch memo: the pending memory instruction was Blocked
-    // by the LLC at capacityGeneration() == blockedGen. Until that
-    // counter moves, re-probing llc.access() provably returns Blocked
-    // again (capacity only shrinks between generation bumps), so
-    // tick() skips the probe. Pure per-core state driven by
+    /** Power-of-two ring; live entries are [headSeq, tailSeq). */
+    std::vector<Entry> ring;
+    std::uint64_t ringMask = 0;
+    std::uint64_t headSeq = 0, tailSeq = 0;
+    std::size_t occupancy = 0; //!< instructions in the window
+    // The trace record being dispatched: runLeft non-memory
+    // instructions, then `access` while access.isMem holds.
+    std::uint64_t runLeft = 0;
+    TraceInst access;
+    // Blocked-dispatch memo: the pending access was Blocked by the LLC
+    // at capacityGeneration() == blockedGen. Until that counter moves,
+    // re-probing llc.access() provably returns Blocked again (capacity
+    // only shrinks between generation bumps), so tick() skips the
+    // probe. Between ticks it also marks the only way an undispatched
+    // instruction holds up dispatch. Pure per-core state driven by
     // deterministic LLC events: identical in both engines.
     bool blockedCached = false;
     std::uint64_t blockedGen = 0;
 
     // Event-engine bookkeeping: outstanding memory waits, and a
     // monotone upper bound on every readyAt ever assigned (conservative
-    // retirability test without scanning the window).
+    // retirability test without walking the window).
     std::size_t waitingMemCount = 0;
     Cycle maxReadyAt = 0;
 

@@ -44,14 +44,9 @@ TraceGen::TraceGen(const BenchmarkProfile &profile, std::uint64_t seed,
 }
 
 TraceInst
-TraceGen::next()
+TraceGen::drawAccess()
 {
-    // Every draw compares integers against the constructor's thresholds
-    // (Rng::chanceThreshold), consuming the same draws, with the same
-    // outcomes, as comparing uniform() against the profile's fractions.
     TraceInst inst;
-    if (!rng.chanceBelow(memThreshold))
-        return inst;
     inst.isMem = true;
     inst.isWrite = rng.chanceBelow(writeThreshold);
     std::uint64_t kind = rng.uniformBits();
@@ -68,6 +63,31 @@ TraceGen::next()
         inst.addr = lineAddr(rng.below(footprint));
     }
     return inst;
+}
+
+TraceInst
+TraceGen::next()
+{
+    // Every draw compares integers against the constructor's thresholds
+    // (Rng::chanceThreshold), consuming the same draws, with the same
+    // outcomes, as comparing uniform() against the profile's fractions.
+    if (!rng.chanceBelow(memThreshold))
+        return TraceInst{};
+    return drawAccess();
+}
+
+TraceRecord
+TraceGen::nextRecord()
+{
+    TraceRecord rec;
+    while (rec.nonMem < kMaxRun) {
+        if (rng.chanceBelow(memThreshold)) {
+            rec.access = drawAccess();
+            return rec;
+        }
+        ++rec.nonMem;
+    }
+    return rec;
 }
 
 } // namespace hira

@@ -52,11 +52,23 @@ class TraceGen final : public TraceSource
     /** Generate the next instruction. */
     TraceInst next() override;
 
+    /**
+     * Generate the next record: the same draws as next() in a tight
+     * loop, the non-memory run capped at kMaxRun so that a profile
+     * with memPerInstr = 0 still returns.
+     */
+    TraceRecord nextRecord() override;
+
+    static constexpr std::uint64_t kMaxRun = std::uint64_t(1) << 16;
+
     Addr regionBase() const override { return base; }
 
     const BenchmarkProfile &profile() const { return prof; }
 
   private:
+    /** The draws of one memory access (after the memory-or-not draw). */
+    TraceInst drawAccess();
+
     /** Address of line @p line_index; the index is below footprint. */
     Addr
     lineAddr(std::uint64_t line_index) const
@@ -70,7 +82,7 @@ class TraceGen final : public TraceSource
     std::uint64_t footprint;  //!< lines, clamped to the slice
     std::uint64_t hot;        //!< lines, at most footprint
     std::uint64_t streamPtr = 0; //!< always below footprint
-    // Rng::chanceThreshold of the profile's fractions, for next().
+    // Rng::chanceThreshold of the profile's fractions, for the draws.
     std::uint64_t memThreshold = 0;
     std::uint64_t writeThreshold = 0;
     std::uint64_t hotThreshold = 0;    //!< kind draw: hot set below this

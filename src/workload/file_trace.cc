@@ -14,6 +14,8 @@ constexpr char kMagic[8] = {'H', 'I', 'R', 'A', 'T', 'R', 'C', '1'};
 constexpr std::size_t kMagicSize = sizeof(kMagic);
 constexpr std::size_t kBinaryRecordSize = 4 + 1 + 8; //!< nonmem, kind, addr
 constexpr std::size_t kReadChunk = 256 * 1024;
+/** Non-memory run of one record an exhausted source returns. */
+constexpr std::uint64_t kIdleRun = std::uint64_t(1) << 16;
 
 enum RecordKind
 {
@@ -244,32 +246,28 @@ FileTraceSource::mapToSlice(Addr file_addr) const
     return base + ((file_addr / 64) % sliceLines) * 64;
 }
 
-TraceInst
-FileTraceSource::next()
+TraceRecord
+FileTraceSource::fetch()
 {
     int rewinds = 0;
     for (;;) {
-        if (pendingNonMem > 0) {
-            --pendingNonMem;
-            return TraceInst{};
+        if (doneForever) {
+            TraceRecord idle;
+            idle.nonMem = kIdleRun;
+            return idle;
         }
-        if (haveAccess) {
-            haveAccess = false;
-            return access;
-        }
-        if (doneForever)
-            return TraceInst{};
-
         Record rec;
         if (readRecord(rec)) {
-            pendingNonMem = rec.nonMem;
+            if (rec.nonMem == 0 && rec.kind == kNoAccess)
+                continue; // carries no instruction
+            TraceRecord out;
+            out.nonMem = rec.nonMem;
             if (rec.kind != kNoAccess) {
-                access.isMem = true;
-                access.isWrite = rec.kind == kWrite;
-                access.addr = mapToSlice(rec.addr);
-                haveAccess = true;
+                out.access.isMem = true;
+                out.access.isWrite = rec.kind == kWrite;
+                out.access.addr = mapToSlice(rec.addr);
             }
-            continue;
+            return out;
         }
         // EOF.
         if (recordsThisPass == 0 && nRecords == 0)
@@ -278,13 +276,37 @@ FileTraceSource::next()
             doneForever = true;
             continue;
         }
-        // Two rewinds within one next() call means a full pass produced
-        // no instruction (e.g., a file of "0 N 0" records): bail rather
+        // Two rewinds within one fetch means a full pass produced no
+        // instruction (e.g., a file of "0 N 0" records): bail rather
         // than spin forever.
         if (++rewinds >= 2)
             parseError("trace yields no instructions");
         rewindPayload();
     }
+}
+
+TraceInst
+FileTraceSource::next()
+{
+    if (staged.nonMem == 0 && !staged.access.isMem)
+        staged = fetch();
+    if (staged.nonMem > 0) {
+        --staged.nonMem;
+        return TraceInst{};
+    }
+    TraceInst inst = staged.access;
+    staged.access = TraceInst{};
+    return inst;
+}
+
+TraceRecord
+FileTraceSource::nextRecord()
+{
+    if (staged.nonMem == 0 && !staged.access.isMem)
+        return fetch();
+    TraceRecord rec = staged;
+    staged = TraceRecord{};
+    return rec;
 }
 
 // ---------------------------------------------------------------------

@@ -78,6 +78,8 @@ class FileTraceSource final : public TraceSource
     FileTraceSource &operator=(const FileTraceSource &) = delete;
 
     TraceInst next() override;
+    /** The file's records as parsed; "0 N 0" records are skipped. */
+    TraceRecord nextRecord() override;
     Addr regionBase() const override { return base; }
     bool exhausted() const override { return doneForever; }
 
@@ -100,6 +102,8 @@ class FileTraceSource final : public TraceSource
     bool readRecord(Record &rec);
     bool readTextRecord(Record &rec);
     bool readBinaryRecord(Record &rec);
+    /** The next record that holds an instruction (loops or idles). */
+    TraceRecord fetch();
     void rewindPayload();
     [[noreturn]] void parseError(const std::string &what) const;
     Addr mapToSlice(Addr file_addr) const;
@@ -118,10 +122,8 @@ class FileTraceSource final : public TraceSource
     std::uint64_t nRecords = 0;
     std::uint64_t recordsThisPass = 0;
 
-    // Staged emission state: non-memory run, then the access.
-    std::uint64_t pendingNonMem = 0;
-    bool haveAccess = false;
-    TraceInst access;
+    // What next() has not yet emitted of the last fetched record.
+    TraceRecord staged;
     bool doneForever = false;
 };
 

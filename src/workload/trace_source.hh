@@ -2,11 +2,13 @@
  * @file
  * The polymorphic instruction-trace source interface.
  *
- * A TraceSource yields one TraceInst per call, forever. Implementations
- * are the synthetic TraceGen (src/sim/trace.hh), the on-disk
- * FileTraceSource, and the pass-through TraceRecorder
- * (src/workload/file_trace.hh). Cores pull from the interface and never
- * care where the stream comes from.
+ * A TraceSource yields one TraceInst per next() call, or one TraceRecord
+ * (a run of non-memory instructions, then at most one access) per
+ * nextRecord() call, forever. Implementations are the synthetic
+ * TraceGen (src/sim/trace.hh), the on-disk FileTraceSource, and the
+ * pass-through TraceRecorder (src/workload/file_trace.hh). Cores pull
+ * records from the interface and never care where the stream comes
+ * from.
  */
 
 #ifndef HIRA_WORKLOAD_TRACE_SOURCE_HH
@@ -24,6 +26,17 @@ struct TraceInst
     Addr addr = 0; //!< line-aligned, within the source's address region
 };
 
+/**
+ * One record of an instruction stream, the unit both trace file
+ * formats store: nonMem non-memory instructions, then the access when
+ * access.isMem holds. Records a source returns are never empty.
+ */
+struct TraceRecord
+{
+    std::uint64_t nonMem = 0;
+    TraceInst access;
+};
+
 /** Abstract source of an instruction stream for one core. */
 class TraceSource
 {
@@ -37,6 +50,25 @@ class TraceSource
     virtual TraceInst next() = 0;
 
     /**
+     * Produce the next record; expanding the records gives the same
+     * instruction stream as next() would, and the two calls share one
+     * stream. The default pulls one next() per record, so a source
+     * that does not override it (TraceRecorder) sees each instruction
+     * pulled exactly when its consumer needs it.
+     */
+    virtual TraceRecord
+    nextRecord()
+    {
+        TraceRecord rec;
+        TraceInst inst = next();
+        if (inst.isMem)
+            rec.access = inst;
+        else
+            rec.nonMem = 1;
+        return rec;
+    }
+
+    /**
      * Start of the address region memory accesses are mapped into.
      * TraceRecorder subtracts this when writing, so trace files store
      * region-relative addresses and replay into any core's slice.
@@ -45,8 +77,8 @@ class TraceSource
 
     /**
      * True once a finite, non-looping source has run dry (its next()
-     * now only returns non-memory instructions). Unbounded sources
-     * always return false.
+     * and nextRecord() now yield only non-memory instructions).
+     * Unbounded sources always return false.
      */
     virtual bool exhausted() const { return false; }
 };
