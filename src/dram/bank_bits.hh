@@ -3,8 +3,8 @@
  * Per-bank bit words: one bit per flat bank index of a channel.
  */
 
-#ifndef HIRA_MEM_BANK_BITS_HH
-#define HIRA_MEM_BANK_BITS_HH
+#ifndef HIRA_DRAM_BANK_BITS_HH
+#define HIRA_DRAM_BANK_BITS_HH
 
 #include <cstddef>
 #include <cstdint>
@@ -13,10 +13,12 @@
 namespace hira {
 
 /**
- * One bit per flat bank index (MemoryController::bankIndex order, so
- * ascending index is (rank, bank) order), 64 banks per word. The
- * scheduler keeps its per-bank state here so that a scan visits only
- * the banks whose bit is set.
+ * One bit per flat bank index (ChannelTimingModel::bankIndex order, so
+ * ascending index is (rank, bank) order), 64 banks per word: bank idx
+ * is bit idx % 64 of word idx / 64. The scheduler keeps its per-bank
+ * state here and combines it word by word (AND, OR, NOT), so that a
+ * scan visits only the banks whose bit is set in the result. Bits past
+ * the last bank are always clear.
  */
 class BankBits
 {
@@ -29,6 +31,9 @@ class BankBits
         return ((words[idx >> 6] >> (idx & 63)) & 1u) != 0;
     }
 
+    std::size_t wordCount() const { return words.size(); }
+    std::uint64_t word(std::size_t w) const { return words[w]; }
+
     void
     assign(std::size_t idx, bool on)
     {
@@ -38,39 +43,10 @@ class BankBits
     }
 
     /**
-     * Call @p f(idx) on the set bits in ascending order until it returns
-     * true; returns whether it did.
-     */
-    template <typename F>
-    bool
-    anyOf(F &&f) const
-    {
-        for (std::size_t w = 0; w < words.size(); ++w) {
-            if (anyOfWord(w, words[w], f))
-                return true;
-        }
-        return false;
-    }
-
-    /**
-     * anyOf over the bits set in any of @p a, @p b and @p c (all the
-     * same size), each visited once, in ascending order.
-     */
-    template <typename F>
-    static bool
-    anyOfUnion(const BankBits &a, const BankBits &b, const BankBits &c,
-               F &&f)
-    {
-        for (std::size_t w = 0; w < a.words.size(); ++w) {
-            if (anyOfWord(w, a.words[w] | b.words[w] | c.words[w], f))
-                return true;
-        }
-        return false;
-    }
-
-    /**
-     * anyOf in rotating order: the set bits at or above @p start
-     * ascending, then those below it (@p start may equal the size).
+     * Call @p f(idx) on the set bits in rotating order until it returns
+     * true, and return whether it did: the set bits at or above
+     * @p start ascending, then those below it (@p start may equal the
+     * size).
      */
     template <typename F>
     bool
@@ -107,4 +83,4 @@ class BankBits
 
 } // namespace hira
 
-#endif // HIRA_MEM_BANK_BITS_HH
+#endif // HIRA_DRAM_BANK_BITS_HH

@@ -29,6 +29,10 @@ TimingCycles::TimingCycles(const TimingParams &tp)
     rfc = tp.cycles(tp.tRFC);
     c1 = tp.cycles(tp.t1);
     c2 = tp.cycles(tp.t2);
+    // A HiRA op reserves the command-bus slots at now + c1 and later,
+    // never the slot it issues in (MemoryController::busFree relies on
+    // it).
+    hira_assert(c1 >= 1);
 }
 
 ChannelTimingModel::ChannelTimingModel(const Geometry &g,
@@ -37,16 +41,18 @@ ChannelTimingModel::ChannelTimingModel(const Geometry &g,
 {
     const std::size_t nranks =
         static_cast<std::size_t>(geom.ranksPerChannel);
-    const std::size_t ngroups =
-        nranks * static_cast<std::size_t>(geom.bankGroups);
-    banks.resize(nranks * static_cast<std::size_t>(geom.banksPerRank()));
+    ngroups = nranks * static_cast<std::size_t>(geom.bankGroups);
+    nbanks = nranks * static_cast<std::size_t>(geom.banksPerRank());
+    openRows.assign(nbanks, kNoRow);
+    ready.assign(4 * nbanks, 0);
+    openBits.resize(nbanks);
     ranks.resize(nranks);
     terms.resize(nranks);
     actReadyL.assign(ngroups, 0);
     rdReadyL.assign(ngroups, 0);
     wrReadyL.assign(ngroups, 0);
-    bankRank.reserve(banks.size());
-    bankGroup.reserve(banks.size());
+    bankRank.reserve(nbanks);
+    bankGroup.reserve(nbanks);
     for (int rank = 0; rank < geom.ranksPerChannel; ++rank) {
         for (BankId b = 0; b < static_cast<BankId>(geom.banksPerRank());
              ++b) {
@@ -56,6 +62,7 @@ ChannelTimingModel::ChannelTimingModel(const Geometry &g,
                                          geom.bankGroupOf(b)));
         }
     }
+    groupBound.assign(4 * ngroups, 0);
     for (int rank = 0; rank < geom.ranksPerChannel; ++rank)
         refreshTerms(rank);
 }
@@ -91,6 +98,36 @@ ChannelTimingModel::refreshTerms(int rank)
     t.rd = std::max(r.rdReadyS, r.refBlockUntil);
     t.wr = std::max(r.wrReadyS, r.refBlockUntil);
     t.refBlock = r.refBlockUntil;
+    refreshBounds(rank, false);
+}
+
+void
+ChannelTimingModel::refreshBounds(int rank, bool bus_moved)
+{
+    const std::size_t groups = static_cast<std::size_t>(geom.bankGroups);
+    const int lo = bus_moved ? 0 : rank;
+    const int hi = bus_moved ? geom.ranksPerChannel : rank + 1;
+    for (int r = lo; r < hi; ++r) {
+        const RankTerms &t = terms[static_cast<std::size_t>(r)];
+        // The data bus as a bound on a column command: bus_free > c +
+        // lead ? bus_free - lead : c is max(c, bus_free - lead), clamped
+        // at 0.
+        const Cycle bus_free = busFreeFor(r);
+        const Cycle bus_rd = bus_free > tc.cl ? bus_free - tc.cl : 0;
+        const Cycle bus_wr = bus_free > tc.cwl ? bus_free - tc.cwl : 0;
+        const std::size_t first = static_cast<std::size_t>(r) * groups;
+        for (std::size_t g = first; g < first + groups; ++g) {
+            if (r == rank) {
+                groupBound[kAct * ngroups + g] =
+                    std::max(t.act, actReadyL[g]);
+                groupBound[kPre * ngroups + g] = t.refBlock;
+            }
+            groupBound[kRd * ngroups + g] =
+                std::max({t.rd, rdReadyL[g], bus_rd});
+            groupBound[kWr * ngroups + g] =
+                std::max({t.wr, wrReadyL[g], bus_wr});
+        }
+    }
 }
 
 void
@@ -111,10 +148,11 @@ ChannelTimingModel::earliestRef(int rank) const
 {
     const RankState &r = ranks[static_cast<std::size_t>(rank)];
     Cycle t = r.refBlockUntil;
-    for (BankId b = 0; b < static_cast<BankId>(geom.banksPerRank()); ++b) {
-        const BankState &bs = banks[bankIndex(rank, b)];
-        hira_assert(bs.openRow == kNoRow); // caller precharges first
-        t = std::max(t, bs.actReady);      // tRP after the last PRE
+    const std::size_t first = bankIndex(rank, 0);
+    const std::size_t end = first + geom.banksPerRank();
+    for (std::size_t idx = first; idx < end; ++idx) {
+        hira_assert(openRows[idx] == kNoRow); // caller precharges first
+        t = std::max(t, readyOf(kAct, idx)); // tRP after the last PRE
     }
     return t;
 }
@@ -122,36 +160,35 @@ ChannelTimingModel::earliestRef(int rank) const
 void
 ChannelTimingModel::issueAct(std::size_t idx, RowId row, Cycle now)
 {
-    BankState &b = banks[idx];
-    hira_assert(b.openRow == kNoRow);
+    hira_assert(openRows[idx] == kNoRow);
     hira_assert(now >= earliestAct(idx));
-    b.openRow = row;
-    b.rdReady = std::max(b.rdReady, now + tc.rcd);
-    b.wrReady = std::max(b.wrReady, now + tc.rcd);
-    b.preReady = std::max(b.preReady, now + tc.ras);
-    b.actReady = std::max(b.actReady, now + tc.rc);
+    openRows[idx] = row;
+    openBits.assign(idx, true);
+    raise(kRd, idx, now + tc.rcd);
+    raise(kWr, idx, now + tc.rcd);
+    raise(kPre, idx, now + tc.ras);
+    raise(kAct, idx, now + tc.rc);
     recordAct(idx, now);
 }
 
 void
 ChannelTimingModel::issuePre(std::size_t idx, Cycle now)
 {
-    BankState &b = banks[idx];
     hira_assert(now >= earliestPre(idx));
-    b.openRow = kNoRow;
-    b.actReady = std::max(b.actReady, now + tc.rp);
+    openRows[idx] = kNoRow;
+    openBits.assign(idx, false);
+    raise(kAct, idx, now + tc.rp);
 }
 
 Cycle
 ChannelTimingModel::issueRd(std::size_t idx, Cycle now)
 {
     const int rank = bankRank[idx];
-    BankState &b = banks[idx];
     RankState &r = ranks[static_cast<std::size_t>(rank)];
     std::size_t group = bankGroup[idx];
-    hira_assert(b.openRow != kNoRow);
+    hira_assert(openRows[idx] != kNoRow);
     hira_assert(now >= earliestRd(idx));
-    b.preReady = std::max(b.preReady, now + tc.rtp);
+    raise(kPre, idx, now + tc.rtp);
     r.rdReadyS = std::max(r.rdReadyS, now + tc.ccdS);
     rdReadyL[group] = std::max(rdReadyL[group], now + tc.ccdL);
     // Read-to-write turnaround: WR data may start after the read burst
@@ -159,10 +196,11 @@ ChannelTimingModel::issueRd(std::size_t idx, Cycle now)
     Cycle rd_end = now + tc.cl + tc.bl;
     Cycle wr_ok = rd_end + 1 > tc.cwl ? rd_end + 1 - tc.cwl : 0;
     r.wrReadyS = std::max(r.wrReadyS, wr_ok);
-    refreshTerms(rank);
     dataBusFree = rd_end;
     dataBusLastRank = rank;
     dataBusBusy += tc.bl;
+    refreshTerms(rank);
+    refreshBounds(rank, true);
     return rd_end;
 }
 
@@ -170,13 +208,12 @@ Cycle
 ChannelTimingModel::issueWr(std::size_t idx, Cycle now)
 {
     const int rank = bankRank[idx];
-    BankState &b = banks[idx];
     RankState &r = ranks[static_cast<std::size_t>(rank)];
     std::size_t group = bankGroup[idx];
-    hira_assert(b.openRow != kNoRow);
+    hira_assert(openRows[idx] != kNoRow);
     hira_assert(now >= earliestWr(idx));
     Cycle wr_end = now + tc.cwl + tc.bl;
-    b.preReady = std::max(b.preReady, wr_end + tc.wr);
+    raise(kPre, idx, wr_end + tc.wr);
     r.wrReadyS = std::max(r.wrReadyS, now + tc.ccdS);
     wrReadyL[group] = std::max(wrReadyL[group], now + tc.ccdL);
     // Write-to-read turnaround (tWTR counted from end of write burst):
@@ -184,10 +221,11 @@ ChannelTimingModel::issueWr(std::size_t idx, Cycle now)
     // every RD query reads, and tWTR_L adds to this group alone.
     r.rdReadyS = std::max(r.rdReadyS, wr_end + tc.wtrS);
     rdReadyL[group] = std::max(rdReadyL[group], wr_end + tc.wtrL);
-    refreshTerms(rank);
     dataBusFree = wr_end;
     dataBusLastRank = rank;
     dataBusBusy += tc.bl;
+    refreshTerms(rank);
+    refreshBounds(rank, true);
     return wr_end;
 }
 
@@ -198,18 +236,17 @@ ChannelTimingModel::issueRef(int rank, Cycle now)
     hira_assert(now >= earliestRef(rank));
     r.refBlockUntil = now + tc.rfc;
     refreshTerms(rank);
-    for (BankId b = 0; b < static_cast<BankId>(geom.banksPerRank()); ++b) {
-        BankState &bs = banks[bankIndex(rank, b)];
-        bs.actReady = std::max(bs.actReady, now + tc.rfc);
-    }
+    const std::size_t first = bankIndex(rank, 0);
+    const std::size_t end = first + geom.banksPerRank();
+    for (std::size_t idx = first; idx < end; ++idx)
+        raise(kAct, idx, now + tc.rfc);
 }
 
 Cycle
 ChannelTimingModel::issueHira(std::size_t idx, RowId refresh_row,
                               RowId second_row, Cycle now)
 {
-    BankState &b = banks[idx];
-    hira_assert(b.openRow == kNoRow);
+    hira_assert(openRows[idx] == kNoRow);
     hira_assert(now >= earliestHira(idx));
     (void)refresh_row;
 
@@ -221,11 +258,12 @@ ChannelTimingModel::issueHira(std::size_t idx, RowId refresh_row,
     // violate tRAS / tRP; the second ACT is a nominal activation for all
     // downstream purposes.
     Cycle second = now + tc.hiraSpan();
-    b.openRow = second_row;
-    b.rdReady = std::max(b.rdReady, second + tc.rcd);
-    b.wrReady = std::max(b.wrReady, second + tc.rcd);
-    b.preReady = std::max(b.preReady, second + tc.ras);
-    b.actReady = std::max(b.actReady, second + tc.rc);
+    openRows[idx] = second_row;
+    openBits.assign(idx, true);
+    raise(kRd, idx, second + tc.rcd);
+    raise(kWr, idx, second + tc.rcd);
+    raise(kPre, idx, second + tc.ras);
+    raise(kAct, idx, second + tc.rc);
     recordAct(idx, second);
     return second;
 }

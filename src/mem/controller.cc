@@ -6,6 +6,13 @@
 
 namespace hira {
 
+namespace {
+
+/** Oldest-hit arrival number of a bank without a hit. */
+constexpr std::uint64_t kNoSeq = ~std::uint64_t(0);
+
+} // namespace
+
 MemoryController::MemoryController(int channel_id,
                                    const ControllerConfig &config,
                                    std::unique_ptr<RefreshScheme> scheme)
@@ -18,13 +25,13 @@ MemoryController::MemoryController(int channel_id,
     hira_assert(refreshScheme != nullptr);
     const std::size_t nbanks =
         static_cast<std::size_t>(cfg.geom.banksPerChannel());
-    rankHold.assign(static_cast<std::size_t>(cfg.geom.ranksPerChannel),
-                    false);
     preventiveVictims.resize(nbanks);
     readQ.resize(nbanks);
     writeQ.resize(nbanks);
-    for (BankBits *bits : {&refreshOpen, &preventivePending, &readQueued,
-                           &writeQueued, &readHit, &writeHit}) {
+    readHitSeq.assign(nbanks, kNoSeq);
+    writeHitSeq.assign(nbanks, kNoSeq);
+    for (BankBits *bits : {&heldBanks, &refreshOpen, &preventivePending,
+                           &readQueued, &writeQueued, &readHit, &writeHit}) {
         bits->resize(nbanks);
     }
     recorder.setEnabled(cfg.recordTrace);
@@ -60,15 +67,74 @@ void
 MemoryController::syncBankBits(std::size_t idx)
 {
     const RowId open = model.openRow(idx);
-    auto hits = [open](const BankQueue &q) {
-        return std::any_of(q.begin(), q.end(), [open](const Queued &e) {
+    auto oldest_hit = [open](const BankQueue &q) {
+        auto it = std::find_if(q.begin(), q.end(), [open](const Queued &e) {
             return e.req.da.row == open;
         });
+        return it == q.end() ? kNoSeq : it->seq;
     };
     readQueued.assign(idx, !readQ[idx].empty());
     writeQueued.assign(idx, !writeQ[idx].empty());
-    readHit.assign(idx, hits(readQ[idx]));
-    writeHit.assign(idx, hits(writeQ[idx]));
+    readHitSeq[idx] = oldest_hit(readQ[idx]);
+    writeHitSeq[idx] = oldest_hit(writeQ[idx]);
+    readHit.assign(idx, readHitSeq[idx] != kNoSeq);
+    writeHit.assign(idx, writeHitSeq[idx] != kNoSeq);
+}
+
+inline std::uint64_t
+MemoryController::honouredHitWord(std::size_t w) const
+{
+    return readHit.word(w) | (writeMode ? writeHit.word(w) : 0);
+}
+
+inline std::uint64_t
+MemoryController::columnReadyWord(bool is_read, Cycle now,
+                                  std::size_t w) const
+{
+    // Separate calls, so each leaves the other column kind at a
+    // constant 0.
+    const std::uint64_t hit =
+        (is_read ? readHit : writeHit).word(w) & ~refreshOpen.word(w);
+    return is_read ? model.readyMask(now, w, {0, 0, hit, 0})
+                   : model.readyMask(now, w, {0, 0, 0, hit});
+}
+
+inline std::uint64_t
+MemoryController::rowReadyWord(bool is_read, Cycle now, std::size_t w) const
+{
+    const std::uint64_t open = model.openBanks().word(w);
+    const std::uint64_t queued =
+        (is_read ? readQueued : writeQueued).word(w) &
+        ~(refreshOpen.word(w) | preventivePending.word(w));
+    CommandWords cand;
+    cand.act = queued & ~open & ~heldBanks.word(w);
+    cand.pre = queued & open & ~honouredHitWord(w);
+    return model.readyMask(now, w, cand);
+}
+
+inline std::uint64_t
+MemoryController::autoPreWord(Cycle now, std::size_t w) const
+{
+    CommandWords cand;
+    cand.pre = refreshOpen.word(w) & model.openBanks().word(w);
+    return model.readyMask(now, w, cand);
+}
+
+inline CommandWords
+MemoryController::wakeWords(std::size_t w) const
+{
+    const std::uint64_t open = model.openBanks().word(w);
+    const std::uint64_t refresh = refreshOpen.word(w);
+    const std::uint64_t work =
+        ((writeMode ? writeQueued : readQueued).word(w) |
+         preventivePending.word(w)) &
+        ~refresh;
+    CommandWords cand;
+    cand.pre = (refresh & open) | (work & open & ~honouredHitWord(w));
+    cand.act = work & ~open & ~heldBanks.word(w);
+    (writeMode ? cand.wr : cand.rd) =
+        (writeMode ? writeHit : readHit).word(w) & ~refresh;
+    return cand;
 }
 
 std::string
@@ -76,7 +142,8 @@ MemoryController::countIndexAudit() const
 {
     std::size_t reads = 0, writes = 0;
     for (std::size_t i = 0; i < readQ.size(); ++i) {
-        bool hit[2] = {false, false}; // [0] writes, [1] reads
+        // Oldest hit arrival number per class: [0] writes, [1] reads.
+        std::uint64_t hit[2] = {kNoSeq, kNoSeq};
         for (int is_read = 0; is_read < 2; ++is_read) {
             const BankQueue &q = is_read ? readQ[i] : writeQ[i];
             const MemType type = is_read ? MemType::Read : MemType::Write;
@@ -89,38 +156,153 @@ MemoryController::countIndexAudit() const
                 if (k > 0 && q[k - 1].seq >= q[k].seq)
                     return strprintf("bank %zu: queue out of arrival "
                                      "order", i);
-                hit[is_read] |= model.openRow(i) == r.da.row;
+                if (model.openRow(i) == r.da.row && hit[is_read] == kNoSeq)
+                    hit[is_read] = q[k].seq;
             }
         }
         reads += readQ[i].size();
         writes += writeQ[i].size();
         if (readQueued.test(i) != !readQ[i].empty() ||
             writeQueued.test(i) != !writeQ[i].empty() ||
-            readHit.test(i) != hit[1] || writeHit.test(i) != hit[0]) {
+            readHit.test(i) != (hit[1] != kNoSeq) ||
+            writeHit.test(i) != (hit[0] != kNoSeq)) {
             return strprintf("bank %zu: bits r/w/rhit/whit %d/%d/%d/%d, "
                              "queues %zu/%zu/%d/%d",
                              i, readQueued.test(i), writeQueued.test(i),
                              readHit.test(i), writeHit.test(i),
-                             readQ[i].size(), writeQ[i].size(), hit[1],
-                             hit[0]);
+                             readQ[i].size(), writeQ[i].size(),
+                             hit[1] != kNoSeq, hit[0] != kNoSeq);
         }
+        if (readHitSeq[i] != hit[1] || writeHitSeq[i] != hit[0])
+            return strprintf("bank %zu: oldest hit r/w %llu/%llu, queues "
+                             "%llu/%llu", i,
+                             static_cast<unsigned long long>(readHitSeq[i]),
+                             static_cast<unsigned long long>(writeHitSeq[i]),
+                             static_cast<unsigned long long>(hit[1]),
+                             static_cast<unsigned long long>(hit[0]));
+        if (model.openBanks().test(i) != (model.openRow(i) != kNoRow) ||
+            heldBanks.test(i) != rankHeld(model.rankOf(i)))
+            return strprintf("bank %zu: open or held bit disagrees with "
+                             "its row or its rank", i);
     }
     if (reads != nReads || writes != nWrites)
         return strprintf("totals r/w %zu/%zu, queues %zu/%zu", nReads,
                          nWrites, reads, writes);
+    return maskAudit(lastTick + 1);
+}
+
+std::string
+MemoryController::maskAudit(Cycle now) const
+{
+    // Bit by bit from the scalar queries, over the banks with work (a
+    // queued request, an open refresh row or a preventive victim; no
+    // mask below holds any other bank): each kind's ready mask, the
+    // three pick masks of both classes and the wake masks, with the
+    // per-bank rules the masks encode.
+    auto one_kind = [](int kind, std::uint64_t m) {
+        CommandWords c;
+        (kind == 0 ? c.act : kind == 1 ? c.pre : kind == 2 ? c.rd : c.wr) =
+            m;
+        return c;
+    };
+    const std::size_t nbanks = readQ.size();
+    for (std::size_t w = 0; w < heldBanks.wordCount(); ++w) {
+        // earliest[k][b]: earliestAct / Pre / Rd / Wr of bank 64w + b.
+        Cycle earliest[4][64];
+        std::uint64_t ready[4] = {}, row[2] = {}, column[2] = {},
+                      auto_pre = 0;
+        CommandWords wake;
+        const std::uint64_t queued_of[2] = {writeQueued.word(w),
+                                            readQueued.word(w)};
+        const std::uint64_t hit_of[2] = {writeHit.word(w), readHit.word(w)};
+        const std::uint64_t refresh_word = refreshOpen.word(w);
+        const std::uint64_t pending_word = preventivePending.word(w);
+        const std::uint64_t live =
+            queued_of[0] | queued_of[1] | refresh_word | pending_word;
+        for (std::uint64_t m = live; m != 0; m &= m - 1) {
+            const int b = __builtin_ctzll(m);
+            const std::size_t idx = w * 64 + static_cast<std::size_t>(b);
+            if (idx >= nbanks)
+                return strprintf("word %zu: bit %d past the last bank", w,
+                                 b);
+            const std::uint64_t bit = std::uint64_t(1) << b;
+            earliest[0][b] = model.earliestAct(idx);
+            earliest[1][b] = model.earliestPre(idx);
+            earliest[2][b] = model.earliestRd(idx);
+            earliest[3][b] = model.earliestWr(idx);
+            bool at_now[4];
+            for (int k = 0; k < 4; ++k) {
+                at_now[k] = earliest[k][b] <= now;
+                ready[k] |= at_now[k] ? bit : 0;
+            }
+            const bool open = model.openRow(idx) != kNoRow;
+            const bool held = rankHeld(model.rankOf(idx));
+            const bool honoured =
+                (hit_of[1] & bit) != 0 || (writeMode && (hit_of[0] & bit));
+            const bool refresh = (refresh_word & bit) != 0;
+            const bool blocked = refresh || (pending_word & bit) != 0;
+            for (int is_read = 0; is_read < 2; ++is_read) {
+                const bool queued = (queued_of[is_read] & bit) != 0;
+                const bool hit = (hit_of[is_read] & bit) != 0;
+                const bool row_ready = !open ? !held && at_now[0]
+                                             : !honoured && at_now[1];
+                row[is_read] |= queued && !blocked && row_ready ? bit : 0;
+                column[is_read] |=
+                    hit && !refresh && at_now[is_read ? 2 : 3] ? bit : 0;
+            }
+            auto_pre |= refresh && open && at_now[1] ? bit : 0;
+            // A refresh row waits for its auto-PRE; otherwise queued or
+            // preventive work wants an ACT (closed, unheld) or, without
+            // an honoured hit, a conflict PRE; an active-class hit wants
+            // its column command.
+            const bool work =
+                (queued_of[!writeMode] & bit) != 0 || (pending_word & bit);
+            if (refresh) {
+                wake.pre |= open ? bit : 0;
+            } else if (!open) {
+                wake.act |= work && !held ? bit : 0;
+            } else {
+                wake.pre |= work && !honoured ? bit : 0;
+                (writeMode ? wake.wr : wake.rd) |=
+                    hit_of[!writeMode] & bit;
+            }
+        }
+        for (int k = 0; k < 4; ++k) {
+            if (model.readyMask(now, w, one_kind(k, live)) != ready[k])
+                return strprintf("word %zu: ready mask of kind %d at %llu",
+                                 w, k, static_cast<unsigned long long>(now));
+        }
+        for (int is_read = 0; is_read < 2; ++is_read) {
+            if (rowReadyWord(is_read, now, w) != row[is_read] ||
+                columnReadyWord(is_read, now, w) != column[is_read])
+                return strprintf("word %zu: row or column pick mask of "
+                                 "class %d", w, is_read);
+        }
+        if (autoPreWord(now, w) != auto_pre)
+            return strprintf("word %zu: auto-PRE mask", w);
+        const CommandWords ww = wakeWords(w);
+        const std::uint64_t got[4] = {ww.act, ww.pre, ww.rd, ww.wr};
+        const std::uint64_t want[4] = {wake.act, wake.pre, wake.rd, wake.wr};
+        Cycle least = kNeverCycle;
+        for (int k = 0; k < 4; ++k) {
+            if (got[k] != want[k])
+                return strprintf("word %zu: wake mask of kind %d", w, k);
+            for (std::uint64_t m = want[k]; m != 0; m &= m - 1)
+                least = std::min(least, earliest[k][__builtin_ctzll(m)]);
+        }
+        if (model.earliest(w, ww) != least)
+            return strprintf("word %zu: earliest of the wake masks", w);
+    }
     return "";
 }
 
 void
 MemoryController::setRankHold(int rank, bool hold)
 {
-    rankHold[static_cast<std::size_t>(rank)] = hold;
-}
-
-bool
-MemoryController::rankHeld(int rank) const
-{
-    return rankHold[static_cast<std::size_t>(rank)];
+    const std::size_t first = model.bankIndex(rank, 0);
+    const std::size_t end = first + cfg.geom.banksPerRank();
+    for (std::size_t idx = first; idx < end; ++idx)
+        heldBanks.assign(idx, hold);
 }
 
 std::vector<Command>
@@ -179,12 +361,19 @@ MemoryController::enqueue(const Request &req)
         ++stats_.rejectedRequests;
         return false;
     }
-    (is_read ? readQ : writeQ)[idx].push_back({nextSeq++, req});
+    const std::uint64_t seq = nextSeq++;
+    (is_read ? readQ : writeQ)[idx].push_back({seq, req});
     ++(is_read ? nReads : nWrites);
     count((is_read ? mBankReads : mBankWrites)[idx]);
     (is_read ? readQueued : writeQueued).assign(idx, true);
-    if (model.openRow(idx) == req.da.row)
+    if (model.openRow(idx) == req.da.row) {
+        // The newest arrival is the bank's oldest hit only if it is the
+        // first.
+        std::uint64_t &oldest = (is_read ? readHitSeq : writeHitSeq)[idx];
+        if (oldest == kNoSeq)
+            oldest = seq;
         (is_read ? readHit : writeHit).assign(idx, true);
+    }
     lowerWake();
     return true;
 }
@@ -231,7 +420,8 @@ MemoryController::hiraSlotsFree(Cycle now) const
 bool
 MemoryController::busFree(Cycle now) const
 {
-    return !issuedThisCycle && !slotReservedAt(now);
+    hira_assert(now == lastTick);
+    return !issuedThisCycle && !slotReservedNow;
 }
 
 // --------------------------------------------------------------------
@@ -287,6 +477,8 @@ MemoryController::tryPre(std::size_t idx, Cycle now)
     refreshOpen.assign(idx, false);
     readHit.assign(idx, false);
     writeHit.assign(idx, false);
+    readHitSeq[idx] = kNoSeq;
+    writeHitSeq[idx] = kNoSeq;
     return true;
 }
 
@@ -382,9 +574,12 @@ MemoryController::tick(Cycle now)
         }
         reservedSlots.resize(kept);
     }
+    // Every reservation made during this tick is at now + c1 or later,
+    // so the slot at now stays as it is for the whole tick.
+    slotReservedNow = slotReservedAt(now);
 
     autoPreTick(now);
-    if (!issuedThisCycle && !slotReservedAt(now))
+    if (busFree(now))
         refreshScheme->tick(now);
     if (!issuedThisCycle)
         preventiveTick(now);
@@ -459,38 +654,23 @@ MemoryController::issueRowCommand(bool is_read, Cycle now)
 {
     // Oldest-first, one attempt per bank. Only a bank's oldest queued
     // request (its queue's front) gets a row command, and whether it
-    // issues depends on the bank alone: a closed bank takes its ACT, an
-    // open one whose row no queued request still hits takes the
-    // conflict PRE (a bank whose row is hit waits for the column
-    // commands). Of the banks that would issue, serve the one whose
-    // oldest request arrived first.
+    // issues depends on the bank alone (rowReadyWord): a closed bank
+    // takes its ACT, an open one whose row no queued request still hits
+    // takes the conflict PRE (a bank whose row is hit waits for the
+    // column commands). Of the banks that would issue, serve the one
+    // whose oldest request arrived first.
     const std::vector<BankQueue> &queues = is_read ? readQ : writeQ;
-    const Queued *oldest = nullptr;
-    std::size_t oldest_idx = 0;
-    (is_read ? readQueued : writeQueued).anyOf([&](std::size_t idx) {
-        const Queued &front = queues[idx].front();
-        if ((oldest != nullptr && oldest->seq < front.seq) ||
-            bankBlocked(idx)) {
-            return false;
-        }
-        bool ready =
-            model.openRow(idx) == kNoRow
-                ? !rankHeld(model.rankOf(idx)) && model.earliestAct(idx) <= now
-                : !bankHasOpenRowHit(idx) && model.earliestPre(idx) <= now;
-        if (ready) {
-            oldest = &front;
-            oldest_idx = idx;
-        }
+    const std::size_t idx = oldestBank(
+        [&](std::size_t w) { return rowReadyWord(is_read, now, w); },
+        [&](std::size_t i) { return queues[i].front().seq; });
+    if (idx == kNoBank)
         return false;
-    });
-    if (oldest == nullptr)
-        return false;
-    if (model.openRow(oldest_idx) == kNoRow) {
-        demandAct(oldest_idx, oldest->req.da.row, now);
+    if (model.openRow(idx) == kNoRow) {
+        demandAct(idx, queues[idx].front().req.da.row, now);
         return true;
     }
     count(mRowConflicts);
-    return tryPre(oldest_idx, now);
+    return tryPre(idx, now);
 }
 
 bool
@@ -528,12 +708,13 @@ MemoryController::autoPreTick(Cycle now)
     if (!busFree(now))
         return;
     // Ascending flat index is the (rank, bank) order of a full sweep.
-    refreshOpen.anyOf([&](std::size_t idx) {
-        if (model.openRow(idx) == kNoRow || model.earliestPre(idx) > now)
-            return false;
-        tryPre(idx, now);
-        return true;
-    });
+    for (std::size_t w = 0; w < refreshOpen.wordCount(); ++w) {
+        if (const std::uint64_t m = autoPreWord(now, w)) {
+            tryPre(w * 64 + static_cast<std::size_t>(__builtin_ctzll(m)),
+                   now);
+            return;
+        }
+    }
 }
 
 Cycle
@@ -574,51 +755,30 @@ MemoryController::computeNextEvent(Cycle now) const
         return wake <= floor;
     };
 
-    // One pass over the banks that can have an event: those with a
-    // request of the active class queued, a pending preventive victim
-    // or an open refresh row (the union of their bit words), reading
-    // only the bits derived from the bank's queues, no queue walk at
-    // all. Only the active queue can schedule before the next
-    // mode flip, and flips always land on ticks the wake list covers
-    // (the hysteresis check above plus enqueue's wake lowering), so
-    // the inactive class contributes no horizon. The conflict-PRE and
-    // preventive-close entries replay issueRowCommand /
+    // The banks that can have an event, by the command each waits for
+    // (wakeWords): a PRE for an open refresh row (demand and preventive
+    // work is withheld until its auto-PRE) or for an open bank with
+    // queued or preventive work but no honoured hit; an ACT for a
+    // closed, unheld bank with such work; the active class's column
+    // command for a bank with a queued hit. Each mask is reduced to its
+    // least earliest-command cycle; no queue is walked. Only the active
+    // queue can schedule before the next mode flip, and flips always
+    // land on ticks the wake list covers (the hysteresis check above
+    // plus enqueue's wake lowering), so the inactive class contributes
+    // no horizon. The conflict-PRE mask replays issueRowCommand /
     // preventiveTick's row-hit gate (bankHasOpenRowHit): a PRE dense
     // defers while the open row has queued hits is not considered,
     // because the hit bits only change at covered ticks (hit issues,
     // hit arrivals through enqueue, row transitions through commands),
-    // after which this recompute runs again.
-    const BankBits &queued = writeMode ? writeQueued : readQueued;
-    const BankBits &hit = writeMode ? writeHit : readHit;
-    bool at_floor = BankBits::anyOfUnion(
-        queued, preventivePending, refreshOpen, [&](std::size_t idx) {
-            if (refreshOpen.test(idx)) {
-                // Demand and preventive work is withheld; the bank's
-                // only event is the auto-PRE of the refresh row.
-                return model.openRow(idx) != kNoRow &&
-                       consider(model.earliestPre(idx));
-            }
-            if (model.openRow(idx) == kNoRow) {
-                // Everything queued wants an ACT (demand row or
-                // preventive victim). Held ranks: the holding scheme's
-                // horizon polls densely while it drains the rank toward
-                // a REF, so ACT entries drop out.
-                return !rankHeld(model.rankOf(idx)) &&
-                       consider(model.earliestAct(idx));
-            }
-            if (hit.test(idx) &&
-                consider(writeMode ? model.earliestWr(idx)
-                                   : model.earliestRd(idx))) {
-                return true;
-            }
-            // Without an honoured hit the active class has none either,
-            // so any queued request of it wants the conflict PRE.
-            return (queued.test(idx) || preventivePending.test(idx)) &&
-                   !bankHasOpenRowHit(idx) &&
-                   consider(model.earliestPre(idx));
-        });
-    if (at_floor)
-        return floor;
+    // after which this recompute runs again. Held ranks: the holding
+    // scheme's horizon polls densely while it drains the rank toward a
+    // REF, so their ACTs drop out.
+    for (std::size_t w = 0; w < refreshOpen.wordCount(); ++w) {
+        const CommandWords m = wakeWords(w);
+        if (consider(writeMode ? model.earliest(w, {m.act, m.pre, 0, m.wr})
+                               : model.earliest(w, {m.act, m.pre, m.rd, 0})))
+            return floor;
+    }
 
     // Completions must reach the LLC at exactly their arrival cycle.
     for (const Completion &c : completions_) {
@@ -641,29 +801,20 @@ MemoryController::issueColumnIfReady(bool is_read, Cycle now)
     // command may issue now offers its oldest hit, and the least seq of
     // those is served.
     std::vector<BankQueue> &queues = is_read ? readQ : writeQ;
-    std::size_t bank_idx = 0;
-    BankQueue::iterator oldest;
-    bool any = false;
-    (is_read ? readHit : writeHit).anyOf([&](std::size_t idx) {
-        BankQueue &q = queues[idx];
-        if ((any && oldest->seq < q.front().seq) || refreshOpen.test(idx) ||
-            (is_read ? model.earliestRd(idx) : model.earliestWr(idx)) > now) {
-            return false;
-        }
-        const RowId open = model.openRow(idx);
-        auto it = std::find_if(q.begin(), q.end(), [open](const Queued &e) {
-            return e.req.da.row == open;
-        });
-        hira_assert(it != q.end());
-        if (!any || it->seq < oldest->seq) {
-            bank_idx = idx;
-            oldest = it;
-            any = true;
-        }
+    const std::vector<std::uint64_t> &hit_seq =
+        is_read ? readHitSeq : writeHitSeq;
+    const std::size_t bank_idx = oldestBank(
+        [&](std::size_t w) { return columnReadyWord(is_read, now, w); },
+        [&](std::size_t i) { return hit_seq[i]; });
+    if (bank_idx == kNoBank)
         return false;
-    });
-    if (!any)
-        return false;
+    // The queue is in arrival order, so its oldest hit is found by seq.
+    BankQueue &q = queues[bank_idx];
+    const std::uint64_t seq = hit_seq[bank_idx];
+    const BankQueue::iterator oldest = std::lower_bound(
+        q.begin(), q.end(), seq,
+        [](const Queued &e, std::uint64_t s) { return e.seq < s; });
+    hira_assert(oldest != q.end() && oldest->seq == seq);
     const Request &req = oldest->req;
     if (is_read) {
         Cycle done = model.issueRd(bank_idx, now);
@@ -678,7 +829,7 @@ MemoryController::issueColumnIfReady(bool is_read, Cycle now)
         ++stats_.writesServed;
         --nWrites;
     }
-    queues[bank_idx].erase(oldest);
+    q.erase(oldest);
     syncBankBits(bank_idx);
     markIssued();
     count(mRowHits);

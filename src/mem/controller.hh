@@ -15,6 +15,16 @@
  * banks' oldest candidates by arrival number instead of walking one
  * queue; the 64-entry caps apply to the totals.
  *
+ * Scheduling runs on bank masks (BankBits words): per-bank bits say
+ * which banks have queued requests, queued row hits, open refresh rows,
+ * preventive victims and held ranks, and ChannelTimingModel::readyMask
+ * says which banks' ACT / PRE / RD / WR may issue now. Each pick ANDs
+ * these into the banks that can issue and compares only those banks'
+ * oldest arrival numbers; the wake bound reduces three such masks (the
+ * banks waiting for a PRE, an ACT and a column command) with
+ * ChannelTimingModel::earliest. No pick or wake walks the banks one by
+ * one through per-bank branches.
+ *
  * The HiRA operation is issued atomically: the controller reserves the
  * two future command-bus slots for the inner PRE and second ACT, applies
  * the timing effects through ChannelTimingModel::issueHira, and logs all
@@ -32,7 +42,7 @@
 #include "common/metrics.hh"
 #include "dram/timing_checker.hh"
 #include "dram/timing_state.hh"
-#include "mem/bank_bits.hh"
+#include "dram/bank_bits.hh"
 #include "mem/para.hh"
 #include "mem/refresh.hh"
 #include "mem/request.hh"
@@ -133,9 +143,10 @@ class MemoryController
      * tick() is provably a no-op, so the event engine
      * (src/sim/system.cc) skips it without diverging from per-cycle
      * polling. The bound is cached: tick() invalidates it, the next
-     * call recomputes it from the per-bank timing-state horizons,
-     * queue occupancy, pending completions, and the refresh scheme's
-     * own nextEventCycle(), and enqueue() lowers a valid cache so newly
+     * call recomputes it from the least earliest-command cycle of three
+     * bank masks (banks waiting for a PRE, an ACT or a column command),
+     * pending completions, and the refresh scheme's own
+     * nextEventCycle(), and enqueue() lowers a valid cache so newly
      * arriving work is polled at the same cycle the dense loop would
      * have seen it. The event engine keeps no copy: its skip decision
      * and its per-channel tick test both read this cache. HiRA bus-slot
@@ -239,7 +250,10 @@ class MemoryController
      * must drain to all-banks-precharged before a REF can issue).
      */
     void setRankHold(int rank, bool hold);
-    bool rankHeld(int rank) const;
+    bool rankHeld(int rank) const
+    {
+        return heldBanks.test(model.bankIndex(rank, 0));
+    }
 
     /** Pending preventive refreshes on the bank (immediate PARA). */
     std::size_t pendingPreventive(std::size_t idx) const
@@ -248,15 +262,23 @@ class MemoryController
     }
 
     /**
-     * Test-only O(queue) audit of the per-bank request queues: every
-     * request sits in its own bank's queue of its class, in arrival
-     * order; the totals match the queues; and the four bit words agree
-     * with a recount of the queues against the open rows. Returns ""
-     * when they do, else a description of the first mismatching bank.
+     * Test-only O(queue) audit of the per-bank request queues and the
+     * bank masks: every request sits in its own bank's queue of its
+     * class, in arrival order; the totals match the queues; the four
+     * bit words and the oldest-hit arrival numbers agree with a recount
+     * of the queues against the open rows; the open and held masks
+     * agree with the open rows and the rank holds. Then, at the next
+     * tick's cycle, every ready mask, every pick mask and the three wake
+     * masks and their earliest reductions agree with the scalar
+     * earliest-command queries bank by bank. Returns "" when they do,
+     * else a description of the first mismatch.
      */
     std::string countIndexAudit() const;
 
   private:
+    /** oldestBank's result when no bank qualifies. */
+    static constexpr std::size_t kNoBank = ~std::size_t(0);
+
     /** A queued request and its channel-wide arrival number. */
     struct Queued
     {
@@ -266,8 +288,58 @@ class MemoryController
     /** One bank's requests of one class, oldest first. */
     using BankQueue = std::vector<Queued>;
 
-    /** Rebuild the bank's four bits from its two queues and open row. */
+    /**
+     * Rebuild the bank's four bits and two oldest-hit arrival numbers
+     * from its two queues and open row.
+     */
     void syncBankBits(std::size_t idx);
+
+    // Bank-mask words (word w: banks 64w .. 64w + 63).
+
+    /** readHit, plus writeHit in write-drain mode (bankHasOpenRowHit). */
+    std::uint64_t honouredHitWord(std::size_t w) const;
+    /** The banks whose oldest hit of the class may take its RD / WR. */
+    std::uint64_t columnReadyWord(bool is_read, Cycle now,
+                                  std::size_t w) const;
+    /**
+     * The banks whose oldest request of the class may take its row
+     * command: an unblocked closed bank of an unheld rank whose ACT may
+     * issue, or an unblocked open bank without an honoured hit whose
+     * conflict PRE may issue.
+     */
+    std::uint64_t rowReadyWord(bool is_read, Cycle now, std::size_t w) const;
+    /** The open refresh rows whose auto-PRE may issue. */
+    std::uint64_t autoPreWord(Cycle now, std::size_t w) const;
+    /**
+     * The wake bound's banks, by the command each waits for: a PRE, an
+     * ACT, or the active class's RD / WR.
+     */
+    CommandWords wakeWords(std::size_t w) const;
+    /** countIndexAudit's mask half, at cycle @p now. */
+    std::string maskAudit(Cycle now) const;
+
+    /**
+     * The bank with the least @p key(idx) among the set bits of the
+     * words @p mask(w), or kNoBank. Keys are arrival numbers, so no two
+     * banks tie.
+     */
+    template <typename MaskFn, typename KeyFn>
+    std::size_t
+    oldestBank(MaskFn &&mask, KeyFn &&key) const
+    {
+        std::size_t best = kNoBank;
+        std::uint64_t best_key = ~std::uint64_t(0);
+        for (std::size_t w = 0; w < refreshOpen.wordCount(); ++w) {
+            for (std::uint64_t m = mask(w); m != 0; m &= m - 1) {
+                const std::size_t idx =
+                    w * 64 + static_cast<std::size_t>(__builtin_ctzll(m));
+                const std::uint64_t k = key(idx);
+                best = k < best_key ? idx : best;
+                best_key = k < best_key ? k : best_key;
+            }
+        }
+        return best;
+    }
 
     /** Record a command on the bank (REF: the rank's first bank). */
     void record(CommandType type, Cycle cycle, std::size_t idx, RowId row,
@@ -331,8 +403,10 @@ class MemoryController
     std::uint64_t nextSeq = 0;
     std::vector<Completion> completions_;
     std::vector<Cycle> reservedSlots; //!< future HiRA PRE/ACT bus slots
+    bool slotReservedNow = false; //!< the tick's own slot is reserved
 
-    std::vector<bool> rankHold;
+    // The banks of held ranks (setRankHold sets a whole rank).
+    BankBits heldBanks;
     // Immediate-PARA victims per bank (bankIndex order), and the banks
     // whose deque is non-empty: set by onRowActivation's push, cleared
     // by preventiveTick's pop of the last victim.
@@ -353,13 +427,15 @@ class MemoryController
     mutable Cycle nextWake = 0;
     mutable bool nextWakeValid = false;
     // Per-bank bits derived from the bank's queues: a request of the
-    // class is queued, and one of them hits the bank's open row.
-    // enqueue sets them, tryPre clears the hit bits, and syncBankBits
-    // rebuilds a bank's four after an ACT or a column issue. The wake
-    // scan and the FR-FCFS scans visit only the set bits of the active
-    // class (hit bits for column commands, queued bits for row
-    // commands), so they run over banks, not queue entries.
+    // class is queued, and one of them hits the bank's open row; with
+    // the arrival number of the oldest such hit (kNoSeq when none).
+    // enqueue sets them, tryPre clears the hit bits and numbers, and
+    // syncBankBits rebuilds a bank's after an ACT or a column issue.
+    // The wake bound and the FR-FCFS picks combine them into bank masks
+    // (hit bits for column commands, queued bits for row commands), so
+    // they run over banks, not queue entries.
     BankBits readQueued, writeQueued, readHit, writeHit;
+    std::vector<std::uint64_t> readHitSeq, writeHitSeq;
 
     ControllerStats stats_;
     CommandTraceRecorder recorder;

@@ -19,7 +19,7 @@
 #include <deque>
 #include <vector>
 
-#include "mem/bank_bits.hh"
+#include "dram/bank_bits.hh"
 #include "mem/refresh.hh"
 
 namespace hira {

@@ -75,6 +75,9 @@ class Llc
     /** True while the outbound miss/writeback queue holds requests. */
     bool outboundPending() const { return !outbound.empty(); }
 
+    /** CPU cycles from a hit to its data (LlcConfig::hitLatencyCpu). */
+    Cycle hitLatency() const { return static_cast<Cycle>(cfg.hitLatencyCpu); }
+
     /** Head of the outbound queue (outboundPending() must hold). */
     const Request &outboundHead() const { return outbound.front(); }
 

@@ -122,7 +122,7 @@ CoreModel::tick(Cycle mem_now)
             shared = false;
             ++occupancy;
             if (res == LlcResult::Hit) {
-                Cycle ready = cpuCycle + 30; // LLC hit latency
+                Cycle ready = cpuCycle + llc.hitLatency();
                 pushEntry(1, true, ready);
                 if (ready > maxReadyAt)
                     maxReadyAt = ready;

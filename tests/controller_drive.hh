@@ -78,11 +78,11 @@ ddr4OneRank()
 }
 
 inline GeomSpec
-ddr5TwoRanks()
+ddr5Ranks(int ranks)
 {
     GeomSpec g;
     g.capacityGb = 16.0;
-    g.ranks = 2;
+    g.ranks = ranks;
     g.standard = "ddr5_4800";
     return g;
 }
@@ -92,7 +92,9 @@ ddr5TwoRanks()
  * PreventiveRC, HiRA-2 alone (periodic refresh only), RFM, PRAC and
  * Graphene-TRR, each on DDR4 8 Gb with one
  * rank and on DDR5-4800 with two ranks, plus HiRA-2 alone on DDR4 with
- * x16 activation timing. Thresholds are low (NRH 64, PRAC 32) so every
+ * x16 activation timing, and Baseline and HiRA-2 alone on DDR5-4800
+ * with four ranks: 128 banks, so the controller's per-bank bit words
+ * span two 64-bit words. Thresholds are low (NRH 64, PRAC 32) so every
  * preventive path fires within a short run.
  */
 inline std::vector<DriveCase>
@@ -119,21 +121,27 @@ driveCases()
     add(SchemeKind::Prac).pracThreshold = 32;
     add(SchemeKind::Graphene);
 
+    const SchemeSpec baseline = schemes[1];
+
     std::vector<DriveCase> cases;
-    for (const GeomSpec &g : {ddr4OneRank(), ddr5TwoRanks()}) {
-        for (const SchemeSpec &s : schemes) {
-            std::string name = s.label() + "_" + g.standard + "_r" +
-                               std::to_string(g.ranks);
-            for (char &c : name) {
-                if (!std::isalnum(static_cast<unsigned char>(c)))
-                    c = '_';
-            }
-            cases.push_back({name, s, g});
+    auto push = [&cases](const SchemeSpec &s, const GeomSpec &g) {
+        std::string name = s.label() + "_" + g.standard + "_r" +
+                           std::to_string(g.ranks);
+        for (char &c : name) {
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
         }
+        cases.push_back({name, s, g});
+    };
+    for (const GeomSpec &g : {ddr4OneRank(), ddr5Ranks(2)}) {
+        for (const SchemeSpec &s : schemes)
+            push(s, g);
     }
     DriveCase x16{"HiRA_2_ddr4_2400_r1_x16", hira_alone, ddr4OneRank()};
     x16.x16 = true;
     cases.push_back(x16);
+    push(baseline, ddr5Ranks(4));
+    push(hira_alone, ddr5Ranks(4));
     return cases;
 }
 

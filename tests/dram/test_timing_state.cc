@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for ChannelTimingModel: each DDR4 constraint in isolation, the
- * HiRA sequence semantics, tFAW with HiRA's double activation, and the
- * REF blocking window.
+ * HiRA sequence semantics, tFAW with HiRA's double activation (and a
+ * controller that must not start a HiRA op the two-slot tFAW bound
+ * forbids), and the REF blocking window.
  */
 
 #include <gtest/gtest.h>
 
 #include "dram/timing_state.hh"
+#include "mem/controller.hh"
 
 using namespace hira;
 
@@ -19,6 +21,37 @@ struct Fixture
     TimingParams tp = ddr4_2400(8.0);
     ChannelTimingModel model{geom, tp};
     const TimingCycles &tc = model.cycles();
+};
+
+/**
+ * DDR4-2400 with x16-page activation timing (tRRD_S 5.3 ns, tRRD_L
+ * 6.4 ns, tFAW 30 ns): t1 + t2 (8 cycles) is shorter than tFAW - 3 tRRD_S
+ * (36 - 21 cycles), so after three ACTs at tRRD_S spacing the fourth
+ * tFAW slot is free for a plain ACT but not for both ACTs of a HiRA op.
+ * The standard's x8 values never open that window.
+ */
+TimingParams
+shortSpanTiming()
+{
+    TimingParams tp = ddr4_2400(8.0);
+    tp.tRRD_S = 5.3;
+    tp.tRRD_L = 6.4;
+    tp.tFAW = 30.0;
+    return tp;
+}
+
+/** Offers a refresh to hide under every demand ACT to bank 12 only. */
+class HideUnderBank12 final : public RefreshScheme
+{
+  public:
+    void tick(Cycle) override {}
+    Cycle nextEventCycle(Cycle) const override { return kNeverCycle; }
+
+    RowId
+    takeHiddenRefresh(std::size_t bank, RowId, Cycle) override
+    {
+        return bank == 12 ? 7 : kNoRow;
+    }
 };
 
 } // namespace
@@ -230,4 +263,61 @@ TEST(TimingState, EarliestRdAccountsForDataBusRankSwitch)
     Cycle rd1 = model.earliestRd(model.bankIndex(1, 0));
     // Rank switch: burst must start tRTRS after the previous burst ends.
     EXPECT_GE(rd1 + tc.cl, rd0 + tc.cl + tc.bl + tc.rtrs);
+}
+
+TEST(TimingState, HiraTwoSlotFawBoundBindsWhenSpanIsShort)
+{
+    ChannelTimingModel model(Geometry::forCapacityGb(8.0),
+                             shortSpanTiming());
+    const TimingCycles &tc = model.cycles();
+    ASSERT_LT(tc.hiraSpan() + 3 * tc.rrdS, tc.faw);
+    // Three ACTs, one per bank group, each as early as it may go.
+    Cycle t = 0;
+    for (BankId b : {BankId(0), BankId(4), BankId(8)}) {
+        t = std::max(t, model.earliestAct(b));
+        model.issueAct(b, 1, t);
+    }
+    // Bank 12 (the fourth group): a plain ACT waits for tRRD_S alone; a
+    // HiRA op's second ACT needs the tFAW slot of the ACT at cycle 0.
+    EXPECT_EQ(model.earliestAct(12), t + tc.rrdS);
+    EXPECT_EQ(model.earliestHira(12), tc.faw - tc.hiraSpan());
+    EXPECT_GT(model.earliestHira(12), model.earliestAct(12));
+}
+
+TEST(TimingState, ControllerIssuesPlainActWhereHiraDoesNotFit)
+{
+    ControllerConfig cc;
+    cc.geom = Geometry::forCapacityGb(8.0);
+    cc.tp = shortSpanTiming();
+    cc.recordTrace = true;
+    MemoryController ctrl(0, cc, std::make_unique<HideUnderBank12>());
+    const TimingCycles &tc = ctrl.tc();
+    // One read to each bank group; only bank 12's ACT is offered a
+    // refresh to hide.
+    for (BankId b : {BankId(0), BankId(4), BankId(8), BankId(12)}) {
+        Request r;
+        r.da.bank = b;
+        r.da.row = 100 + b;
+        r.addr = static_cast<Addr>(b) << 13;
+        r.tag = b;
+        ASSERT_TRUE(ctrl.enqueue(r));
+    }
+    for (Cycle now = 0; now < 200; ++now) {
+        ctrl.tick(now);
+        ctrl.completions().clear();
+    }
+    std::vector<Command> acts;
+    for (const Command &c : ctrl.trace()) {
+        if (c.type == CommandType::ACT)
+            acts.push_back(c);
+    }
+    ASSERT_EQ(acts.size(), 4u);
+    ASSERT_EQ(acts[0].bank, 0u);
+    ASSERT_EQ(acts[3].bank, 12u);
+    // Bank 12's ACT lands where a plain ACT may go but a HiRA op may
+    // not, so it issues plain even though a refresh was on offer.
+    EXPECT_LT(acts[3].cycle, acts[0].cycle + tc.faw - tc.hiraSpan());
+    EXPECT_EQ(acts[3].hiraRole, HiraRole::None);
+    EXPECT_EQ(ctrl.stats().hiraOps, 0u);
+    EXPECT_EQ(ctrl.stats().readsServed, 4u);
 }

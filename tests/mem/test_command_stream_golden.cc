@@ -25,6 +25,10 @@
  * banks that cannot take an ACT and before the RefPtr pick was indexed.
  * Only the x16 drive reaches a cycle where a plain refresh ACT may
  * issue but a HiRA pair may not.
+ *
+ * The four-rank DDR5 cases (128 banks, two bit words per bank mask)
+ * were recorded before the scheduler's picks and wake bound became
+ * bank-mask algebra.
  */
 
 #include <gtest/gtest.h>
@@ -88,6 +92,8 @@ goldenDigests()
         {"PRAC_ddr5_4800_r2", 0xd673e82ba5fe1d29ull},
         {"Graphene_TRR_ddr5_4800_r2", 0x432f84091828f1fbull},
         {"HiRA_2_ddr4_2400_r1_x16", 0x9530b1805c7079b7ull},
+        {"Baseline_ddr5_4800_r4", 0x7b53b9391e32bc61ull},
+        {"HiRA_2_ddr5_4800_r4", 0x656c6ac6b7e3cedaull},
     };
     return digests;
 }
@@ -113,6 +119,8 @@ goldenWakeDigests()
         {"PRAC_ddr5_4800_r2", 0xfc5563c8917d2974ull},
         {"Graphene_TRR_ddr5_4800_r2", 0x7e21bf73ffb45c78ull},
         {"HiRA_2_ddr4_2400_r1_x16", 0xcdc667a58c7aa7f3ull},
+        {"Baseline_ddr5_4800_r4", 0x61c55991cbd3c2feull},
+        {"HiRA_2_ddr5_4800_r4", 0xb922f622c91c18a5ull},
     };
     return digests;
 }

@@ -579,6 +579,37 @@ struct OneLoad
     CoreModel core;
 };
 
+TEST(CoreModel, HitLatencyComesFromTheLlcConfig)
+{
+    // CPU cycle at which a core retires one load that hits the LLC.
+    auto retire_at = [](int hit_latency) {
+        LlcConfig cfg;
+        cfg.hitLatencyCpu = hit_latency;
+        std::vector<std::uint64_t> fills;
+        Llc llc(
+            cfg,
+            [&fills](const Request &r) {
+                fills.push_back(r.tag);
+                return true;
+            },
+            [](int, std::uint64_t, Cycle) {});
+        // Install the line through core 1, which has no model, so the
+        // core's load of it hits.
+        EXPECT_EQ(llc.access(false, 0, 1, 0, 0), LlcResult::Miss);
+        EXPECT_EQ(fills.size(), 1u);
+        llc.onMemCompletion(fills[0], 0);
+        ScriptSource src({TraceRecord{0, TraceInst{true, false, 0}}}, false);
+        CoreModel core(0, src, llc, 4, 8);
+        while (core.retiredInstructions() == 0)
+            core.tick(0);
+        EXPECT_EQ(llc.hits, 1u);
+        return core.cpuCycles();
+    };
+    const Cycle at30 = retire_at(30);
+    EXPECT_GT(at30, 30u);
+    EXPECT_EQ(retire_at(60), at30 + 30);
+}
+
 TEST(CoreModelDeathTest, ReturnForNoWaitingLoadIsFatal)
 {
     OneLoad w;
