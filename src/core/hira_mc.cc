@@ -7,6 +7,13 @@
 
 namespace hira {
 
+namespace {
+
+/** Case-2 urgency margin in units of tRC (paper: 1). */
+constexpr Cycle kDeadlineMarginRc = 1;
+
+} // namespace
+
 HiraMc::HiraMc(const HiraMcConfig &config)
     : cfg(config), sampler(config.preventive)
 {
@@ -23,7 +30,7 @@ HiraMc::attach(MemoryController *controller, const MetricScope &scope)
     spt_ = std::make_unique<SubarrayPairsTable>(geom, cfg.sptIsolation,
                                                 cfg.seed);
     slackCycles = static_cast<Cycle>(cfg.slackN) * tcy.rc;
-    marginCycles = static_cast<Cycle>(cfg.deadlineMarginRc) * tcy.rc;
+    marginCycles = kDeadlineMarginRc * tcy.rc;
     // tREFW = 8192 tREFI intervals (64 ms for DDR4).
     windowCycles = tcy.refi * 8192;
     nextWindowReset = windowCycles;

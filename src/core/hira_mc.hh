@@ -68,8 +68,6 @@ struct HiraMcConfig
      * for periodic refreshes. Disable for the pairing ablation.
      */
     bool enablePullAhead = true;
-    /** Case-2 urgency margin in units of tRC (paper: 1). */
-    int deadlineMarginRc = 1;
 };
 
 /** The HiRA-MC refresh scheme for one memory controller (channel). */

@@ -47,7 +47,6 @@ ChannelTimingModel::ChannelTimingModel(const Geometry &g,
     ready.assign(4 * nbanks, 0);
     openBits.resize(nbanks);
     ranks.resize(nranks);
-    terms.resize(nranks);
     actReadyL.assign(ngroups, 0);
     rdReadyL.assign(ngroups, 0);
     wrReadyL.assign(ngroups, 0);
@@ -62,9 +61,8 @@ ChannelTimingModel::ChannelTimingModel(const Geometry &g,
                                          geom.bankGroupOf(b)));
         }
     }
+    // A fresh rank, its groups and an idle bus bound nothing.
     groupBound.assign(4 * ngroups, 0);
-    for (int rank = 0; rank < geom.ranksPerChannel; ++rank)
-        refreshTerms(rank);
 }
 
 Cycle
@@ -89,43 +87,33 @@ ChannelTimingModel::fawConstraint(const RankState &r, int slots_needed) const
 }
 
 void
-ChannelTimingModel::refreshTerms(int rank)
-{
-    const RankState &r = ranks[static_cast<std::size_t>(rank)];
-    RankTerms &t = terms[static_cast<std::size_t>(rank)];
-    t.act = std::max({r.actReadyS, r.refBlockUntil, fawConstraint(r, 1)});
-    t.faw2 = fawConstraint(r, 2);
-    t.rd = std::max(r.rdReadyS, r.refBlockUntil);
-    t.wr = std::max(r.wrReadyS, r.refBlockUntil);
-    t.refBlock = r.refBlockUntil;
-    refreshBounds(rank, false);
-}
-
-void
 ChannelTimingModel::refreshBounds(int rank, bool bus_moved)
 {
     const std::size_t groups = static_cast<std::size_t>(geom.bankGroups);
     const int lo = bus_moved ? 0 : rank;
     const int hi = bus_moved ? geom.ranksPerChannel : rank + 1;
     for (int r = lo; r < hi; ++r) {
-        const RankTerms &t = terms[static_cast<std::size_t>(r)];
-        // The data bus as a bound on a column command: bus_free > c +
-        // lead ? bus_free - lead : c is max(c, bus_free - lead), clamped
-        // at 0.
+        const RankState &s = ranks[static_cast<std::size_t>(r)];
+        // The data bus as a bound on a column command: its burst starts
+        // lead (CL / CWL) cycles after it, so it may issue at bus_free -
+        // lead, clamped at 0.
         const Cycle bus_free = busFreeFor(r);
-        const Cycle bus_rd = bus_free > tc.cl ? bus_free - tc.cl : 0;
-        const Cycle bus_wr = bus_free > tc.cwl ? bus_free - tc.cwl : 0;
+        const Cycle rd = std::max({s.rdReadyS, s.refBlockUntil,
+                                   bus_free > tc.cl ? bus_free - tc.cl : 0});
+        const Cycle wr = std::max({s.wrReadyS, s.refBlockUntil,
+                                   bus_free > tc.cwl ? bus_free - tc.cwl : 0});
+        const Cycle act =
+            r == rank ? std::max({s.actReadyS, s.refBlockUntil,
+                                  fawConstraint(s, 1)})
+                      : 0;
         const std::size_t first = static_cast<std::size_t>(r) * groups;
         for (std::size_t g = first; g < first + groups; ++g) {
             if (r == rank) {
-                groupBound[kAct * ngroups + g] =
-                    std::max(t.act, actReadyL[g]);
-                groupBound[kPre * ngroups + g] = t.refBlock;
+                groupBound[kAct * ngroups + g] = std::max(act, actReadyL[g]);
+                groupBound[kPre * ngroups + g] = s.refBlockUntil;
             }
-            groupBound[kRd * ngroups + g] =
-                std::max({t.rd, rdReadyL[g], bus_rd});
-            groupBound[kWr * ngroups + g] =
-                std::max({t.wr, wrReadyL[g], bus_wr});
+            groupBound[kRd * ngroups + g] = std::max(rd, rdReadyL[g]);
+            groupBound[kWr * ngroups + g] = std::max(wr, wrReadyL[g]);
         }
     }
 }
@@ -140,7 +128,7 @@ ChannelTimingModel::recordAct(std::size_t idx, Cycle now)
     actReadyL[group] = std::max(actReadyL[group], now + tc.rrdL);
     r.fawRing[static_cast<std::size_t>(r.fawIdx)] = now;
     r.fawIdx = r.fawIdx == 3 ? 0 : r.fawIdx + 1;
-    refreshTerms(rank);
+    refreshBounds(rank, false);
 }
 
 Cycle
@@ -155,6 +143,13 @@ ChannelTimingModel::earliestRef(int rank) const
         t = std::max(t, readyOf(kAct, idx)); // tRP after the last PRE
     }
     return t;
+}
+
+Cycle
+ChannelTimingModel::earliestHira(std::size_t idx) const
+{
+    const RankState &r = ranks[static_cast<std::size_t>(bankRank[idx])];
+    return std::max(earliestAct(idx), fawConstraint(r, 2));
 }
 
 void
@@ -199,7 +194,6 @@ ChannelTimingModel::issueRd(std::size_t idx, Cycle now)
     dataBusFree = rd_end;
     dataBusLastRank = rank;
     dataBusBusy += tc.bl;
-    refreshTerms(rank);
     refreshBounds(rank, true);
     return rd_end;
 }
@@ -224,7 +218,6 @@ ChannelTimingModel::issueWr(std::size_t idx, Cycle now)
     dataBusFree = wr_end;
     dataBusLastRank = rank;
     dataBusBusy += tc.bl;
-    refreshTerms(rank);
     refreshBounds(rank, true);
     return wr_end;
 }
@@ -235,7 +228,7 @@ ChannelTimingModel::issueRef(int rank, Cycle now)
     RankState &r = ranks[static_cast<std::size_t>(rank)];
     hira_assert(now >= earliestRef(rank));
     r.refBlockUntil = now + tc.rfc;
-    refreshTerms(rank);
+    refreshBounds(rank, false);
     const std::size_t first = bankIndex(rank, 0);
     const std::size_t end = first + geom.banksPerRank();
     for (std::size_t idx = first; idx < end; ++idx)

@@ -62,21 +62,6 @@ struct RankState
 };
 
 /**
- * The rank-common part of every earliest-command query, derived from
- * one RankState. Each mutation refreshes the terms of the rank it
- * touched (O(1)), so a query is a few max operations over the bank's
- * own state, these terms and its group's tRRD_L / tCCD_L entry.
- */
-struct RankTerms
-{
-    Cycle act = 0;      //!< max(tRRD_S, refBlockUntil, tFAW one slot)
-    Cycle faw2 = 0;     //!< tFAW bound of a two-ACT HiRA sequence
-    Cycle rd = 0;       //!< max(rdReadyS, refBlockUntil)
-    Cycle wr = 0;       //!< max(wrReadyS, refBlockUntil)
-    Cycle refBlock = 0; //!< refBlockUntil
-};
-
-/**
  * max and min that compile to no branch: the bank-mask queries apply
  * them to bank state no branch predictor can guess.
  */
@@ -123,15 +108,19 @@ class ChannelTimingModel
     // --- queries -----------------------------------------------------
     //
     // Every per-bank query and command takes the bank's flat index.
-    // Each earliest-command query is computed when it is asked: the
-    // bank's own ready cycle, its rank's RankTerms and its bank group's
-    // tRRD_L / tCCD_L entry, found through tables the constructor
-    // builds (no division), plus the shared data-bus term for column
-    // commands. The only derived state, RankTerms and the bank-mask
-    // queries' groupBound, is re-derived by each mutation for what it
-    // touched: the rank's terms and its groups' bounds, and for a
-    // column command also every group's RD / WR bound (the data bus is
-    // shared), so an issued command costs O(groups) bookkeeping.
+    // Each earliest-command query, scalar or bank-mask, is one max: the
+    // bank's own ready cycle for the kind and its (rank, bank group)'s
+    // bound for the kind, groupBound, found through a table the
+    // constructor builds (no division). groupBound folds the rank terms
+    // (tRRD_S, tFAW, tCCD_S, tWTR_S, the tRFC window), the group's
+    // tRRD_L / tCCD_L / tWTR_L and, for RD / WR, the shared data bus;
+    // it is the model's only derived state. Each mutation re-derives it
+    // for what it touched: the rank's groups, and for a column command
+    // every group's RD / WR bound (the data bus is shared), so an
+    // issued command costs O(groups) bookkeeping. The bound table is
+    // pinned by dram_test_timing_property's digests, by the
+    // TimingChecker audits of the controller's command streams and by
+    // the command-stream goldens.
 
     /** Flat bank index of (rank, bank): rank * banksPerRank + bank. */
     std::size_t bankIndex(int rank, BankId bank) const
@@ -151,50 +140,24 @@ class ChannelTimingModel
     // Inline: the scheduler's queue walks read the open row once per
     // visited request, so this is the most-called query in the model.
     RowId openRow(std::size_t idx) const { return openRows[idx]; }
-    bool bankClosed(std::size_t idx) const { return openRow(idx) == kNoRow; }
     /** The banks with an open row. */
     const BankBits &openBanks() const { return openBits; }
 
     /** Earliest cycle an ACT to the bank may issue. */
-    Cycle earliestAct(std::size_t idx) const
-    {
-        return std::max(std::max(readyOf(kAct, idx), termsOf(idx).act),
-                        actReadyL[bankGroup[idx]]);
-    }
+    Cycle earliestAct(std::size_t idx) const { return earliestOf(kAct, idx); }
     /** Earliest cycle a PRE to the bank may issue. */
-    Cycle earliestPre(std::size_t idx) const
-    {
-        return std::max(readyOf(kPre, idx), termsOf(idx).refBlock);
-    }
+    Cycle earliestPre(std::size_t idx) const { return earliestOf(kPre, idx); }
     /** Earliest RD issue cycle (bank must be open; data bus checked). */
-    Cycle earliestRd(std::size_t idx) const
-    {
-        Cycle rd = std::max(std::max(readyOf(kRd, idx), termsOf(idx).rd),
-                            rdReadyL[bankGroup[idx]]);
-        // Data bus: burst starts at rd + CL.
-        Cycle bus_free = busFreeFor(bankRank[idx]);
-        return bus_free > rd + tc.cl ? bus_free - tc.cl : rd;
-    }
-    /** Earliest WR issue cycle. */
-    Cycle earliestWr(std::size_t idx) const
-    {
-        Cycle wr = std::max(std::max(readyOf(kWr, idx), termsOf(idx).wr),
-                            wrReadyL[bankGroup[idx]]);
-        Cycle bus_free = busFreeFor(bankRank[idx]);
-        return bus_free > wr + tc.cwl ? bus_free - tc.cwl : wr;
-    }
+    Cycle earliestRd(std::size_t idx) const { return earliestOf(kRd, idx); }
+    /** Earliest WR issue cycle (bank must be open; data bus checked). */
+    Cycle earliestWr(std::size_t idx) const { return earliestOf(kWr, idx); }
 
     // --- bank-mask queries -------------------------------------------
     //
     // The scheduler's view of the same four queries: a whole word of
     // BankBits masks at once (word @p w holds banks 64w .. 64w + 63),
-    // one candidate mask per command kind (CommandWords). The rank,
-    // (rank, group) tRRD_L / tCCD_L and, for RD / WR, data-bus terms of
-    // a kind are folded into one bound per (rank, group), groupBound,
-    // which each mutation re-derives for the groups it touched, as it
-    // does RankTerms; the scalar queries above compute the same terms
-    // from scratch and are the reference the controller's audit checks
-    // the masks against.
+    // one candidate mask per command kind (CommandWords), each bank
+    // answered by the same expression as the scalar query of its kind.
 
     /**
      * The banks of word @p w that may issue, at @p now, the command they
@@ -218,12 +181,10 @@ class ChannelTimingModel
     /**
      * Earliest first-ACT cycle of a HiRA sequence on the bank: the
      * nominal ACT constraints plus room for the second ACT in the tFAW
-     * window.
+     * window (computed when asked; it binds only when t1 + t2 <
+     * tFAW - 3 tRRD_S, which neither shipped standard reaches).
      */
-    Cycle earliestHira(std::size_t idx) const
-    {
-        return std::max(earliestAct(idx), termsOf(idx).faw2);
-    }
+    Cycle earliestHira(std::size_t idx) const;
 
     /**
      * Earliest cycle the bank's next row command could legally issue:
@@ -273,6 +234,15 @@ class ChannelTimingModel
     {
         return ready[k * nbanks + idx];
     }
+    /**
+     * earliest<k>(idx): max(the bank's kind-@p k ready cycle, its
+     * (rank, group)'s kind-@p k bound), without branches.
+     */
+    Cycle earliestOf(std::size_t k, std::size_t idx) const
+    {
+        return maxNoBranch(ready[k * nbanks + idx],
+                           groupBound[k * ngroups + bankGroup[idx]]);
+    }
     /** Raise the bank's @p k ready cycle to at least @p c. */
     void
     raise(Kind k, std::size_t idx, Cycle c)
@@ -291,10 +261,6 @@ class ChannelTimingModel
                3 * ((cand.wr >> b) & 1);
     }
 
-    const RankTerms &termsOf(std::size_t idx) const
-    {
-        return terms[static_cast<std::size_t>(bankRank[idx])];
-    }
     /**
      * First cycle the shared data bus is free for a burst from
      * @p rank: tRTRS is added on a rank switch.
@@ -308,31 +274,25 @@ class ChannelTimingModel
 
     /**
      * earliest<k>(idx) of the bank at bit @p b of word base / 64, k being
-     * the kind @p cand asks it about: max(bank-local, group bound).
+     * the kind @p cand asks it about.
      */
     Cycle
     candidateEarliest(const CommandWords &cand, std::size_t base,
                       int b) const
     {
-        const std::size_t idx = base + static_cast<std::size_t>(b);
-        const std::size_t k = kindOf(cand, b);
-        return maxNoBranch(ready[k * nbanks + idx],
-                           groupBound[k * ngroups + bankGroup[idx]]);
+        return earliestOf(kindOf(cand, b),
+                          base + static_cast<std::size_t>(b));
     }
     /**
-     * Re-derive groupBound of every kind for the groups of @p rank, and
-     * the RD / WR bounds of every group (the data-bus term is shared by
-     * all ranks) when @p bus_moved.
+     * Re-derive groupBound of every kind for the groups of @p rank from
+     * its RankState, group horizons and the data bus, after a mutation
+     * of them; and the RD / WR bounds of every group (the data-bus term
+     * is shared by all ranks) when @p bus_moved.
      */
     void refreshBounds(int rank, bool bus_moved);
 
     Cycle fawConstraint(const RankState &r, int slots_needed) const;
     void recordAct(std::size_t idx, Cycle now);
-    /**
-     * Re-derive terms[rank] and the rank's group bounds after a
-     * mutation of ranks[rank] or of one of its group horizons.
-     */
-    void refreshTerms(int rank);
 
     Geometry geom;
     TimingCycles tc;
@@ -345,7 +305,6 @@ class ChannelTimingModel
     std::vector<Cycle> ready;
     BankBits openBits;
     std::vector<RankState> ranks;
-    std::vector<RankTerms> terms; //!< per rank, derived from ranks
 
     // Per-(rank, bank group) tRRD_L / tCCD_L horizons, flat-indexed by
     // rank * bankGroups + group.

@@ -611,7 +611,8 @@ MemoryController::preventiveTick(Cycle now)
             victims.pop_front();
             if (victims.empty())
                 preventivePending.assign(idx, false);
-        } else if (!bankHasOpenRowHit(idx) && model.earliestPre(idx) <= now) {
+        } else if (!((honouredHitWord(idx / 64) >> (idx % 64)) & 1) &&
+                   model.earliestPre(idx) <= now) {
             // Close the bank so the preventive refresh can proceed; row
             // hits in flight drain first.
             tryPre(idx, now);
@@ -766,7 +767,7 @@ MemoryController::computeNextEvent(Cycle now) const
     // land on ticks the wake list covers (the hysteresis check above
     // plus enqueue's wake lowering), so the inactive class contributes
     // no horizon. The conflict-PRE mask replays issueRowCommand /
-    // preventiveTick's row-hit gate (bankHasOpenRowHit): a PRE dense
+    // preventiveTick's row-hit gate (honouredHitWord): a PRE dense
     // defers while the open row has queued hits is not considered,
     // because the hit bits only change at covered ticks (hit issues,
     // hit arrivals through enqueue, row transitions through commands),

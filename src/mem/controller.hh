@@ -268,10 +268,13 @@ class MemoryController
      * bit words and the oldest-hit arrival numbers agree with a recount
      * of the queues against the open rows; the open and held masks
      * agree with the open rows and the rank holds. Then, at the next
-     * tick's cycle, every ready mask, every pick mask and the three wake
-     * masks and their earliest reductions agree with the scalar
-     * earliest-command queries bank by bank. Returns "" when they do,
-     * else a description of the first mismatch.
+     * tick's cycle, bank by bank against the scalar earliest-command
+     * queries: each kind's ready mask, which reads the same per-bank
+     * timing bound as the scalars, so this checks readyMask's kind
+     * dispatch; and every pick mask and the three wake masks and their
+     * earliest reductions, which checks the controller's bit algebra
+     * against the per-bank rules it encodes. Returns "" when they
+     * agree, else a description of the first mismatch.
      */
     std::string countIndexAudit() const;
 
@@ -296,7 +299,14 @@ class MemoryController
 
     // Bank-mask words (word w: banks 64w .. 64w + 63).
 
-    /** readHit, plus writeHit in write-drain mode (bankHasOpenRowHit). */
+    /**
+     * The banks whose open row has a queued hit the scheduler still
+     * honours: readHit always, writeHit only in write-drain mode
+     * (mirroring which queues FR-FCFS serves). Gates conflict PREs in
+     * the row pick and preventive closes in preventiveTick, and the
+     * wake masks replay it so the event engine defers the same PREs
+     * dense would.
+     */
     std::uint64_t honouredHitWord(std::size_t w) const;
     /** The banks whose oldest hit of the class may take its RD / WR. */
     std::uint64_t columnReadyWord(bool is_read, Cycle now,
@@ -375,19 +385,6 @@ class MemoryController
      * hides a refresh under it (the case-1 hook).
      */
     void demandAct(std::size_t idx, RowId row, Cycle now);
-
-    /**
-     * True if the bank's open row has a queued hit the scheduler still
-     * honors: readQ hits always, writeQ hits only in write-drain mode
-     * (mirroring which queues FR-FCFS serves). Gates conflict PREs in
-     * issueRowCommand and preventive closes in preventiveTick, and the
-     * wake scan replays exactly this predicate so the event engine
-     * defers the same PREs dense would.
-     */
-    bool bankHasOpenRowHit(std::size_t idx) const
-    {
-        return readHit.test(idx) || (writeMode && writeHit.test(idx));
-    }
 
     int channel;
     ControllerConfig cfg;

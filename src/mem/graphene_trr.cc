@@ -9,7 +9,6 @@ GrapheneTrr::GrapheneTrr(const GrapheneConfig &config) : cfg(config)
 {
     hira_assert(cfg.trackerSize > 0);
     hira_assert(cfg.threshold > 0);
-    hira_assert(cfg.queueCap > 0);
 }
 
 void
@@ -22,7 +21,7 @@ GrapheneTrr::attach(MemoryController *controller, const MetricScope &scope)
     trackers.assign(nbanks, {});
     for (auto &t : trackers)
         t.reserve(static_cast<std::size_t>(cfg.trackerSize));
-    victims.reset(nbanks, cfg.queueCap);
+    victims.reset(nbanks);
     // tREFW = 8192 tREFI intervals (as in HiraMc's refptr window).
     windowCycles = tcy.refi * 8192;
     nextWindowReset = windowCycles;

@@ -32,8 +32,6 @@ struct GrapheneConfig
     int trackerSize = 16;
     /** Minimum tracked count before a TRR refresh targets the row. */
     int threshold = 128;
-    /** Victims queued per bank awaiting their refresh slot. */
-    int queueCap = 8;
 };
 
 /** The Graphene-TRR refresh scheme for one memory controller. */

@@ -8,7 +8,6 @@ namespace hira {
 RfmRefresh::RfmRefresh(const RfmConfig &config) : cfg(config)
 {
     hira_assert(cfg.raaimt > 0);
-    hira_assert(cfg.queueCap > 0);
 }
 
 void
@@ -18,7 +17,7 @@ RfmRefresh::attach(MemoryController *controller, const MetricScope &scope)
     const Geometry &geom = controller->geometry();
     std::size_t nbanks = static_cast<std::size_t>(geom.banksPerChannel());
     raa.assign(nbanks, 0);
-    victims.reset(nbanks, cfg.queueCap);
+    victims.reset(nbanks);
     mRfmTriggers = scope.counter("rfm_triggers");
 }
 

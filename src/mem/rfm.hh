@@ -29,8 +29,6 @@ struct RfmConfig
 {
     /** RAA Initial Management Threshold: ACTs per bank per RFM. */
     int raaimt = 32;
-    /** Victims queued per bank awaiting their RFM refresh slot. */
-    int queueCap = 8;
 };
 
 /** The RFM refresh scheme for one memory controller (channel). */

@@ -5,9 +5,8 @@
 namespace hira {
 
 void
-VictimQueue::reset(std::size_t banks, int queue_cap)
+VictimQueue::reset(std::size_t banks)
 {
-    cap = static_cast<std::size_t>(queue_cap);
     queues.assign(banks, {});
     pendingBanks.resize(banks);
     pending_ = 0;
@@ -26,7 +25,7 @@ VictimQueue::pushNeighbors(std::size_t idx, RowId row, RowId rows_per_bank,
             continue;
         ++generated;
         ++stats.preventiveGenerated;
-        if (queues[idx].size() >= cap) {
+        if (queues[idx].size() >= kCap) {
             ++stats.preventiveDropped;
             continue;
         }

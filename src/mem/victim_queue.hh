@@ -3,7 +3,7 @@
  * Per-bank bounded victim queues for the schemes that refresh the
  * physical neighbours of a triggering row (RFM, Graphene-TRR).
  *
- * Each bank holds up to a fixed number of victims, modelling
+ * Each bank holds up to a fixed number of victims (kCap), modelling
  * the device's bounded work list: a victim that finds its bank's queue
  * full is never refreshed and is counted as dropped, so every scheme
  * using the queue conserves generated = refreshed + pending + dropped.
@@ -28,8 +28,8 @@ namespace hira {
 class VictimQueue
 {
   public:
-    /** Empty queues for @p banks (rank-major) banks, @p queue_cap deep. */
-    void reset(std::size_t banks, int queue_cap);
+    /** Empty queues for @p banks (rank-major) banks. */
+    void reset(std::size_t banks);
 
     /**
      * Queue @p row's in-bank neighbours on bank index @p idx, counting
@@ -50,7 +50,9 @@ class VictimQueue
     std::uint64_t pending() const { return pending_; }
 
   private:
-    std::size_t cap = 0;
+    /** Victims each bank's queue holds. */
+    static constexpr std::size_t kCap = 8;
+
     std::vector<std::deque<RowId>> queues; //!< per flat bank index
     BankBits pendingBanks; //!< banks whose queue is non-empty
     std::uint64_t pending_ = 0;

@@ -125,7 +125,8 @@ struct Driver
             bool all_closed = true;
             for (BankId b = 0;
                  b < static_cast<BankId>(geom.banksPerRank()); ++b)
-                all_closed = all_closed && model.bankClosed(model.bankIndex(rank, b));
+                all_closed = all_closed &&
+                             model.openRow(model.bankIndex(rank, b)) == kNoRow;
             if (all_closed) {
                 Cycle t = slot(model.earliestRef(rank));
                 model.issueRef(rank, t);

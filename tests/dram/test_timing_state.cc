@@ -74,7 +74,7 @@ TEST(TimingState, FreshBankImmediatelyActivatable)
 {
     Fixture f;
     EXPECT_EQ(f.model.earliestAct(0), 0u);
-    EXPECT_TRUE(f.model.bankClosed(0));
+    EXPECT_EQ(f.model.openRow(0), kNoRow);
 }
 
 TEST(TimingState, ActSetsRcdRasRc)
@@ -95,7 +95,7 @@ TEST(TimingState, PreThenActRespectsRp)
     f.model.issueAct(0, 1, 0);
     Cycle pre_at = f.model.earliestPre(0);
     f.model.issuePre(0, pre_at);
-    EXPECT_TRUE(f.model.bankClosed(0));
+    EXPECT_EQ(f.model.openRow(0), kNoRow);
     EXPECT_GE(f.model.earliestAct(0), pre_at + f.tc.rp);
 }
 
