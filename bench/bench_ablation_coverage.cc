@@ -1,8 +1,8 @@
 /**
  * @file
- * Ablation (DESIGN.md): sensitivity of HiRA-MC's benefit to the SPT
- * isolation density (the paper assumes the measured 32 %; Section 7).
- * Sweeps 10 % .. 100 % at 128 Gb.
+ * Ablation: sensitivity of HiRA-MC's benefit to the SPT isolation
+ * density (the paper assumes the measured 32 %; Section 7). Sweeps
+ * 10 % .. 100 % at 128 Gb.
  */
 
 #include "bench_util.hh"

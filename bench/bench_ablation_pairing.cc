@@ -1,9 +1,9 @@
 /**
  * @file
- * Ablation (DESIGN.md): contribution of each HiRA-MC pairing mechanism
- * at 128 Gb — refresh-access pairing (case 1), refresh-refresh pairing
- * incl. schedule pull-ahead (case 2), both, or neither (standalone
- * per-row refreshes only).
+ * Ablation: contribution of each HiRA-MC pairing mechanism at 128 Gb —
+ * refresh-access pairing (case 1), refresh-refresh pairing incl.
+ * schedule pull-ahead (case 2), both, or neither (standalone per-row
+ * refreshes only).
  */
 
 #include "bench_util.hh"

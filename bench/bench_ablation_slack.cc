@@ -1,7 +1,7 @@
 /**
  * @file
- * Ablation (DESIGN.md): fine-grained tRefSlack sweep (0..16 tRC) for
- * periodic refresh at 128 Gb. The paper reports saturation beyond
+ * Ablation: fine-grained tRefSlack sweep (0..16 tRC) for periodic
+ * refresh at 128 Gb. The paper reports saturation beyond
  * 2 tRC (Section 8); this sweep locates the knee in our model. All
  * slack points run as one sharded SweepRunner::runPoints() drain,
  * with per-point refresh stats taken from the PointResult.

@@ -148,8 +148,6 @@ writeJson()
     std::fprintf(f, "  \"title\": \"%s\",\n  \"reproduces\": \"%s\",\n",
                  jsonEscape(cap.title).c_str(),
                  jsonEscape(cap.paperRef).c_str());
-    std::fprintf(f, "  \"engine\": \"%s\",\n",
-                 simEngineName(defaultSimEngine()));
     std::fprintf(f, "  \"metrics_level\": \"%s\",\n",
                  metricsLevelName(defaultMetricsLevel()));
     // Always present so artifact consumers (the CI warm-cache check)

@@ -50,7 +50,7 @@ DramChip::disturbNeighbors(BankId bank, RowId row, double amount)
 {
     // Physically adjacent rows receive the disturbance (blast radius 1;
     // the controller-visible to physical row mapping is modeled as the
-    // identity, see DESIGN.md).
+    // identity).
     if (row > 0)
         rowState(bank, row - 1).damage += amount;
     if (row + 1 < cfg.rowsPerBank)

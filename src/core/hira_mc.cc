@@ -31,8 +31,7 @@ HiraMc::attach(MemoryController *controller, const MetricScope &scope)
                                                 cfg.seed);
     slackCycles = static_cast<Cycle>(cfg.slackN) * tcy.rc;
     marginCycles = kDeadlineMarginRc * tcy.rc;
-    // tREFW = 8192 tREFI intervals (64 ms for DDR4).
-    windowCycles = tcy.refi * 8192;
+    windowCycles = tcy.refw;
     nextWindowReset = windowCycles;
 
     std::uint32_t groups_per_sub =

@@ -55,7 +55,7 @@ struct HiraMcConfig
      * preventive refreshes use HiRA (Section 9.2).
      */
     bool periodicViaHira = true;
-    // Ablation switches (DESIGN.md ablation index).
+    // Ablation switches, swept by bench/bench_ablation_pairing.cc.
     bool enableAccessPairing = true;
     bool enableRefreshPairing = true;
     /**

@@ -20,9 +20,9 @@ Geometry::forCapacityGb(double capacity_gb)
     double rows = 65536.0 * scale;
     hira_assert(rows >= 1024.0);
     g.rowsPerBank = static_cast<std::uint32_t>(std::lround(rows));
-    // External refresh work scales as C^0.3 (see DESIGN.md "Scaling
-    // model": the exponent is calibrated so HiRA-0's overhead at 128 Gb
-    // matches the paper's reported 19.4 %; Expression 1's C^0.6 governs
+    // External refresh work scales as C^0.3 (ROADMAP.md item 2: the
+    // exponent is calibrated so HiRA-0's overhead at 128 Gb matches
+    // the paper's reported 19.4 %; Expression 1's C^0.6 governs
     // the baseline's internal refresh time, not the number of
     // externally issued row refreshes). For chips below the 8 Gb anchor
     // the model would exceed one op per row; an external refresh never

@@ -33,8 +33,9 @@ struct Geometry
     /**
      * Number of externally visible row-refresh operations per bank per
      * refresh window when refresh is performed with per-row commands
-     * (HiRA). Scales as capacity^0.6 mirroring Expression 1; see DESIGN.md
-     * "Scaling model". 64K at 8 Gb.
+     * (HiRA). Scales as capacity^0.3, an exponent calibrated to HiRA-0's
+     * 19.4 % overhead at 128 Gb (see geometry.cc and ROADMAP.md item 2).
+     * 64K at 8 Gb.
      */
     std::uint32_t refreshGroupsPerBank = 65536;
 
@@ -67,7 +68,8 @@ struct Geometry
     /**
      * Geometry for a given per-chip capacity (gigabits), holding row size
      * and bank count fixed and scaling the row count, as DDR4 generations
-     * do. refreshGroupsPerBank scales as capacity^0.6 (DESIGN.md).
+     * do. refreshGroupsPerBank scales as capacity^0.3 (ROADMAP.md
+     * item 2).
      */
     static Geometry forCapacityGb(double capacity_gb);
 };

@@ -26,6 +26,7 @@ TimingCycles::TimingCycles(const TimingParams &tp)
     wtrL = tp.cycles(tp.tWTR_L);
     rtrs = tp.cycles(tp.tRTRS);
     refi = tp.cycles(tp.tREFI);
+    refw = refi * 8192;
     rfc = tp.cycles(tp.tRFC);
     c1 = tp.cycles(tp.t1);
     c2 = tp.cycles(tp.t2);

@@ -37,6 +37,13 @@ struct TimingCycles
     Cycle rrdS, rrdL, faw;
     Cycle cl, cwl, bl, ccdS, ccdL, rtp, wr, wtrS, wtrL, rtrs;
     Cycle refi, rfc;
+    /**
+     * The refresh window as 8192 tREFI intervals (64 ms for DDR4),
+     * which is when HiRA-MC's RefPtr table and Graphene-TRR's trackers
+     * reset. Not tp.tREFW converted: 8192 x 7.8 us is 63.9 ms, 13
+     * tREFI short of 64 ms.
+     */
+    Cycle refw;
     Cycle c1, c2; //!< HiRA t1, t2
 
     explicit TimingCycles(const TimingParams &tp);

@@ -8,7 +8,7 @@ namespace hira {
 
 namespace {
 
-// Fit constants (22 nm, anchored to CACTI 7 results; see DESIGN.md).
+// Fit constants (22 nm, anchored to CACTI 7 results).
 constexpr double kBaseAreaUm2 = 100.0;   //!< fixed periphery
 constexpr double kAreaPerBitUm2 = 0.115; //!< cell + array overhead
 constexpr double kAreaPerEntryUm2 = 2.1; //!< decoder / wordline driver

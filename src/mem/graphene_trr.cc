@@ -22,17 +22,13 @@ GrapheneTrr::attach(MemoryController *controller, const MetricScope &scope)
     for (auto &t : trackers)
         t.reserve(static_cast<std::size_t>(cfg.trackerSize));
     victims.reset(nbanks);
-    // tREFW = 8192 tREFI intervals (as in HiraMc's refptr window).
-    windowCycles = tcy.refi * 8192;
+    windowCycles = tcy.refw;
     nextWindowReset = windowCycles;
     // TRR selection once per tREFI per rank, staggered like the
     // baseline REF schedule so multi-rank channels don't burst.
     nextTrrAt.assign(static_cast<std::size_t>(geom.ranksPerChannel), 0);
-    for (int r = 0; r < geom.ranksPerChannel; ++r) {
-        nextTrrAt[static_cast<std::size_t>(r)] =
-            tcy.refi * static_cast<Cycle>(r + 1) /
-            static_cast<Cycle>(geom.ranksPerChannel);
-    }
+    for (int r = 0; r < geom.ranksPerChannel; ++r)
+        nextTrrAt[static_cast<std::size_t>(r)] = firstRefAt(r);
     mTrrSelections = scope.counter("trr_selections");
     mTrackerDepth = scope.histogram(
         "tracker_depth", 0.0, static_cast<double>(cfg.trackerSize + 1),

@@ -11,16 +11,18 @@ BaselineRefresh::attach(MemoryController *controller,
 {
     RefreshScheme::attach(controller, scope);
     const Geometry &geom = controller->geometry();
-    Cycle refi = controller->tc().refi;
     nextRefAt.resize(static_cast<std::size_t>(geom.ranksPerChannel));
     debt.assign(static_cast<std::size_t>(geom.ranksPerChannel), 0);
     closing.assign(static_cast<std::size_t>(geom.ranksPerChannel), false);
-    for (int r = 0; r < geom.ranksPerChannel; ++r) {
-        // Stagger rank refresh phases so tRFC windows do not align.
-        nextRefAt[static_cast<std::size_t>(r)] =
-            refi * static_cast<Cycle>(r + 1) /
-            static_cast<Cycle>(geom.ranksPerChannel);
-    }
+    for (int r = 0; r < geom.ranksPerChannel; ++r)
+        nextRefAt[static_cast<std::size_t>(r)] = firstRefAt(r);
+}
+
+Cycle
+BaselineRefresh::firstRefAt(int rank) const
+{
+    return ctrl->tc().refi * static_cast<Cycle>(rank + 1) /
+           static_cast<Cycle>(ctrl->geometry().ranksPerChannel);
 }
 
 void

@@ -174,6 +174,13 @@ class BaselineRefresh : public RefreshScheme
     void tick(Cycle now) override;
     Cycle nextEventCycle(Cycle now) const override;
 
+  protected:
+    /**
+     * Cycle of rank @p rank's first REF. Ranks are staggered evenly
+     * over one tREFI so their tRFC windows do not align.
+     */
+    Cycle firstRefAt(int rank) const;
+
   private:
     std::vector<Cycle> nextRefAt; //!< per rank
     std::vector<int> debt;        //!< due, not yet issued REFs per rank

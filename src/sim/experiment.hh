@@ -115,7 +115,7 @@ struct SweepPoint
      * Canonical result-cache key of this point when evaluated with
      * @p knobs over @p mixes: a multi-line string covering every
      * behavior-affecting input (code revision, geometry key and
-     * standard, scheme seed-key, engine/metrics selection, warmup and
+     * standard, scheme seed-key, metrics selection, warmup and
      * measured cycles, and the fully-resolved mix specs — see
      * sim/result_cache.hh). Tools, hira_sweep, and SweepRunner all
      * derive keys through this one function so they can never disagree

@@ -534,20 +534,19 @@ resolvedMixSpecKey(const std::string &spec)
 namespace {
 
 /**
- * The key fields points and alone entries share. Engine and metrics
- * level are bitwise result-neutral (pinned by the diff suites), but they ARE behavior-affecting inputs of the *artifact*
- * (timing regimes, metrics payloads), so they key separate slots —
- * a conservative choice that can only cost extra simulations, never
- * correctness.
+ * The key fields points and alone entries share. The metrics level is
+ * bitwise result-neutral (pinned by the diff suites), but it IS a
+ * behavior-affecting input of the *artifact* (the metrics payload), so
+ * it keys separate slots — a conservative choice that can only cost
+ * extra simulations, never correctness.
  */
 std::string
 commonKeyFields(const GeomSpec &geom, const BenchKnobs &knobs)
 {
-    return strprintf("rev=%s\ngeom=%s\nstandard=%s\nengine=%s\n"
+    return strprintf("rev=%s\ngeom=%s\nstandard=%s\n"
                      "metrics=%s\nwarmup=%lld\ncycles=%lld\n",
                      codeRevision().c_str(), geom.key().c_str(),
                      geom.standard.c_str(),
-                     simEngineName(defaultSimEngine()),
                      metricsLevelName(defaultMetricsLevel()),
                      static_cast<long long>(knobs.warmup),
                      static_cast<long long>(knobs.cycles));

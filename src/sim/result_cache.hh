@@ -4,19 +4,20 @@
  *
  * The determinism work of PRs 3/5 made every simulation a pure
  * function of its inputs: per-run seeds derive injectively from
- * (geometry key, scheme seed-key, mix index), the two engines are
- * bitwise-equivalent, and trace files are keyed by their identity on
- * disk. That is what makes memoizing PointResults sound — and this cache is that
- * memo, shared across processes through a directory of single-file
- * entries committed by atomic rename.
+ * (geometry key, scheme seed-key, mix index), the event engine is
+ * bitwise-equivalent to its dense-loop oracle, and trace files are
+ * keyed by their identity on disk. That is what makes memoizing
+ * PointResults sound — and this cache is that memo, shared across
+ * processes through a directory of single-file entries committed by
+ * atomic rename.
  *
  * Keys are canonical multi-line strings covering every
  * behavior-affecting input (see SweepPoint::cacheKey in
  * sim/experiment.hh and aloneResultCacheKey below): run seeds (via the
  * geometry/scheme keys they derive from), the fully-resolved mix specs
  * including trace-file size and mtime and "?once" options, warmup and
- * measured cycles, SimEngine, metrics level, the memory standard,
- * and a code-revision stamp (the configure-time git rev, so a rebuilt
+ * measured cycles, metrics level, the memory standard, and a
+ * code-revision stamp (the configure-time git rev, so a rebuilt
  * simulator never serves stale numbers). The entry file stores
  * the full key and is rejected as stale when it does not match the
  * lookup key — a hash collision or a tampered file can never alias.

@@ -1,8 +1,6 @@
 #include "sim/system.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hh"
 #include "common/trace_events.hh"
@@ -14,16 +12,6 @@ namespace hira {
 SimEngine
 defaultSimEngine()
 {
-    const char *v = std::getenv("HIRA_ENGINE");
-    if (v == nullptr || *v == '\0')
-        return SimEngine::EventLoop;
-    if (std::strcmp(v, "event") == 0)
-        return SimEngine::EventLoop;
-    if (std::strcmp(v, "cycle") == 0)
-        return SimEngine::CycleLoop;
-    warn_once("unknown HIRA_ENGINE='%s' (expected 'cycle' or 'event'); "
-              "using 'event'",
-              v);
     return SimEngine::EventLoop;
 }
 

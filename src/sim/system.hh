@@ -4,13 +4,13 @@
  * controllers, with the 3.2 GHz core / 1.2 GHz DDR4-2400 bus clock
  * crossing (8 CPU cycles per 3 memory cycles).
  *
- * Two simulation-loop engines share the wiring (SimEngine, HIRA_ENGINE
- * knob): the legacy dense loop ticks every component every bus cycle;
- * the event-driven kernel advances straight to the earliest of the
- * controllers' cached nextEvent() bounds and the cores' stall state,
- * fast-forwarding the skipped CPU ticks in bulk. The two
- * are bitwise-equivalent at the SystemResult level (see BUILDING.md
- * "The event-driven simulation kernel" for the component contract).
+ * Simulations run on the event-driven kernel, which advances straight
+ * to the earliest of the controllers' cached nextEvent() bounds and
+ * the cores' stall state, fast-forwarding the skipped CPU ticks in
+ * bulk. The dense loop, which ticks every component every bus cycle,
+ * stays as its test oracle: the two are bitwise-equivalent at the
+ * SystemResult level (see BUILDING.md "The event-driven simulation
+ * kernel" for the component contract).
  */
 
 #ifndef HIRA_SIM_SYSTEM_HH
@@ -37,23 +37,22 @@ class TraceEventLog;
 /**
  * Simulation-loop engine. Both engines produce bitwise-identical
  * SystemResult values (pinned by tests/sim/test_engine_diff.cc); they
- * differ only in wall clock.
+ * differ only in wall clock. Only tests and bench/perf select the
+ * dense loop, by setting SystemConfig::engine.
  */
 enum class SimEngine
 {
-    CycleLoop, //!< legacy dense loop: tick every component every bus cycle
+    CycleLoop, //!< the oracle: tick every component every bus cycle
     EventLoop, //!< skip-ahead kernel driven by nextEvent() bounds
 };
 
 /**
- * Engine selected by the HIRA_ENGINE environment variable ("cycle" or
- * "event"; default "event"). Read on every call so tests can flip the
- * variable between runs; unknown values warn once and fall back to the
- * default.
+ * The engine every simulation runs on: always EventLoop. bench/perf
+ * stamps its name into each result record.
  */
 SimEngine defaultSimEngine();
 
-/** Display name ("cycle" / "event") for logs and HIRA_JSON artifacts. */
+/** Display name ("cycle" / "event") for logs and result records. */
 const char *simEngineName(SimEngine engine);
 
 /** Which refresh scheme the controllers run. */
@@ -101,8 +100,8 @@ struct SystemConfig
     std::string traceDumpDir;
     TraceFormat traceDumpFormat = TraceFormat::Text;
 
-    /** Simulation-loop engine (defaults to the HIRA_ENGINE knob). */
-    SimEngine engine = defaultSimEngine();
+    /** Simulation-loop engine; tests set CycleLoop to run the oracle. */
+    SimEngine engine = SimEngine::EventLoop;
 
     /**
      * Instrumentation level (defaults to the HIRA_METRICS knob). Off

@@ -2,10 +2,11 @@
  * @file
  * Synthetic instruction-trace generation.
  *
- * Substitute for SPEC CPU2006 traces (DESIGN.md): each benchmark profile
- * fixes the statistics that matter to the memory system — memory
- * intensity, read/write mix, sequential-stream fraction (row-buffer
- * locality), cache-resident hot-set fraction, and footprint. Each core
+ * Substitute for SPEC CPU2006 traces (BUILDING.md, "Trace-driven
+ * workloads"): each benchmark profile fixes the statistics that matter
+ * to the memory system — memory intensity, read/write mix,
+ * sequential-stream fraction (row-buffer locality), cache-resident
+ * hot-set fraction, and footprint. Each core
  * draws an independent, seeded stream over a private slice of the
  * physical address space (multiprogrammed workloads share nothing).
  */

@@ -1,8 +1,8 @@
 /**
  * @file
- * The synthetic benchmark pool (SPEC CPU2006-inspired; see DESIGN.md)
- * and the multiprogrammed mix generator (the paper's 125 randomly
- * chosen 8-core workloads, Section 7).
+ * The synthetic benchmark pool (SPEC CPU2006-inspired; see BUILDING.md,
+ * "Trace-driven workloads") and the multiprogrammed mix generator (the
+ * paper's 125 randomly chosen 8-core workloads, Section 7).
  */
 
 #ifndef HIRA_SIM_WORKLOADS_HH

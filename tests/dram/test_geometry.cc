@@ -49,7 +49,7 @@ TEST(Geometry, CapacityScalingRows)
 
 TEST(Geometry, RefreshGroupScalingIsSublinear)
 {
-    // DESIGN.md scaling model: refresh groups per bank scale as C^0.3.
+    // Refresh groups per bank scale as C^0.3 (src/dram/geometry.cc).
     auto g8 = Geometry::forCapacityGb(8.0);
     auto g128 = Geometry::forCapacityGb(128.0);
     EXPECT_EQ(g8.refreshGroupsPerBank, 65536u);

@@ -199,6 +199,21 @@ TEST(EngineDiff, GeometriesAndMixes)
     expectEnginesAgree(makeConfig(hira, memHeavyMix(), wide),
                        "hira-2 2ch2rk");
 
+    // Immediate PARA and PARA via HiRA across channels and ranks, the
+    // geometries of Figs. 15 and 16.
+    SchemeSpec para = base;
+    para.paraEnabled = true;
+    para.nrh = 256.0;
+    expectEnginesAgree(makeConfig(para, memHeavyMix(), wide),
+                       "baseline+para 2ch2rk");
+    SchemeSpec prc = hira;
+    prc.slackN = 4;
+    prc.paraEnabled = true;
+    prc.preventiveViaHira = true;
+    prc.nrh = 64.0;
+    expectEnginesAgree(makeConfig(prc, memHeavyMix(), wide),
+                       "hira-4+para(hira) 2ch2rk");
+
     // Eight channels, the widest geometry the figure drivers sweep:
     // LLC writebacks drained from one channel land in any of the others.
     GeomSpec eight;

@@ -13,8 +13,6 @@
 #include <set>
 #include <thread>
 
-#include <stdlib.h>
-
 #include "result_expect.hh"
 #include "sim/experiment.hh"
 
@@ -82,43 +80,6 @@ TEST(SweepRunnerThreads, RunPointsIdenticalOneVsFourThreads)
     SweepRunner serial(tinyKnobs(1));
     SweepRunner pooled(tinyKnobs(4));
     expectSamePoints(serial.runPoints(plan), pooled.runPoints(plan));
-}
-
-TEST(SweepRunnerThreads, RunPointsIdenticalAcrossEnginesAndThreadCounts)
-{
-    // The sharded plan path must be bitwise identical under either
-    // simulation-loop engine (HIRA_ENGINE), at any thread count: the
-    // event kernel is a pure wall-clock optimization. Guards the full
-    // SweepRunner stack (seeding, alone-IPC cache, reductions) on top
-    // of the per-system differential suite in test_engine_diff.cc.
-    std::vector<SweepPoint> plan;
-    for (int slack : {-1, 2}) {
-        SweepPoint p;
-        if (slack < 0) {
-            p.scheme.kind = SchemeKind::Baseline;
-        } else {
-            p.scheme.kind = SchemeKind::HiraMc;
-            p.scheme.slackN = slack;
-        }
-        plan.push_back(p);
-    }
-
-    auto run_with_engine = [&plan](const char *engine, int threads) {
-        EXPECT_EQ(::setenv("HIRA_ENGINE", engine, 1), 0);
-        SweepRunner runner(tinyKnobs(threads));
-        return runner.runPoints(plan);
-    };
-    std::vector<std::vector<PointResult>> results;
-    results.push_back(run_with_engine("cycle", 1));
-    results.push_back(run_with_engine("event", 1));
-    results.push_back(run_with_engine("event", 4));
-    ::unsetenv("HIRA_ENGINE");
-
-    ASSERT_EQ(results.size(), 3u);
-    for (std::size_t v = 1; v < results.size(); ++v) {
-        SCOPED_TRACE("variant " + std::to_string(v));
-        expectSamePoints(results[v], results[0]);
-    }
 }
 
 TEST(SweepRunnerThreads, NoDuplicateAloneRunsAcrossAPlan)

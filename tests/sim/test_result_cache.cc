@@ -35,7 +35,6 @@ class ResultCacheTest : public ::testing::Test
     SetUp() override
     {
         ::setenv("HIRA_CACHE_REV", "test", 1);
-        ::setenv("HIRA_ENGINE", "event", 1);
         ::unsetenv("HIRA_METRICS");
         ::unsetenv("HIRA_STANDARD");
         ::unsetenv("HIRA_RESULT_CACHE");
@@ -53,7 +52,6 @@ class ResultCacheTest : public ::testing::Test
     {
         Corpus::setActive(nullptr);
         ::unsetenv("HIRA_CACHE_REV");
-        ::unsetenv("HIRA_ENGINE");
         std::filesystem::remove_all(dir);
     }
 
@@ -153,7 +151,6 @@ TEST_F(ResultCacheTest, GoldenPointKey)
               "rev=test\n"
               "geom=c8-ch1-rk1\n"
               "standard=ddr4_2400\n"
-              "engine=event\n"
               "metrics=off\n"
               "warmup=3000\n"
               "cycles=12000\n"
@@ -171,7 +168,6 @@ TEST_F(ResultCacheTest, GoldenAloneKey)
               "rev=test\n"
               "geom=c8-ch1-rk1\n"
               "standard=ddr4_2400\n"
-              "engine=event\n"
               "metrics=off\n"
               "warmup=3000\n"
               "cycles=12000\n"
@@ -211,10 +207,6 @@ TEST_F(ResultCacheTest, EveryInputChangesThePointKey)
     ::setenv("HIRA_CACHE_REV", "other", 1);
     EXPECT_NE(p.cacheKey(knobs(), mixes()), base);
     ::setenv("HIRA_CACHE_REV", "test", 1);
-
-    ::setenv("HIRA_ENGINE", "cycle", 1);
-    EXPECT_NE(p.cacheKey(knobs(), mixes()), base);
-    ::setenv("HIRA_ENGINE", "event", 1);
 
     // Metrics level changes the PointResult::metrics payload, so it
     // keys separate slots even though the numbers are identical.

@@ -5,8 +5,8 @@
  * cache must produce bitwise-identical results at any thread count —
  * the result cache is a pure memoization of the deterministic
  * simulation. Also pins that warm runs simulate nothing (points AND
- * alone-IPC warmups), that cached entries do not leak across engine
- * selections, and that full-level metrics survive the round trip.
+ * alone-IPC warmups), and that full-level metrics survive the round
+ * trip.
  */
 
 #include <gtest/gtest.h>
@@ -33,7 +33,6 @@ class SweepCacheTest : public ::testing::Test
         // Pin every environment input of the cache key; tests flip
         // individual knobs back and forth themselves.
         ::setenv("HIRA_CACHE_REV", "test", 1);
-        ::setenv("HIRA_ENGINE", "event", 1);
         ::unsetenv("HIRA_METRICS");
         ::unsetenv("HIRA_STANDARD");
         ::unsetenv("HIRA_RESULT_CACHE");
@@ -49,7 +48,6 @@ class SweepCacheTest : public ::testing::Test
     TearDown() override
     {
         ::unsetenv("HIRA_CACHE_REV");
-        ::unsetenv("HIRA_ENGINE");
         ::unsetenv("HIRA_METRICS");
         std::filesystem::remove_all(dir);
     }
@@ -177,35 +175,6 @@ TEST_F(SweepCacheTest, WarmIsIdenticalAcrossThreadCounts)
         expectSamePoints(got, want);
         EXPECT_EQ(warm.pointsSimulated(), 0u);
     }
-}
-
-TEST_F(SweepCacheTest, EntriesDoNotLeakAcrossEngines)
-{
-    // The two engines produce bitwise-identical numbers, but they are
-    // distinct key inputs (conservative: a cross-selection reuse
-    // could mask an equivalence bug instead of letting the diff
-    // suites catch it). A cache primed under one selection must MISS
-    // under the other — and re-simulating must still agree bitwise,
-    // which makes every warm rerun a cross-check of the equivalence.
-    std::vector<SweepPoint> plan = {tinyPlan()[1]};
-    SweepRunner cold(tinyKnobs(2));
-    attachCache(cold);
-    std::vector<PointResult> eventOut = cold.runPoints(plan);
-
-    ::setenv("HIRA_ENGINE", "cycle", 1);
-    SweepRunner cycleRunner(tinyKnobs(2));
-    attachCache(cycleRunner);
-    std::vector<PointResult> cycleOut = cycleRunner.runPoints(plan);
-    EXPECT_EQ(cycleRunner.pointsSimulated(), 1u);
-    EXPECT_EQ(cycleRunner.pointsFromCache(), 0u);
-    expectSamePoints(cycleOut, eventOut);
-    ::setenv("HIRA_ENGINE", "event", 1);
-
-    // Back on the original selection: warm.
-    SweepRunner warm(tinyKnobs(2));
-    attachCache(warm);
-    warm.runPoints(plan);
-    EXPECT_EQ(warm.pointsSimulated(), 0u);
 }
 
 TEST_F(SweepCacheTest, FullMetricsSurviveTheRoundTrip)

@@ -17,9 +17,9 @@
  * "points_simulated", "results": [...]}, one result per slice point in
  * plan order. Results hold model outputs only (no wall clock, no
  * cache-hit flag), so a warm rerun prints them byte-for-byte like the
- * cold run that filled the cache. Simulation behavior (engine, metrics,
- * corpus, threads) comes from the environment, the same knobs that feed
- * the cache keys.
+ * cold run that filled the cache. Simulation behavior (metrics, corpus,
+ * threads) comes from the environment, the same knobs that feed the
+ * cache keys.
  */
 
 #include <cstdio>
