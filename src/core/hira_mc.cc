@@ -39,16 +39,17 @@ HiraMc::attach(MemoryController *controller, const MetricScope &scope)
     if (groups_per_sub == 0)
         groups_per_sub = 1;
 
-    // §6 sizing: slack-bounded periodic entries per rank plus up to 4
-    // preventive entries per bank (68 at tRefSlack = 4 tRC).
+    // §6 sizing: slack-bounded periodic entries per rank plus a full
+    // PR-FIFO per bank (68 at tRefSlack = 4 tRC).
     tables.assign(static_cast<std::size_t>(geom.ranksPerChannel),
                   RefreshTable(
                       static_cast<std::size_t>(std::max(cfg.slackN, 4)) +
-                      4 * static_cast<std::size_t>(geom.banksPerRank())));
+                      kPrFifoDepth *
+                          static_cast<std::size_t>(geom.banksPerRank())));
     const int total_banks = geom.banksPerChannel();
     refptrs = std::make_unique<RefPtrTable>(
         total_banks, geom.subarraysPerBank, groups_per_sub);
-    fifos = std::make_unique<PrFifoSet>(total_banks);
+    prFifoSize.assign(static_cast<std::size_t>(total_banks), 0);
 
     // Periodic generation: one row-refresh request per bank every
     // tREFW / refreshGroupsPerBank, staggered across the rank's banks
@@ -64,7 +65,7 @@ HiraMc::attach(MemoryController *controller, const MetricScope &scope)
     }
     nextGenMinValid = false;
 
-    // PR-FIFOs hold 4 entries (Section 6); one extra bin keeps the
+    // PR-FIFOs hold kPrFifoDepth = 4 entries; one extra bin keeps the
     // full-FIFO occupancy distinguishable from near-full.
     mPrFifoDepth = scope.histogram("pr_fifo_depth", 0.0, 5.0, 5);
     mRefptrResets = scope.counter("refptr_resets");
@@ -102,8 +103,7 @@ HiraMc::generatePeriodic(Cycle now)
 }
 
 HiraMc::Target
-HiraMc::targetFor(const RefreshEntry &e, SubarrayId pair_with,
-                  int fifo_index) const
+HiraMc::targetFor(const RefreshEntry &e, SubarrayId pair_with) const
 {
     Target t;
     if (e.type == RefreshType::Periodic) {
@@ -112,16 +112,10 @@ HiraMc::targetFor(const RefreshEntry &e, SubarrayId pair_with,
         t.subarray = pick.subarray;
         return t;
     }
-    const PrFifoSet &fifo = *fifos;
-    RowId row = fifo_index == 0
-                    ? (fifo.empty(e.bank) ? kNoRow : fifo.front(e.bank))
-                    : fifo.second(e.bank);
-    if (row == kNoRow)
-        return t;
-    SubarrayId sub = spt_->subarrayOf(row);
+    SubarrayId sub = spt_->subarrayOf(e.row);
     if (pair_with != kAnySubarray && !spt_->isolated(sub, pair_with))
         return t;
-    t.row = row;
+    t.row = e.row;
     t.subarray = sub;
     return t;
 }
@@ -138,7 +132,7 @@ HiraMc::commit(const RefreshEntry &e, const Target &t, Cycle now)
     if (e.type == RefreshType::Periodic) {
         refptrs->advance(e.bank, t.subarray);
     } else {
-        fifos->pop(e.bank);
+        --prFifoSize[e.bank];
     }
     ++stats_.rowRefreshes;
     bool removed = tables[ctrl->rankOf(e.bank)].remove(e.id);
@@ -216,18 +210,9 @@ HiraMc::caseTwo(Cycle now)
     int nranks = geom.ranksPerChannel;
     for (int i = 0; i < nranks; ++i) {
         int rank = (rankCursor + i) % nranks;
-        // Earliest-deadline due entry whose bank is actionable. Scanning
-        // past blocked banks avoids head-of-line blocking while a
-        // just-refreshed bank waits for its auto-PRE.
-        const RefreshEntry *e = nullptr;
-        for (const RefreshEntry &cand : tables[rank].all()) {
-            if (cand.deadline > now + marginCycles)
-                continue;
-            if (ctrl->bankBlocked(cand.bank))
-                continue;
-            if (e == nullptr || cand.deadline < e->deadline)
-                e = &cand;
-        }
+        const RefreshEntry *e = tables[rank].earliestActionable(
+            now + marginCycles,
+            [this](std::size_t b) { return ctrl->bankBlocked(b); });
         if (e == nullptr)
             continue;
         const std::size_t bank = e->bank;
@@ -244,24 +229,19 @@ HiraMc::caseTwo(Cycle now)
 
         // Copy the entry: commits mutate the table.
         RefreshEntry first = *e;
-        // A preventive entry is inserted only after its PR-FIFO push
-        // succeeded, and only its commit pops the FIFO, so each bank
-        // holds as many preventive entries as FIFO slots.
-        hira_assert(first.type != RefreshType::Preventive ||
-                    !fifos->empty(bank));
         // Every refresh below needs an ACT now (a HiRA pair's first ACT
         // is no earlier than a plain one), so until the bank can take
         // one, skip the target search instead of picking and dropping.
         if (ctrl->rankHeld(rank) || model.earliestAct(bank) > now)
             continue;
-        Target tc_first = targetFor(first, kAnySubarray, 0);
+        Target tc_first = targetFor(first, kAnySubarray);
 
         if (cfg.enableRefreshPairing && cfg.enablePullAhead &&
             first.type == RefreshType::Periodic &&
             tables[rank].pairCandidate(first) == nullptr) {
             // No queued partner: pull the bank's next scheduled periodic
             // refresh forward and pair the two (see HiraMcConfig).
-            Target ahead = targetFor(first, tc_first.subarray, 0);
+            Target ahead = targetFor(first, tc_first.subarray);
             if (ahead.valid() &&
                 ctrl->tryHiraRefreshPair(bank, tc_first.row, ahead.row,
                                          now)) {
@@ -280,19 +260,10 @@ HiraMc::caseTwo(Cycle now)
             const RefreshEntry *e2 = tables[rank].pairCandidate(first);
             if (e2 != nullptr) {
                 RefreshEntry second = *e2;
-                int fifo_index =
-                    (first.type == RefreshType::Preventive &&
-                     second.type == RefreshType::Preventive)
-                        ? 1
-                        : 0;
-                Target tc_second =
-                    targetFor(second, tc_first.subarray, fifo_index);
+                Target tc_second = targetFor(second, tc_first.subarray);
                 if (tc_second.valid() &&
                     ctrl->tryHiraRefreshPair(bank, tc_first.row,
                                              tc_second.row, now)) {
-                    // Commit order matters for two preventive entries:
-                    // the second target's FIFO index was relative to the
-                    // un-popped queue, so commit first, then second.
                     commit(first, tc_first, now);
                     commit(second, tc_second, now);
                     stats_.refreshPaired += 2;
@@ -320,7 +291,7 @@ HiraMc::takeHiddenRefresh(std::size_t bank, RowId row_a, Cycle now)
     const RefreshEntry *e = tables[ctrl->rankOf(bank)].earliestForBank(bank);
     if (e == nullptr)
         return kNoRow;
-    Target t = targetFor(*e, spt_->subarrayOf(row_a), 0);
+    Target t = targetFor(*e, spt_->subarrayOf(row_a));
     if (!t.valid())
         return kNoRow;
     commit(RefreshEntry(*e), t, now); // a copy: commit removes the entry
@@ -338,16 +309,17 @@ HiraMc::onActivate(std::size_t bank, RowId row, Cycle now)
     if (victim == kNoRow)
         return;
     ++stats_.preventiveGenerated;
-    if (!fifos->push(bank, victim)) {
-        // The 4-entry per-bank PR-FIFO is full: the victim was never
-        // enqueued, so scheduling a RefreshTable request for it would
-        // desynchronize the two structures. Count the drop instead.
+    std::size_t &queued = prFifoSize[bank];
+    if (queued >= kPrFifoDepth) {
+        // The bank's PR-FIFO is full: the hardware has nowhere to put
+        // the victim, so it is never refreshed.
         ++stats_.preventiveDropped;
         return;
     }
-    observe(mPrFifoDepth, static_cast<double>(fifos->size(bank)));
+    ++queued;
+    observe(mPrFifoDepth, static_cast<double>(queued));
     tables[ctrl->rankOf(bank)].insert(now + slackCycles, bank,
-                                      RefreshType::Preventive);
+                                      RefreshType::Preventive, victim);
 }
 
 } // namespace hira

@@ -10,9 +10,13 @@
  * deadlines; the Concurrent Refresh Finder pairs queued refreshes with
  * demand activations (case 1, via the controller's takeHiddenRefresh
  * hook) or with each other (case 2) and falls back to standalone
- * refreshes at the deadline. The RefPtr Table, the PR-FIFOs and the
- * generation schedule are indexed by the channel's flat bank index;
- * the Refresh Tables are per rank.
+ * refreshes at the deadline. The Refresh Tables are per rank. A bank's
+ * PR-FIFO is its preventive entries there, each carrying its victim
+ * row: their deadlines are activation cycle plus a fixed slack, so the
+ * bank's earliest-deadline preventive entry is its FIFO front. A
+ * per-bank count bounds the FIFO at kPrFifoDepth. The RefPtr Table, the
+ * FIFO counts and the generation schedule are indexed by the channel's
+ * flat bank index.
  *
  * HiRA-N configurations set tRefSlack = N * tRC (Sections 8-9's
  * notation). With periodicViaHira off (Section 9.2: PARA served by
@@ -26,14 +30,16 @@
 #include <memory>
 #include <vector>
 
-#include "core/pr_fifo.hh"
 #include "core/refptr_table.hh"
-#include "core/refresh_table.hh"
 #include "core/spt.hh"
 #include "mem/para.hh"
 #include "mem/refresh.hh"
+#include "mem/refresh_table.hh"
 
 namespace hira {
+
+/** PR-FIFO entries per bank (Section 6's worst-case sizing). */
+inline constexpr std::size_t kPrFifoDepth = 4;
 
 /** HiRA-MC configuration. */
 struct HiraMcConfig
@@ -87,7 +93,6 @@ class HiraMc final : public BaselineRefresh
 
     const RefreshTable &table(int rank) const { return tables[rank]; }
     const RefPtrTable &refPtr() const { return *refptrs; }
-    const PrFifoSet &prFifo() const { return *fifos; }
     const SubarrayPairsTable &spt() const { return *spt_; }
     const HiraMcConfig &config() const { return cfg; }
 
@@ -103,15 +108,14 @@ class HiraMc final : public BaselineRefresh
     void generatePeriodic(Cycle now);
     double earliestGen() const;
     bool caseTwo(Cycle now);
-    Target targetFor(const RefreshEntry &e, SubarrayId pair_with,
-                     int fifo_index) const;
+    Target targetFor(const RefreshEntry &e, SubarrayId pair_with) const;
     void commit(const RefreshEntry &e, const Target &t, Cycle now);
 
     HiraMcConfig cfg;
     std::unique_ptr<SubarrayPairsTable> spt_;
     std::vector<RefreshTable> tables;   //!< per rank
     std::unique_ptr<RefPtrTable> refptrs;
-    std::unique_ptr<PrFifoSet> fifos;
+    std::vector<std::size_t> prFifoSize; //!< per bank, <= kPrFifoDepth
     ParaSampler sampler;
 
     std::vector<double> nextGen;        //!< per bank, in cycles
@@ -130,7 +134,7 @@ class HiraMc final : public BaselineRefresh
     int rankCursor = 0;
 
     // Observability (nullptr when metrics are off). mPrFifoDepth samples
-    // the per-bank PR-FIFO occupancy right after each successful push;
+    // the per-bank PR-FIFO occupancy right after each accepted victim;
     // mRefptrResets counts tREFW window rollovers.
     HistogramMetric *mPrFifoDepth = nullptr;
     Counter *mRefptrResets = nullptr;

@@ -68,6 +68,9 @@ struct HiraMcCost
  * Build the Table 2 cost model for the given geometry parameters.
  * Defaults follow Section 6: tRefSlack = 4 tRC => 68 Refresh Table
  * entries; 128 subarrays x 16 banks RefPtr; 4-entry PR-FIFO per bank.
+ * This models the paper's hardware, not the simulator's data layout
+ * (which keeps a bank's PR-FIFO rows in its Refresh Table entries), so
+ * its costs do not depend on how the simulator stores them.
  */
 HiraMcCost hiraMcCost(int banks_per_rank = 16, int subarrays_per_bank = 128,
                       int refresh_table_entries = 68,

@@ -18,10 +18,11 @@ PracRefresh::attach(MemoryController *controller, const MetricScope &scope)
     const Geometry &geom = controller->geometry();
     slackCycles = static_cast<Cycle>(cfg.slackRc) * controller->tc().rc;
     counters.assign(static_cast<std::size_t>(geom.banksPerChannel()), {});
-    targets.assign(static_cast<std::size_t>(geom.ranksPerChannel), {});
     // Same shape as HiRA-MC's §6 sizing: up to 4 queued targeted
     // refreshes per bank.
-    cap = 4 * static_cast<std::size_t>(geom.banksPerRank());
+    const std::size_t cap = 4 * static_cast<std::size_t>(geom.banksPerRank());
+    tables.assign(static_cast<std::size_t>(geom.ranksPerChannel),
+                  RefreshTable(cap));
     rankCursor = 0;
     mPracTriggers = scope.counter("prac_triggers");
     mTableDepth = scope.histogram("table_depth", 0.0,
@@ -32,8 +33,8 @@ std::size_t
 PracRefresh::pendingTargets() const
 {
     std::size_t n = 0;
-    for (const std::vector<Target> &q : targets)
-        n += q.size();
+    for (const RefreshTable &t : tables)
+        n += t.size();
     return n;
 }
 
@@ -47,8 +48,8 @@ PracRefresh::onActivate(std::size_t bank, RowId row, Cycle now)
     // refreshes for both physical neighbors.
     c = 0;
     count(mPracTriggers);
-    std::vector<Target> &q =
-        targets[static_cast<std::size_t>(ctrl->rankOf(bank))];
+    RefreshTable &table =
+        tables[static_cast<std::size_t>(ctrl->rankOf(bank))];
     RowId rows = ctrl->geometry().rowsPerBank;
     RowId neighbors[2] = {row > 0 ? row - 1 : kNoRow,
                           row + 1 < rows ? row + 1 : kNoRow};
@@ -56,14 +57,15 @@ PracRefresh::onActivate(std::size_t bank, RowId row, Cycle now)
         if (victim == kNoRow)
             continue;
         ++stats_.preventiveGenerated;
-        if (q.size() >= cap) {
-            // The list models a hard hardware bound: the victim is
+        if (table.size() >= table.capacity()) {
+            // The table models a hard hardware bound: the victim is
             // never refreshed and counts as dropped.
             ++stats_.preventiveDropped;
             continue;
         }
-        q.push_back({now + slackCycles, bank, victim});
-        observe(mTableDepth, static_cast<double>(q.size()));
+        table.insert(now + slackCycles, bank, RefreshType::Preventive,
+                     victim);
+        observe(mTableDepth, static_cast<double>(table.size()));
     }
 }
 
@@ -74,22 +76,15 @@ PracRefresh::drain(Cycle now)
     int nranks = geom.ranksPerChannel;
     for (int i = 0; i < nranks; ++i) {
         int rank = (rankCursor + i) % nranks;
-        std::vector<Target> &q = targets[static_cast<std::size_t>(rank)];
-        // Earliest-deadline target whose bank is actionable (skipping
-        // blocked banks avoids head-of-line blocking behind an
-        // in-flight refresh's auto-PRE).
-        std::size_t pick = q.size();
-        for (std::size_t k = 0; k < q.size(); ++k) {
-            if (ctrl->bankBlocked(q[k].bank))
-                continue;
-            if (pick == q.size() || q[k].deadline < q[pick].deadline)
-                pick = k;
-        }
-        if (pick == q.size())
+        RefreshTable &table = tables[static_cast<std::size_t>(rank)];
+        const RefreshEntry *pick = table.earliestActionable(
+            kNeverCycle,
+            [this](std::size_t b) { return ctrl->bankBlocked(b); });
+        if (pick == nullptr)
             continue;
-        // Copy the target: the refresh ACT below re-enters onActivate,
-        // which can append to (and reallocate) this same list.
-        const Target t = q[pick];
+        // Copy the entry: the refresh ACT below re-enters onActivate,
+        // which can insert into (and reallocate) this same table.
+        const RefreshEntry t = *pick;
         if (ctrl->timing().openRow(t.bank) != kNoRow) {
             if (ctrl->tryPre(t.bank, now)) {
                 rankCursor = rank + 1;
@@ -102,8 +97,7 @@ PracRefresh::drain(Cycle now)
                 ++stats_.deadlineMisses;
             ++stats_.rowRefreshes;
             ++stats_.standalone;
-            q[pick] = q.back();
-            q.pop_back();
+            table.remove(t.id);
             rankCursor = rank + 1;
             return true;
         }
@@ -123,11 +117,11 @@ Cycle
 PracRefresh::nextEventCycle(Cycle now) const
 {
     // Queued targeted refreshes drain against per-bank timing gates;
-    // poll densely while any are queued (lists cap at 4 per bank, so
+    // poll densely while any are queued (tables cap at 4 per bank, so
     // the dense window is short). Counters only change via onActivate,
     // i.e. on issues, which force a poll anyway.
-    for (const std::vector<Target> &q : targets) {
-        if (!q.empty())
+    for (const RefreshTable &table : tables) {
+        if (!table.empty())
             return now + 1;
     }
     return BaselineRefresh::nextEventCycle(now);

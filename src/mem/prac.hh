@@ -7,10 +7,11 @@
  * when a row's count crosses the threshold the controller performs a
  * targeted refresh of the row's physical neighbors before they can
  * disturb-fail, then resets the counter (back-off). Queued targeted
- * refreshes wait in a bounded per-rank list with a slack deadline and
- * drain earliest-deadline-first through the controller's refresh-open
- * machinery. Periodic refresh stays on conventional REF, inherited from
- * BaselineRefresh.
+ * refreshes wait with a slack deadline in a per-rank Refresh Table (the
+ * table HiRA-MC uses, bounded at 4 entries per bank; a victim that finds
+ * it full is dropped) and drain through the same earliest-deadline pick
+ * and the controller's refresh-open machinery. Periodic refresh stays
+ * on conventional REF, inherited from BaselineRefresh.
  */
 
 #ifndef HIRA_MEM_PRAC_HH
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "mem/refresh.hh"
+#include "mem/refresh_table.hh"
 
 namespace hira {
 
@@ -46,25 +48,16 @@ class PracRefresh final : public BaselineRefresh
     const PracConfig &config() const { return cfg; }
     /** Targeted refreshes queued across all ranks (test hook). */
     std::size_t pendingTargets() const;
-    /** Targeted refreshes one rank can queue. */
-    std::size_t capacity() const { return cap; }
+    /** Targeted refreshes one rank can queue (once attached). */
+    std::size_t capacity() const { return tables.front().capacity(); }
 
   private:
-    /** A queued targeted refresh of one victim row. */
-    struct Target
-    {
-        Cycle deadline;
-        std::size_t bank; //!< flat bank index
-        RowId row;
-    };
-
     bool drain(Cycle now);
 
     PracConfig cfg;
     /** Per-bank activation counters, keyed by row. */
     std::vector<std::unordered_map<RowId, int>> counters;
-    std::vector<std::vector<Target>> targets; //!< per rank
-    std::size_t cap = 0;
+    std::vector<RefreshTable> tables; //!< per rank
     Cycle slackCycles = 0;
     int rankCursor = 0;
 

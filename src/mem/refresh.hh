@@ -32,7 +32,11 @@ struct RefreshStats
     std::uint64_t standalone = 0;        //!< plain ACT+PRE refreshes
     std::uint64_t deadlineMisses = 0;    //!< executed past their deadline
     std::uint64_t preventiveGenerated = 0;
-    /** Preventive victims rejected by a full PR-FIFO (never refreshed). */
+    /**
+     * Preventive victims never refreshed because the scheme's bounded
+     * queue was full: HiRA-MC's PR-FIFO, PRAC's Refresh Table, or
+     * the victim queues of RFM and Graphene-TRR.
+     */
     std::uint64_t preventiveDropped = 0;
 
     /**

@@ -1,7 +1,10 @@
 /**
  * @file
- * The Refresh Table (Section 5, component 3): queued periodic and
- * preventive refresh requests with their deadline, bank, and type.
+ * The Refresh Table (Section 5, component 3): queued targeted refresh
+ * requests with their deadline, bank, type and, for a preventive
+ * request, its victim row. HiRA-MC keeps one per rank for its periodic
+ * and preventive requests (a bank's preventive entries are its PR-FIFO,
+ * component 2); PRAC keeps one per rank for its neighbor refreshes.
  *
  * Sized per the paper's §6 analysis: with tRefSlack = 4 tRC a rank can
  * hold at most 4 periodic + 64 preventive requests (68 entries). The
@@ -9,8 +12,8 @@
  * hardware traversal of §6.2 does) are used throughout.
  */
 
-#ifndef HIRA_CORE_REFRESH_TABLE_HH
-#define HIRA_CORE_REFRESH_TABLE_HH
+#ifndef HIRA_MEM_REFRESH_TABLE_HH
+#define HIRA_MEM_REFRESH_TABLE_HH
 
 #include <cstdint>
 #include <vector>
@@ -32,6 +35,11 @@ struct RefreshEntry
     std::uint64_t id = 0;   //!< unique handle for commit/remove
     Cycle deadline = 0;
     std::size_t bank = 0;   //!< flat bank index within the channel
+    /**
+     * The victim of a preventive request. A periodic request keeps
+     * kNoRow: HiRA-MC's RefPtr Table picks its row at issue time.
+     */
+    RowId row = kNoRow;
     RefreshType type = RefreshType::Periodic;
 };
 
@@ -51,12 +59,14 @@ class RefreshTable
      * this, and the overflow counter is exposed for tests).
      */
     bool
-    insert(Cycle deadline, std::size_t bank, RefreshType type)
+    insert(Cycle deadline, std::size_t bank, RefreshType type,
+           RowId row = kNoRow)
     {
         RefreshEntry e;
         e.id = nextId++;
         e.deadline = deadline;
         e.bank = bank;
+        e.row = row;
         e.type = type;
         entries.push_back(e);
         if (entries.size() > cap) {
@@ -66,18 +76,34 @@ class RefreshTable
         return true;
     }
 
+    /**
+     * The next targeted refresh: the earliest-deadline entry due by
+     * @p due_by whose bank is not @p blocked (a callable taking the
+     * flat bank index), the first in table order on a tie; nullptr if
+     * none. Skipping blocked banks avoids head-of-line blocking while
+     * a just-refreshed bank waits for its auto-PRE.
+     */
+    template <typename Blocked>
+    const RefreshEntry *
+    earliestActionable(Cycle due_by, Blocked &&blocked) const
+    {
+        const RefreshEntry *best = nullptr;
+        for (const RefreshEntry &e : entries) {
+            if (e.deadline > due_by ||
+                (best != nullptr && e.deadline >= best->deadline) ||
+                blocked(e.bank))
+                continue;
+            best = &e;
+        }
+        return best;
+    }
+
     /** Earliest-deadline entry for one bank, or nullptr. */
     const RefreshEntry *
     earliestForBank(std::size_t bank) const
     {
-        const RefreshEntry *best = nullptr;
-        for (const RefreshEntry &e : entries) {
-            if (e.bank != bank)
-                continue;
-            if (best == nullptr || e.deadline < best->deadline)
-                best = &e;
-        }
-        return best;
+        return earliestActionable(
+            kNeverCycle, [bank](std::size_t b) { return b != bank; });
     }
 
     /**
@@ -97,7 +123,10 @@ class RefreshTable
         return best;
     }
 
-    /** Remove an entry by id; returns false if not present. */
+    /**
+     * Remove an entry by id, moving the last entry into its slot;
+     * returns false if not present.
+     */
     bool
     remove(std::uint64_t id)
     {
@@ -126,4 +155,4 @@ class RefreshTable
 
 } // namespace hira
 
-#endif // HIRA_CORE_REFRESH_TABLE_HH
+#endif // HIRA_MEM_REFRESH_TABLE_HH

@@ -273,7 +273,7 @@ class SweepRunner
     std::uint64_t aloneRunCount() const { return aloneRuns.load(); }
 
     /**
-     * Replace the result cache (tests and the daemon pass an explicit
+     * Replace the result cache (tests and hira_perf pass an explicit
      * directory; nullptr disables caching). Both constructors install
      * ResultCache::fromEnv(), so HIRA_RESULT_CACHE enables caching for
      * every runner with no driver changes.

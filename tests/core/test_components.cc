@@ -1,15 +1,15 @@
 /**
  * @file
- * Unit tests for HiRA-MC's hardware components: Refresh Table, RefPtr
- * Table, PR-FIFO, and SPT (Section 5's four structures).
+ * Unit tests for HiRA-MC's hardware components: Refresh Table (which
+ * also holds the PR-FIFOs' rows), RefPtr Table, and SPT (Section 5's
+ * four structures).
  */
 
 #include <gtest/gtest.h>
 
-#include "core/pr_fifo.hh"
 #include "core/refptr_table.hh"
-#include "core/refresh_table.hh"
 #include "core/spt.hh"
+#include "mem/refresh_table.hh"
 
 using namespace hira;
 
@@ -17,13 +17,34 @@ TEST(RefreshTable, InsertAndEarliestByDeadline)
 {
     RefreshTable t(8);
     t.insert(300, 2, RefreshType::Periodic);
-    t.insert(100, 2, RefreshType::Preventive);
+    t.insert(100, 2, RefreshType::Preventive, 77);
     t.insert(200, 5, RefreshType::Periodic);
     const std::uint64_t id2 = t.all()[1].id, id3 = t.all()[2].id;
     ASSERT_NE(t.earliestForBank(2), nullptr);
     EXPECT_EQ(t.earliestForBank(2)->id, id2);
+    EXPECT_EQ(t.earliestForBank(2)->row, 77u);
     EXPECT_EQ(t.earliestForBank(5)->id, id3);
+    EXPECT_EQ(t.earliestForBank(5)->row, kNoRow);
     EXPECT_EQ(t.earliestForBank(9), nullptr);
+
+    // The next targeted refresh is due by the bound (inclusive), and a
+    // blocked bank is skipped rather than waited on.
+    auto none = [](std::size_t) { return false; };
+    auto bank2 = [](std::size_t b) { return b == 2; };
+    EXPECT_EQ(t.earliestActionable(99, none), nullptr);
+    ASSERT_NE(t.earliestActionable(100, none), nullptr);
+    EXPECT_EQ(t.earliestActionable(100, none)->id, id2);
+    EXPECT_EQ(t.earliestActionable(150, bank2), nullptr);
+    ASSERT_NE(t.earliestActionable(kNeverCycle, bank2), nullptr);
+    EXPECT_EQ(t.earliestActionable(kNeverCycle, bank2)->id, id3);
+
+    // A tie goes to the first entry in table order; removing an entry
+    // moves the last one into its slot, which reorders the tie.
+    t.insert(100, 6, RefreshType::Periodic);
+    const std::uint64_t id4 = t.all()[3].id;
+    EXPECT_EQ(t.earliestActionable(kNeverCycle, none)->id, id2);
+    t.remove(t.all()[0].id);
+    EXPECT_EQ(t.earliestActionable(kNeverCycle, none)->id, id4);
 }
 
 TEST(RefreshTable, PairCandidateSameBankOnly)
@@ -49,6 +70,33 @@ TEST(RefreshTable, RemoveById)
     EXPECT_TRUE(t.remove(id));
     EXPECT_FALSE(t.remove(id));
     EXPECT_TRUE(t.empty());
+
+    // A bank's PR-FIFO: preventive deadlines are the activation cycle
+    // plus a fixed slack, so taking out the earliest entry again and
+    // again yields the rows in the order they came, and its pair
+    // candidate is the FIFO's second entry. Another bank's entries
+    // interleave in the table without disturbing that order.
+    const RowId rows[3] = {40, 10, 30};
+    for (int i = 0; i < 3; ++i) {
+        const Cycle at = 1000 + 10 * static_cast<Cycle>(i);
+        t.insert(at, 3, RefreshType::Preventive, rows[i]);
+        t.insert(at - 5, 7, RefreshType::Preventive, 1);
+    }
+    for (int i = 0; i < 3; ++i) {
+        const RefreshEntry *e = t.earliestForBank(3);
+        ASSERT_NE(e, nullptr);
+        EXPECT_EQ(e->row, rows[i]);
+        const RefreshEntry *second = t.pairCandidate(*e);
+        if (i < 2) {
+            ASSERT_NE(second, nullptr);
+            EXPECT_EQ(second->row, rows[i + 1]);
+        } else {
+            EXPECT_EQ(second, nullptr);
+        }
+        EXPECT_TRUE(t.remove(e->id));
+    }
+    EXPECT_EQ(t.earliestForBank(3), nullptr);
+    EXPECT_EQ(t.size(), 3u);
 }
 
 TEST(RefreshTable, OverflowCounted)
@@ -117,63 +165,6 @@ TEST(RefPtrTable, BalancedAdvanceAcrossSubarrays)
         rp.advance(0, p.subarray);
     }
     EXPECT_EQ(seen.size(), geom.subarraysPerBank);
-}
-
-TEST(PrFifo, FifoOrderAndSecond)
-{
-    PrFifoSet f(16);
-    EXPECT_TRUE(f.empty(3));
-    f.push(3, 100);
-    f.push(3, 200);
-    EXPECT_EQ(f.front(3), 100u);
-    EXPECT_EQ(f.second(3), 200u);
-    f.pop(3);
-    EXPECT_EQ(f.front(3), 200u);
-    EXPECT_EQ(f.second(3), kNoRow);
-}
-
-TEST(PrFifo, FullFifoRejectsThePush)
-{
-    // Section 6 sizes the PR-FIFO at 4 entries per bank: a push into a
-    // full FIFO must NOT store the victim (the hardware has nowhere to
-    // put it), must return false, and must count the overflow.
-    PrFifoSet f(16, 4);
-    for (RowId r = 0; r < 4; ++r)
-        EXPECT_TRUE(f.push(2, r));
-    EXPECT_TRUE(f.full(2));
-    EXPECT_FALSE(f.push(2, 99));
-    EXPECT_EQ(f.overflows(), 1u);
-    EXPECT_EQ(f.size(2), 4u);
-    // The rejected victim is nowhere in the FIFO.
-    for (RowId r = 0; r < 4; ++r) {
-        EXPECT_EQ(f.front(2), r);
-        f.pop(2);
-    }
-    EXPECT_TRUE(f.empty(2));
-    // Dropping an entry reopens capacity.
-    EXPECT_TRUE(f.push(2, 100));
-    EXPECT_EQ(f.overflows(), 1u);
-}
-
-TEST(PrFifo, OverflowAccountingAccumulatesAcrossBanks)
-{
-    PrFifoSet f(4, 1);
-    EXPECT_TRUE(f.push(0, 1));
-    EXPECT_FALSE(f.push(0, 2));
-    EXPECT_FALSE(f.push(0, 3));
-    EXPECT_TRUE(f.push(3, 4));
-    EXPECT_FALSE(f.push(3, 5));
-    EXPECT_EQ(f.overflows(), 3u);
-    EXPECT_EQ(f.size(0), 1u);
-    EXPECT_EQ(f.size(3), 1u);
-}
-
-TEST(PrFifo, BanksIndependent)
-{
-    PrFifoSet f(16);
-    f.push(0, 1);
-    EXPECT_TRUE(f.empty(1));
-    EXPECT_FALSE(f.empty(0));
 }
 
 TEST(Spt, IsolationDensityMatchesAssumption)

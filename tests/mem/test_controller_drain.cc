@@ -125,7 +125,6 @@ TEST(ControllerDrain, DemandHiraCountsAsHiraOp)
     // With HiRA-MC attached and a queued periodic refresh, the first
     // demand activation to that bank should ride a HiRA op.
     auto cc = makeConfig();
-    cc.paraImmediate = false;
     HiraMcConfig h;
     h.slackN = 8;
     MemoryController ctrl(0, cc, std::make_unique<HiraMc>(h));

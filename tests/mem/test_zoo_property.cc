@@ -41,7 +41,6 @@ zooControllerConfig()
     ControllerConfig cc;
     cc.geom = Geometry::forCapacityGb(8.0);
     cc.tp = ddr4_2400(8.0);
-    cc.paraImmediate = false;
     return cc;
 }
 

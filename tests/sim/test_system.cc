@@ -205,45 +205,71 @@ TEST(SystemSim, MultiChannelImprovesThroughput)
     EXPECT_GT(ipc4, ipc1 * 1.3);
 }
 
-TEST(SystemSim, FullSystemTracesAuditClean)
+TEST(SystemSim, EverySchemeAuditsCleanOnDdr4AndDdr5)
 {
     // End-to-end protocol audit: every channel's command trace from a
-    // full-system run (HiRA periodic + PreventiveRC PARA) is legal.
-    GeomSpec g;
-    g.channels = 2;
-    SchemeSpec s;
-    s.kind = SchemeKind::HiraMc;
-    s.slackN = 4;
-    s.paraEnabled = true;
-    s.preventiveViaHira = true;
-    s.nrh = 512.0;
-    SystemConfig cfg = makeSystemConfig(g, s, memHeavyMix(), 3);
-    cfg.recordTraces = true;
-    System sys(cfg);
-    sys.run(30000);
-    TimingChecker checker(cfg.geom, cfg.tp);
-    for (int ch = 0; ch < sys.channels(); ++ch) {
-        auto violations = checker.check(sys.controller(ch).trace());
-        EXPECT_TRUE(violations.empty())
-            << "channel " << ch << ": "
-            << (violations.empty() ? "" : violations[0].message);
-    }
-}
+    // full-system run of every scheme is legal on both standards, and
+    // each preventive scheme actually fires in the window.
+    struct Case
+    {
+        const char *name;
+        SchemeSpec spec;
+        bool preventive;
+    };
+    std::vector<Case> cases;
+    auto add = [&cases](const char *name, SchemeKind kind,
+                        bool preventive) -> SchemeSpec & {
+        SchemeSpec s;
+        s.kind = kind;
+        cases.push_back({name, s, preventive});
+        return cases.back().spec;
+    };
+    add("NoRefresh", SchemeKind::NoRefresh, false);
+    add("Baseline", SchemeKind::Baseline, false);
+    add("HiRA-2", SchemeKind::HiraMc, false).slackN = 2;
+    add("RFM", SchemeKind::Rfm, true).raaimt = 8;
+    add("PRAC", SchemeKind::Prac, true).pracThreshold = 4;
+    add("Graphene", SchemeKind::Graphene, true).nrh = 16.0;
+    SchemeSpec &para = add("Baseline+PARA", SchemeKind::Baseline, true);
+    para.paraEnabled = true;
+    para.nrh = 64.0;
+    SchemeSpec &hira_para =
+        add("PARA via HiRA-4", SchemeKind::Baseline, true);
+    hira_para.slackN = 4;
+    hira_para.paraEnabled = true;
+    hira_para.preventiveViaHira = true;
+    hira_para.nrh = 64.0;
 
-TEST(SystemSim, BaselineSystemTraceAuditsClean)
-{
-    GeomSpec g;
-    g.ranks = 2;
-    SchemeSpec s;
-    s.kind = SchemeKind::Baseline;
-    s.paraEnabled = true;
-    s.nrh = 256.0;
-    SystemConfig cfg = makeSystemConfig(g, s, memHeavyMix(), 4);
-    cfg.recordTraces = true;
-    System sys(cfg);
-    sys.run(30000);
-    TimingChecker checker(cfg.geom, cfg.tp);
-    auto violations = checker.check(sys.controller(0).trace());
-    EXPECT_TRUE(violations.empty())
-        << (violations.empty() ? "" : violations[0].message);
+    for (const char *standard : {"ddr4_2400", "ddr5_4800"}) {
+        GeomSpec g;
+        g.channels = 2;
+        g.ranks = 2;
+        g.standard = standard;
+        std::uint64_t baseline_acts = 0;
+        for (const Case &c : cases) {
+            SCOPED_TRACE(std::string(standard) + " " + c.name);
+            SystemConfig cfg = makeSystemConfig(g, c.spec, memHeavyMix(), 3);
+            cfg.recordTraces = true;
+            System sys(cfg);
+            sys.run(30000);
+            TimingChecker checker(cfg.geom, cfg.tp);
+            for (int ch = 0; ch < sys.channels(); ++ch) {
+                auto violations = checker.check(sys.controller(ch).trace());
+                EXPECT_TRUE(violations.empty())
+                    << "channel " << ch << ": "
+                    << (violations.empty() ? "" : violations[0].message);
+            }
+            const SystemResult r = sys.result();
+            if (c.spec.kind == SchemeKind::Baseline && !c.preventive)
+                baseline_acts = r.controller.acts;
+            if (!c.preventive)
+                continue;
+            // Immediate PARA refreshes inside the controller, outside
+            // RefreshStats: it fires when it adds ACTs over Baseline.
+            if (c.spec.paraEnabled && !c.spec.preventiveViaHira)
+                EXPECT_GT(r.controller.acts, baseline_acts);
+            else
+                EXPECT_GT(r.refresh.rowRefreshes, 0u);
+        }
+    }
 }
